@@ -33,7 +33,6 @@ from .fleet import (
     pmf_stats,
     pool_unit_sizes,
     synthesize_fleet,
-    unit_outage_pmf,
 )
 from .ingest import (
     Channel,
@@ -62,7 +61,6 @@ from .stats import (
     WinterWindow,
     autocorrelation,
     reconciliation_error,
-    summary,
     weekly_profile,
     winter_window,
 )
@@ -122,11 +120,9 @@ __all__ = [
     "run_pipeline",
     "simulate_fleet",
     "simulate_unit",
-    "summary",
     "synthesize_fleet",
     "theoretical_unit_acf",
     "transition_rates",
-    "unit_outage_pmf",
     "unit_series",
     "weekly_profile",
     "winter_window",

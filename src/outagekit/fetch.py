@@ -14,7 +14,6 @@ import json
 import logging
 import time
 import zipfile
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -43,19 +42,6 @@ HttpGet = Callable[[str, dict], tuple[int, bytes]]
 def _default_http_get(url: str, params: dict) -> tuple[int, bytes]:
     resp = requests.get(url, params=params, timeout=60)
     return resp.status_code, resp.content
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One immutable cached payload page for a (zone, day, doc_type)."""
-
-    zone: str
-    day: date
-    doc_type: str
-    page: int
-    payload: bytes
-    fetched_at: str
-    sha256: str
 
 
 class FetchClient:
@@ -98,7 +84,8 @@ class FetchClient:
     def _meta_path(self, zone: str, day: date, doc_type: str) -> Path:
         return self._day_dir(zone, day) / f"{doc_type}.meta.json"
 
-    def _page_path(self, zone: str, day: date, doc_type: str, page: int) -> Path:
+    def page_path(self, zone: str, day: date, doc_type: str, page: int) -> Path:
+        """Cache file of one payload page of a (zone, day, doc_type)."""
         return self._day_dir(zone, day) / f"{doc_type}.page{page}.bin"
 
     def cached_pages(self, zone: str, day: date, doc_type: str) -> list[bytes] | None:
@@ -114,7 +101,7 @@ class FetchClient:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         pages: list[bytes] = []
         for page, expected in enumerate(meta["sha256"]):
-            payload = self._page_path(zone, day, doc_type, page).read_bytes()
+            payload = self.page_path(zone, day, doc_type, page).read_bytes()
             digest = hashlib.sha256(payload).hexdigest()
             if digest != expected:
                 raise FetchError(
@@ -124,12 +111,17 @@ class FetchClient:
             pages.append(payload)
         return pages
 
-    def _store(self, zone: str, day: date, doc_type: str, pages: Sequence[bytes]) -> None:
+    def store(self, zone: str, day: date, doc_type: str, pages: Sequence[bytes]) -> None:
+        """Cache the pages of a (zone, day, doc_type), with their content hashes.
+
+        An empty ``pages`` records a day without matching data.  The meta
+        file is written last, after every page it lists.
+        """
         day_dir = self._day_dir(zone, day)
         day_dir.mkdir(parents=True, exist_ok=True)
         hashes = []
         for page, payload in enumerate(pages):
-            self._page_path(zone, day, doc_type, page).write_bytes(payload)
+            self.page_path(zone, day, doc_type, page).write_bytes(payload)
             hashes.append(hashlib.sha256(payload).hexdigest())
         meta = {
             "zone": zone,
@@ -142,26 +134,6 @@ class FetchClient:
         self._meta_path(zone, day, doc_type).write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-
-    def entries(self, zone: str, day: date, doc_type: str) -> list[CacheEntry]:
-        """Cached pages as CacheEntry records (empty list on a miss)."""
-        meta_path = self._meta_path(zone, day, doc_type)
-        if not meta_path.exists():
-            return []
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        pages = self.cached_pages(zone, day, doc_type) or []
-        return [
-            CacheEntry(
-                zone=zone,
-                day=day,
-                doc_type=doc_type,
-                page=i,
-                payload=payload,
-                fetched_at=meta["fetched_at"],
-                sha256=meta["sha256"][i],
-            )
-            for i, payload in enumerate(pages)
-        ]
 
     # -- network --------------------------------------------------------
 
@@ -198,7 +170,7 @@ class FetchClient:
             if _document_count(payload) < PAGE_SIZE_DOCS:
                 break
             offset += PAGE_SIZE_DOCS
-        self._store(zone, day, doc_type, pages)
+        self.store(zone, day, doc_type, pages)
         logger.info("fetched %s %s %s: %d page(s)", zone, day, doc_type, len(pages))
         return pages
 
@@ -241,19 +213,6 @@ class FetchClient:
         raise FetchError(
             f"giving up on {zone} {day} {doc_type} after {self.retries} attempts: {last_error}"
         )
-
-
-def fetch_day(
-    zone: str,
-    day: date,
-    doc_type: str,
-    token: str,
-    *,
-    cache_dir: Path | str,
-    **client_kwargs,
-) -> list[bytes]:
-    """One-shot convenience wrapper around FetchClient.fetch_day."""
-    return FetchClient(token, cache_dir, **client_kwargs).fetch_day(zone, day, doc_type)
 
 
 def _period_param(day: date, days_ahead: int) -> str:

@@ -45,13 +45,6 @@ class CapacityOutagePMF:
     def max_outage_mw(self) -> int:
         return int(self.probabilities.size - 1)
 
-    def as_dict(self, *, drop_zero: bool = True) -> dict[int, float]:
-        """PMF as {outage_mw: probability}; zero-mass bins dropped by default."""
-        items = enumerate(self.probabilities.tolist())
-        if drop_zero:
-            return {k: v for k, v in items if v != 0.0}
-        return dict(items)
-
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probabilities)
 
@@ -144,17 +137,6 @@ def synthesize_fleet(
     return Fleet(zone=zone, units=tuple(units))
 
 
-def unit_outage_pmf(unit: GeneratorUnit) -> CapacityOutagePMF:
-    """Two-point outage distribution of a single unit.
-
-    P(outage = 0) = availability, P(outage = capacity) = 1 - availability.
-    """
-    p = np.zeros(unit.capacity_mw + 1, dtype=np.float64)
-    p[0] = unit.availability
-    p[unit.capacity_mw] += 1.0 - unit.availability
-    return CapacityOutagePMF(probabilities=p)
-
-
 def _canonical_unit_order(units: Sequence[GeneratorUnit]) -> list[GeneratorUnit]:
     # Folding in a fixed order makes the convolution bit-identical under any
     # permutation of the input units (float addition is not associative).
@@ -194,7 +176,7 @@ def pmf_stats(pmf: CapacityOutagePMF) -> tuple[float, float]:
 
     Quantiles use the discrete inverse-CDF convention (smallest grid point
     whose CDF reaches the level); note this differs from the interpolated
-    quantiles used for empirical hourly samples in stats.summary.
+    quantiles used for empirical hourly samples in stats.sample_stats.
     """
     grid = np.arange(pmf.probabilities.size, dtype=np.float64)
     mean = float(grid @ pmf.probabilities)

@@ -79,12 +79,10 @@ class HourlyOutageSeries:
     def n_hours(self) -> int:
         return int(self.o_mean_mw.size)
 
-    def triple(self, index: int) -> HourlyOutageTriple:
-        return HourlyOutageTriple(
-            o_min_mw=float(self.o_min_mw[index]),
-            o_mean_mw=float(self.o_mean_mw[index]),
-            o_max_mw=float(self.o_max_mw[index]),
-        )
+    @property
+    def values_mw(self) -> np.ndarray:
+        """The reconciled hourly outage: the midpoint of the envelopes."""
+        return self.o_mean_mw
 
 
 def _minute_envelope(

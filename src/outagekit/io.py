@@ -19,7 +19,7 @@ from .errors import InvalidInputError
 from .fleet import CapacityOutagePMF
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS, SummaryStats
-from .timeseries import HourlySeries, format_utc, parse_utc
+from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
 from .types import Fleet, Fuel, FuelParams, GeneratorUnit
 
 ZONE_SERIES_HEADER = (
@@ -166,23 +166,22 @@ def write_zone_series(
 
 
 def read_zone_series(path: Path | str, *, zone: str = "") -> dict[Channel, HourlyOutageSeries]:
-    timestamps: list[datetime] = []
+    stamps: list[str] = []
     data: dict[str, list[float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader, ZONE_SERIES_HEADER.split(","), where=str(path))
         for rec in reader:
-            timestamps.append(parse_utc(rec["timestamp_utc"]))
+            stamps.append(rec["timestamp_utc"])
             for name in ZONE_SERIES_HEADER.split(",")[1:]:
                 data.setdefault(name, []).append(float(rec[name]))
-    if not timestamps:
-        raise InvalidInputError(f"{path}: series has no rows")
+    start = _hourly_start(stamps, path=path)
     out: dict[Channel, HourlyOutageSeries] = {}
     for channel, (lo, mid, hi) in _CHANNEL_COLUMNS.items():
         out[channel] = HourlyOutageSeries(
             subject=zone,
             channel=channel,
-            start=timestamps[0],
+            start=start,
             o_min_mw=np.asarray(data[lo], dtype=np.float64),
             o_mean_mw=np.asarray(data[mid], dtype=np.float64),
             o_max_mw=np.asarray(data[hi], dtype=np.float64),
@@ -215,17 +214,17 @@ def sidecar_for(path: Path | str) -> Path:
 
 
 def read_sim_series(path: Path | str) -> tuple[HourlySeries, dict[str, object]]:
-    timestamps: list[datetime] = []
+    stamps: list[str] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader, ("timestamp_utc", "outage_mw"), where=str(path))
         for rec in reader:
-            timestamps.append(parse_utc(rec["timestamp_utc"]))
+            stamps.append(rec["timestamp_utc"])
             values.append(float(rec["outage_mw"]))
-    if not timestamps:
-        raise InvalidInputError(f"{path}: series has no rows")
-    series = HourlySeries(start=timestamps[0], values_mw=np.asarray(values, dtype=np.float64))
+    series = HourlySeries(
+        start=_hourly_start(stamps, path=path), values_mw=np.asarray(values, dtype=np.float64)
+    )
     sidecar = sidecar_for(path)
     metadata: dict[str, object] = {}
     if sidecar.exists():
@@ -301,17 +300,36 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
 
 def read_demand(path: Path | str) -> HourlySeries:
     """Read an hourly demand CSV with columns timestamp_utc,demand_mw."""
-    timestamps: list[datetime] = []
+    stamps: list[str] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader, ("timestamp_utc", "demand_mw"), where=str(path))
         for rec in reader:
-            timestamps.append(parse_utc(rec["timestamp_utc"]))
+            stamps.append(rec["timestamp_utc"])
             values.append(float(rec["demand_mw"]))
-    if not timestamps:
-        raise InvalidInputError(f"{path}: demand series has no rows")
-    return HourlySeries(start=timestamps[0], values_mw=np.asarray(values, dtype=np.float64))
+    return HourlySeries(
+        start=_hourly_start(stamps, path=path), values_mw=np.asarray(values, dtype=np.float64)
+    )
+
+
+def _hourly_start(stamps: Sequence[str], *, path: Path | str) -> datetime:
+    """First timestamp of an hourly CSV, after checking every later row.
+
+    Row k (on line k + 2, after the header) must be exactly one hour after
+    row k - 1, so gaps, repeats and out-of-order rows are rejected.
+    """
+    if not stamps:
+        raise InvalidInputError(f"{path}: series has no rows")
+    start = prev = parse_utc(stamps[0])
+    for lineno, text in enumerate(stamps[1:], start=3):
+        ts = parse_utc(text)
+        if ts - prev != HOUR:
+            raise InvalidInputError(
+                f"{path}:{lineno}: timestamp {text} is not one hour after the previous row"
+            )
+        prev = ts
+    return start
 
 
 def _require_columns(reader: csv.DictReader, expected: Sequence[str], *, where: str) -> None:

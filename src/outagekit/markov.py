@@ -81,9 +81,13 @@ def theoretical_unit_acf(rates: TransitionRates, lag_hours: int) -> float:
     return float((1.0 - s) ** lag_hours)
 
 
-def derive_unit_seed(seed: int, unit_index: int) -> int:
-    """Deterministic child seed for unit ``unit_index`` of a fleet run."""
-    ss = np.random.SeedSequence((seed, unit_index))
+def derive_seed(seed: int, *branch: int) -> int:
+    """Deterministic child seed for one named branch of a seed.
+
+    Distinct branches, such as ``(seed, unit_index)`` for the units of a
+    fleet run, give independent streams.
+    """
+    ss = np.random.SeedSequence((seed, *branch))
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
@@ -129,7 +133,7 @@ def simulate_fleet(
 ) -> HourlySeries:
     """Hour-wise sum of independent per-unit simulations.
 
-    Unit i runs with seed ``derive_unit_seed(seed, i)`` and the sum is
+    Unit i runs with seed ``derive_seed(seed, i)`` and the sum is
     accumulated in unit-index order, so the result is bit-identical across
     runs.  Outage values are integer MW, so the accumulation is exact.
     """
@@ -137,7 +141,7 @@ def simulate_fleet(
         raise InvalidInputError("fleet has no units")
     total = np.zeros(n_hours, dtype=np.float64)
     for i, unit in enumerate(fleet.units):
-        sim = simulate_unit(unit, n_hours, derive_unit_seed(seed, i), start=start)
+        sim = simulate_unit(unit, n_hours, derive_seed(seed, i), start=start)
         total += sim.values_mw
     return HourlySeries(start=start, values_mw=total)
 

@@ -33,7 +33,7 @@ from .ingest import (
     unit_series,
     zone_aggregate,
 )
-from .markov import RNG_NAME, simulate_fleet, simulation_metadata
+from .markov import RNG_NAME, derive_seed, simulate_fleet, simulation_metadata
 from .stats import (
     REPORT_LAGS_HOURS,
     SummaryStats,
@@ -43,9 +43,10 @@ from .stats import (
     sample_stats,
     season_label_to_year,
     weekly_profile,
+    window_values,
     winter_window,
 )
-from .timeseries import HourRange, format_utc, parse_utc
+from .timeseries import HourRange, HourlySeries, format_utc, parse_utc
 from .types import FUEL_PARAMS, FUEL_PARAMS_VERSION, Fuel
 from .zones import eic_for_zone
 
@@ -202,19 +203,19 @@ class PipelineConfig:
 class Evaluation(NamedTuple):
     """One evaluation period: a label, its hourly range, and stat windows.
 
-    ``windows`` is None for an explicit period override, meaning the whole
-    range is treated as a single statistics window.
+    ``windows`` is ``(None,)`` for an explicit period override, meaning the
+    whole range is treated as a single statistics window.
     """
 
     label: str
     slug: str
     range: HourRange
-    windows: tuple[WinterWindow, ...] | None
+    windows: tuple[WinterWindow | None, ...]
 
 
 def evaluations(config: PipelineConfig) -> list[Evaluation]:
     if config.period is not None:
-        return [Evaluation("period", "period", config.period, None)]
+        return [Evaluation("period", "period", config.period, (None,))]
     evs = []
     for label in config.seasons:
         window = winter_window(season_label_to_year(label))
@@ -228,11 +229,6 @@ def days_in(rng: HourRange) -> list[date]:
     return [
         date.fromordinal(o) for o in range(first.toordinal(), last.toordinal() + 1)
     ]
-
-
-def _child_seed(seed: int, *branch: int) -> int:
-    ss = np.random.SeedSequence((seed, *branch))
-    return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
 # -- artifact layout ----------------------------------------------------
@@ -313,7 +309,7 @@ def _parse_zone_period(
                     reports.extend(parse_document(payload, zone_eic=config.zone_eic))
                 except ParseError as exc:
                     raise ParseError(
-                        f"{client._page_path(zone, day, doc_type, page)}: {exc}"
+                        f"{client.page_path(zone, day, doc_type, page)}: {exc}"
                     ) from exc
     return reports
 
@@ -391,7 +387,7 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
                 f"{config.registry_path}: registry has no units for zone {zone}"
             )
         fleet = synthesize_fleet(
-            targets, pools, params, _child_seed(config.seed, _STREAM_FLEET, zone_idx), zone=zone
+            targets, pools, params, derive_seed(config.seed, _STREAM_FLEET, zone_idx), zone=zone
         )
         target = fleet_path(config, zone)
         okio.write_fleet(fleet, target)
@@ -420,7 +416,7 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
     for zone_idx, zone in enumerate(config.zones):
         fleet = okio.read_fleet(fleet_path(config, zone))
         for ev_idx, ev in enumerate(evaluations(config)):
-            seed = _child_seed(config.seed, _STREAM_SIM, zone_idx, ev_idx)
+            seed = derive_seed(config.seed, _STREAM_SIM, zone_idx, ev_idx)
             sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
             meta = simulation_metadata(fleet, ev.range.n_hours, seed, ev.range.start)
             meta["evaluation"] = ev.label
@@ -431,20 +427,15 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
 
 
 def _pooled_stats(
-    per_ev: Sequence[tuple[object, WinterWindow | None]],
+    per_ev: Sequence[tuple[HourlySeries | HourlyOutageSeries, WinterWindow | None]],
 ) -> tuple[float, float, dict[int, float]]:
     """Pooled mean/IQR and window-averaged ACF over (series, window) pairs."""
     samples = []
     acfs: list[dict[int, float]] = []
     for series, window in per_ev:
-        values = series.o_mean_mw if isinstance(series, HourlyOutageSeries) else series.values_mw
-        if window is not None:
-            values = values[window.indices_in(series.range)]
-        samples.append(values)
+        samples.append(window_values(series, window))
         try:
-            acfs.append(
-                autocorrelation(series, None if window is None else [window], REPORT_LAGS_HOURS)
-            )
+            acfs.append(autocorrelation(series, [window], REPORT_LAGS_HOURS))
         except StatsError:
             pass  # zero-variance window (e.g. an all-zero channel)
     mean, iqr = sample_stats(np.concatenate(samples))
@@ -474,8 +465,7 @@ def stage_stats(config: PipelineConfig) -> Path:
             recon_errors: list[float] = []
             for ev in evaluations(config):
                 s = empirical[ev.slug][channel]
-                windows = ev.windows or (None,)
-                for window in windows:
+                for window in ev.windows:
                     per_ev.append((s, window))
                     try:
                         recon_errors.append(reconciliation_error(s, window))
@@ -510,7 +500,7 @@ def stage_stats(config: PipelineConfig) -> Path:
         sim_pairs = []
         for ev in evaluations(config):
             sim, _ = okio.read_sim_series(sim_path(config, zone, ev.slug))
-            for window in ev.windows or (None,):
+            for window in ev.windows:
                 sim_pairs.append((sim, window))
         sim_mean, sim_iqr, sim_acf = _pooled_stats(sim_pairs)
         rows.append(
@@ -605,25 +595,26 @@ def emit_plot_data(config: PipelineConfig, kind: str) -> list[Path]:
 
 
 def _empirical_window_values(
-    config: PipelineConfig, zone: str, channel: Channel
-) -> np.ndarray:
-    chunks = []
+    config: PipelineConfig, zone: str, channels: Sequence[Channel]
+) -> list[np.ndarray]:
+    """Windowed hourly values of each channel, pooled over all evaluations.
+
+    Each series CSV is read once for all the requested channels.
+    """
+    chunks: list[list[np.ndarray]] = [[] for _ in channels]
     for ev in evaluations(config):
-        series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[channel]
-        for window in ev.windows or (None,):
-            if window is None:
-                chunks.append(series.o_mean_mw)
-            else:
-                chunks.append(series.o_mean_mw[window.indices_in(series.range)])
-    return np.concatenate(chunks)
+        by_channel = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)
+        for window in ev.windows:
+            for parts, channel in zip(chunks, channels):
+                parts.append(window_values(by_channel[channel], window))
+    return [np.concatenate(parts) for parts in chunks]
 
 
 def _emit_histograms(config: PipelineConfig) -> list[Path]:
     written = []
     width = config.histogram_bin_mw
     for zone in config.zones:
-        totals = _empirical_window_values(config, zone, Channel.TOTAL)
-        forced = _empirical_window_values(config, zone, Channel.FORCED)
+        totals, forced = _empirical_window_values(config, zone, (Channel.TOTAL, Channel.FORCED))
         pmf = okio.read_pmf(pmf_path(config, zone))
         top = max(float(totals.max()), float(forced.max()), float(pmf.max_outage_mw))
         n_bins = max(1, int(np.floor(top / width)) + 1)
@@ -691,7 +682,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
                 simulate_fleet(
                     fleet,
                     ev.range.n_hours,
-                    _child_seed(config.seed, _STREAM_PLOT, zone_idx, ev_idx, k),
+                    derive_seed(config.seed, _STREAM_PLOT, zone_idx, ev_idx, k),
                     start=ev.range.start,
                 )
                 for k in range(draws)

@@ -1,5 +1,5 @@
-"""Comparison statistics: winter windows, summary, reconciliation error,
-lagged autocorrelation and weekly seasonality.
+"""Comparison statistics: winter windows, windowed sample mean and IQR,
+reconciliation error, lagged autocorrelation and weekly seasonality.
 
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
 hourly sample, which is the convention for continuous samples; discrete
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,46 +22,46 @@ from .timeseries import HOUR, HourRange, HourlySeries
 #: Table-style report lags: one hour, six hours, one day, one week.
 REPORT_LAGS_HOURS = (1, 6, 24, 168)
 
+HOURS_PER_WEEK = 168
 WEEKS_IN_WINDOW = 20
 EXCLUDED_WEEKS = 2
-RETAINED_HOURS = (WEEKS_IN_WINDOW - EXCLUDED_WEEKS) * 168  # 3024
-
-AnySeries = Union[HourlyOutageSeries, HourlySeries]
+RETAINED_HOURS = (WEEKS_IN_WINDOW - EXCLUDED_WEEKS) * HOURS_PER_WEEK  # 3024
 
 
 @dataclass(frozen=True)
 class WinterWindow:
-    """The retained hours of one winter season.
+    """The retained hours of one winter season, as whole 7-day blocks.
 
-    Twenty 7-day blocks from the first Sunday of November, minus the two
-    blocks containing Dec 25 and Jan 1 (the low-demand weeks around
-    Christmas), leaving exactly 3024 hours.
+    ``weeks`` holds the increasing indices of the retained blocks, counted
+    from ``start``.  A season's window keeps twenty blocks from the first
+    Sunday of November minus the two blocks containing Dec 25 and Jan 1
+    (the low-demand weeks around Christmas), leaving exactly 3024 hours.
     """
 
     label: str
-    hours: tuple[datetime, ...]
+    start: datetime
+    weeks: tuple[int, ...]
+
+    @property
+    def n_hours(self) -> int:
+        return len(self.weeks) * HOURS_PER_WEEK
 
     @property
     def span(self) -> HourRange:
         """Contiguous range covering the window including the excluded weeks."""
-        return HourRange.from_span(self.hours[0], self.hours[-1] + HOUR)
+        return HourRange(self.start, (self.weeks[-1] + 1) * HOURS_PER_WEEK)
 
     def indices_in(self, rng: HourRange) -> np.ndarray:
         """Positions of the window's hours inside an hourly range."""
         try:
-            first = rng.index_of(self.hours[0])
-            last = rng.index_of(self.hours[-1])
+            first = rng.index_of(self.start)
+            rng.index_of(self.span.end - HOUR)
         except InvalidInputError as exc:
             raise InvalidInputError(
                 f"window {self.label} not covered by series range"
             ) from exc
-        base = self.hours[0]
-        offsets = np.fromiter(
-            (int((h - base) / HOUR) for h in self.hours), dtype=np.int64, count=len(self.hours)
-        )
-        idx = first + offsets
-        assert idx[-1] == last
-        return idx
+        weeks = np.asarray(self.weeks, dtype=np.int64)
+        return first + (weeks[:, None] * HOURS_PER_WEEK + np.arange(HOURS_PER_WEEK)).ravel()
 
 
 def first_sunday_of_november(year: int) -> date:
@@ -83,14 +83,9 @@ def winter_window(winter_start_year: int) -> WinterWindow:
         block_of(date(winter_start_year, 12, 25)),
         block_of(date(winter_start_year + 1, 1, 1)),
     }
-    hours: list[datetime] = []
-    for week in range(WEEKS_IN_WINDOW):
-        if week in excluded:
-            continue
-        week_start = start + timedelta(days=7 * week)
-        hours.extend(week_start + k * HOUR for k in range(168))
+    weeks = tuple(week for week in range(WEEKS_IN_WINDOW) if week not in excluded)
     label = f"{winter_start_year % 100:02d}/{(winter_start_year + 1) % 100:02d}"
-    return WinterWindow(label=label, hours=tuple(hours))
+    return WinterWindow(label=label, start=start, weeks=weeks)
 
 
 def season_label_to_year(label: str) -> int:
@@ -107,17 +102,16 @@ def season_label_to_year(label: str) -> int:
     return year
 
 
-def _series_values(series: AnySeries) -> np.ndarray:
-    if isinstance(series, HourlyOutageSeries):
-        return series.o_mean_mw
-    return series.values_mw
+def window_values(
+    series: HourlySeries | HourlyOutageSeries, window: WinterWindow | None
+) -> np.ndarray:
+    """Hourly values (MW) of a series inside a window.
 
-
-def _window_values(series: AnySeries, window: WinterWindow | None) -> np.ndarray:
-    values = _series_values(series)
+    ``window=None`` selects the whole series.
+    """
     if window is None:
-        return values
-    return values[window.indices_in(series.range)]
+        return series.values_mw
+    return series.values_mw[window.indices_in(series.range)]
 
 
 def sample_stats(values: np.ndarray) -> tuple[float, float]:
@@ -127,14 +121,6 @@ def sample_stats(values: np.ndarray) -> tuple[float, float]:
         raise InvalidInputError("empty sample")
     q25, q75 = np.quantile(values, [0.25, 0.75])
     return float(values.mean()), float(q75 - q25)
-
-
-def summary(series: AnySeries, window: WinterWindow | None = None) -> tuple[float, float]:
-    """Mean and IQR (MW) of the hourly outage over a window.
-
-    ``window=None`` evaluates the whole series.
-    """
-    return sample_stats(_window_values(series, window))
 
 
 def reconciliation_error(
@@ -147,13 +133,9 @@ def reconciliation_error(
     of how much conflicting reports could move the series.  Scale-invariant;
     zero exactly when no hour has conflicting reports.
     """
-    if window is None:
-        mean_vals = series.o_mean_mw
-        min_vals = series.o_min_mw
-    else:
-        idx = window.indices_in(series.range)
-        mean_vals = series.o_mean_mw[idx]
-        min_vals = series.o_min_mw[idx]
+    idx = slice(None) if window is None else window.indices_in(series.range)
+    mean_vals = series.o_mean_mw[idx]
+    min_vals = series.o_min_mw[idx]
     denom = float(np.abs(mean_vals).sum())
     if denom == 0.0:
         raise StatsError("reconciliation error undefined: series has zero total outage")
@@ -185,8 +167,8 @@ def acf_values(values: np.ndarray, lags: Sequence[int], *, context: str = "serie
 
 
 def autocorrelation(
-    series: AnySeries,
-    windows: Iterable[WinterWindow] | None,
+    series: HourlySeries | HourlyOutageSeries,
+    windows: Iterable[WinterWindow | None] | None,
     lags: Sequence[int] = REPORT_LAGS_HOURS,
 ) -> dict[int, float]:
     """Mean sample autocorrelation across windows at the given lags.
@@ -202,12 +184,12 @@ def autocorrelation(
     per_window: list[dict[int, float]] = []
     for w in window_list:
         label = w.label if w is not None else "full series"
-        per_window.append(acf_values(_window_values(series, w), lags, context=f"window {label}"))
+        per_window.append(acf_values(window_values(series, w), lags, context=f"window {label}"))
     return {lag: float(np.mean([acf[lag] for acf in per_window])) for lag in lags}
 
 
 def weekly_profile(
-    series: AnySeries, demand: HourlySeries | None = None
+    series: HourlySeries | HourlyOutageSeries, demand: HourlySeries | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Normalized mean weekly level over the year (52 values, mean 1).
 
@@ -222,8 +204,8 @@ def weekly_profile(
     return profile, _weekly_profile_one(demand)
 
 
-def _weekly_profile_one(series: AnySeries) -> np.ndarray:
-    values = _series_values(series)
+def _weekly_profile_one(series: HourlySeries | HourlyOutageSeries) -> np.ndarray:
+    values = series.values_mw
     if values.size < 8760:
         raise InvalidInputError(
             f"series spans {values.size} hours; a weekly profile needs at least one full year"

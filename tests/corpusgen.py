@@ -275,8 +275,8 @@ def build_corpus(root: Path) -> Path:
                 # the mirror page is a page of its own: ZIP members are
                 # always platform XML
                 pages = pages + [_jsonl_page()]
-            client._store(zone, day, "A77", pages)
-            client._store(zone, day, "A80", [])  # no generation-unit documents
+            client.store(zone, day, "A77", pages)
+            client.store(zone, day, "A80", [])  # no generation-unit documents
 
     registry_lines = ["zone,fuel,capacity_mw"]
     registry_lines.extend(f"{z},{f},{c}" for z, f, c in REGISTRY_ROWS)

@@ -196,10 +196,10 @@ def test_winter_windows_have_exactly_3024_hours():
         assert RETAINED_HOURS == 3024
         for year in range(2000, 2041):
             window = winter_window(year)
-            assert len(window.hours) == 3024, year
+            assert window.n_hours == 3024, year
         w = winter_window(2016)
         assert w.label == "16/17"
-        assert w.hours[0] == datetime(2016, 11, 6, tzinfo=timezone.utc)
+        assert w.start == datetime(2016, 11, 6, tzinfo=timezone.utc)
 
 
 def test_pipeline_reruns_are_byte_identical(corpus):

@@ -191,8 +191,8 @@ def test_unparseable_cache_exits_5(runner, tmp_path):
     cache = tmp_path / "cache"
     client = FetchClient("", cache, rate_limit_s=0.0)
     day = datetime(2030, 3, 1, tzinfo=timezone.utc).date()
-    client._store("AA", day, "A77", [b"<Unexpected_Document/>"])
-    client._store("AA", day, "A80", [])
+    client.store("AA", day, "A77", [b"<Unexpected_Document/>"])
+    client.store("AA", day, "A80", [])
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "zones": ["AA"],

@@ -15,7 +15,6 @@ from outagekit.fetch import (
     DOC_TYPES,
     PAGE_SIZE_DOCS,
     FetchClient,
-    fetch_day,
 )
 
 DAY = date(2030, 1, 7)
@@ -115,17 +114,6 @@ def test_corrupted_cache_detected(tmp_path):
     page.write_bytes(b"tampered")
     with pytest.raises(FetchError, match="corrupted"):
         c.cached_pages("GB", DAY, "A77")
-
-
-def test_entries_expose_cache_records(tmp_path):
-    c = client(tmp_path, FakeTransport([(200, XML_PAGE)]))
-    assert c.entries("GB", DAY, "A77") == []
-    c.fetch_day("GB", DAY, "A77")
-    (entry,) = c.entries("GB", DAY, "A77")
-    assert entry.zone == "GB"
-    assert entry.page == 0
-    assert entry.payload == XML_PAGE
-    assert entry.sha256 == hashlib.sha256(XML_PAGE).hexdigest()
 
 
 def test_no_data_day_cached_as_empty(tmp_path):
@@ -257,11 +245,13 @@ def test_paging_ends_on_no_data_acknowledgement(tmp_path):
     assert c.fetch_day("GB", DAY, "A77") == [full]
 
 
-# -- convenience wrapper -----------------------------------------------------
+# -- one-shot use ------------------------------------------------------------
 
 
-def test_module_level_fetch_day(tmp_path):
+def test_one_shot_client_accepts_str_cache_dir(tmp_path):
     transport = FakeTransport([(200, XML_PAGE)])
-    pages = fetch_day("GB", DAY, "A77", "tok", cache_dir=tmp_path / "cache",
-                      http_get=transport, rate_limit_s=0.0)
+    cache = tmp_path / "cache"
+    pages = FetchClient("tok", str(cache), http_get=transport,
+                        rate_limit_s=0.0).fetch_day("GB", DAY, "A77")
     assert pages == [XML_PAGE]
+    assert (cache / "GB" / "2030-01-07" / "A77.page0.bin").read_bytes() == XML_PAGE

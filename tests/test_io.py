@@ -340,3 +340,31 @@ def test_read_demand_missing_column(tmp_path):
     path.write_text("timestamp_utc,load\n2030-01-07T00:00:00Z,1\n")
     with pytest.raises(InvalidInputError, match="demand_mw"):
         read_demand(path)
+
+
+# -- hourly timestamps -------------------------------------------------------
+
+
+HOURLY_READERS = {
+    "zone_series": (read_zone_series, ZONE_SERIES_HEADER, ",0,0,0,0,0,0,0,0,0"),
+    "sim_series": (read_sim_series, "timestamp_utc,outage_mw", ",5.0"),
+    "demand": (read_demand, "timestamp_utc,demand_mw", ",41000.0"),
+}
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        ["2030-01-07T00:00:00Z", "2030-01-07T01:00:00Z", "2030-01-07T05:00:00Z"],
+        ["2030-01-07T00:00:00Z", "2030-01-07T01:00:00Z", "2030-01-07T01:00:00Z"],
+        ["2030-01-07T00:00:00Z", "2030-01-07T01:00:00Z", "2029-01-07T00:00:00Z"],
+    ],
+    ids=["gap", "duplicate", "out_of_order"],
+)
+@pytest.mark.parametrize("kind", list(HOURLY_READERS))
+def test_hourly_readers_reject_non_consecutive_rows(tmp_path, kind, stamps):
+    reader, header, cells = HOURLY_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, *(ts + cells for ts in stamps)]) + "\n")
+    with pytest.raises(InvalidInputError, match=rf"{kind}\.csv:4: .*not one hour after"):
+        reader(path)

@@ -7,7 +7,7 @@ import pytest
 
 from outagekit.errors import InvalidInputError
 from outagekit.markov import (
-    derive_unit_seed,
+    derive_seed,
     simulate_fleet,
     simulate_unit,
     simulation_metadata,
@@ -152,14 +152,14 @@ def test_fleet_sim_is_sum_of_unit_sims():
     total = simulate_fleet(fleet, 3000, seed=5)
     manual = np.zeros(3000)
     for i, unit in enumerate(units):
-        manual += simulate_unit(unit, 3000, derive_unit_seed(5, i)).values_mw
+        manual += simulate_unit(unit, 3000, derive_seed(5, i)).values_mw
     np.testing.assert_array_equal(total.values_mw, manual)
 
 
 def test_fleet_sim_single_unit_equals_unit_sim():
     unit = make_unit()
     fleet_series = simulate_fleet(Fleet(zone="T", units=(unit,)), 1000, seed=9)
-    unit_series = simulate_unit(unit, 1000, derive_unit_seed(9, 0))
+    unit_series = simulate_unit(unit, 1000, derive_seed(9, 0))
     np.testing.assert_array_equal(fleet_series.values_mw, unit_series.values_mw)
 
 

@@ -20,9 +20,9 @@ from outagekit.io import (
     read_sim_series,
     write_registry,
 )
+from outagekit.markov import derive_seed
 from outagekit.pipeline import (
     PipelineConfig,
-    _child_seed,
     _STREAM_SIM,
     days_in,
     emit_plot_data,
@@ -144,7 +144,7 @@ def test_period_override_yields_single_evaluation(corpus):
     (ev,) = evaluations(corpus["config"])
     assert ev.label == "period"
     assert ev.range == HourRange(START, N_HOURS)
-    assert ev.windows is None
+    assert ev.windows == (None,)
 
 
 def test_season_evaluations():
@@ -164,9 +164,9 @@ def test_days_in_covers_partial_days():
 
 
 def test_child_seeds_are_distinct():
-    seeds = {_child_seed(7, stream, idx) for stream in (101, 102, 103) for idx in range(4)}
+    seeds = {derive_seed(7, stream, idx) for stream in (101, 102, 103) for idx in range(4)}
     assert len(seeds) == 12
-    assert _child_seed(7, 101, 0) == _child_seed(7, 101, 0)
+    assert derive_seed(7, 101, 0) == derive_seed(7, 101, 0)
 
 
 # -- end-to-end run ----------------------------------------------------------
@@ -290,7 +290,7 @@ def test_model_mean_is_expected_unavailable_capacity(full_run):
 def test_sim_sidecar_records_provenance(full_run):
     config = full_run["config"]
     _, meta = read_sim_series(sim_path(config, "AA", "period"))
-    assert meta["seed"] == _child_seed(7, _STREAM_SIM, 0, 0)
+    assert meta["seed"] == derive_seed(7, _STREAM_SIM, 0, 0)
     assert meta["n_hours"] == N_HOURS
     assert meta["evaluation"] == "period"
     assert "PCG64" in meta["rng"]
@@ -390,8 +390,8 @@ def test_parse_failure_names_cached_page(tmp_path):
     cache = tmp_path / "cache"
     client = FetchClient("", cache, rate_limit_s=0.0)
     day = datetime(2030, 2, 1, tzinfo=timezone.utc).date()
-    client._store("CC", day, "A77", [b"<wrong_root/>"])
-    client._store("CC", day, "A80", [])
+    client.store("CC", day, "A77", [b"<wrong_root/>"])
+    client.store("CC", day, "A80", [])
     config = PipelineConfig(
         zones=("CC",),
         period=HourRange(datetime(2030, 2, 1, tzinfo=timezone.utc), 24),
@@ -412,7 +412,7 @@ def test_zone_with_no_reports_yields_zero_series(tmp_path):
     for offset in range(3):
         day = (start + timedelta(days=offset)).date()
         for doc_type in ("A77", "A80"):
-            client._store("CC", day, doc_type, [])
+            client.store("CC", day, doc_type, [])
     registry = tmp_path / "registry.csv"
     write_registry([RegistryRow("CC", Fuel.CCGT, 100)], registry)
     config = PipelineConfig(

@@ -18,11 +18,11 @@ from outagekit.stats import (
     reconciliation_error,
     sample_stats,
     season_label_to_year,
-    summary,
     weekly_profile,
+    window_values,
     winter_window,
 )
-from outagekit.timeseries import HOUR, HourlySeries
+from outagekit.timeseries import HOUR, HourlySeries, HourRange
 
 from conftest import T0
 
@@ -44,11 +44,48 @@ def outage_series(start: datetime, mean_vals, min_vals=None, max_vals=None):
 # -- winter windows ----------------------------------------------------------
 
 
+def reference_window_hours(year: int) -> list[datetime]:
+    """The retained hours of a winter window, built hour by hour.
+
+    Reference for WinterWindow's weekly-block arithmetic: twenty 7-day
+    blocks from the first Sunday of November, minus the blocks holding
+    Dec 25 and Jan 1.
+    """
+    start_day = first_sunday_of_november(year)
+    start = datetime(start_day.year, start_day.month, start_day.day, tzinfo=timezone.utc)
+    excluded = {
+        (date(year, 12, 25) - start_day).days // 7,
+        (date(year + 1, 1, 1) - start_day).days // 7,
+    }
+    hours: list[datetime] = []
+    for week in range(20):
+        if week in excluded:
+            continue
+        week_start = start + timedelta(days=7 * week)
+        hours.extend(week_start + k * HOUR for k in range(168))
+    return hours
+
+
+def window_hours(w: WinterWindow) -> list[datetime]:
+    return [w.span.start + int(i) * HOUR for i in w.indices_in(w.span)]
+
+
 def test_window_has_retained_hours():
     assert RETAINED_HOURS == 3024
     w = winter_window(2016)
-    assert len(w.hours) == 3024
+    assert w.n_hours == 3024
     assert w.label == "16/17"
+
+
+def test_window_indices_match_hourly_reference():
+    for year in range(2000, 2099):
+        w = winter_window(year)
+        hours = reference_window_hours(year)
+        assert w.start == hours[0], year
+        assert w.n_hours == len(hours), year
+        assert w.span == HourRange.from_span(hours[0], hours[-1] + HOUR), year
+        expected = [int((h - hours[0]) / HOUR) for h in hours]
+        np.testing.assert_array_equal(w.indices_in(w.span), expected, err_msg=str(year))
 
 
 def test_first_sunday_of_november():
@@ -60,21 +97,21 @@ def test_first_sunday_of_november():
 
 def test_window_starts_on_first_sunday():
     w = winter_window(2016)
-    assert w.hours[0] == datetime(2016, 11, 6, tzinfo=timezone.utc)
-    assert winter_window(2020).hours[0] == datetime(2020, 11, 1, tzinfo=timezone.utc)
+    assert w.start == datetime(2016, 11, 6, tzinfo=timezone.utc)
+    assert winter_window(2020).start == datetime(2020, 11, 1, tzinfo=timezone.utc)
 
 
 def test_window_excludes_holiday_weeks():
     for year in (2015, 2016, 2020):
         w = winter_window(year)
-        dates = {h.date() for h in w.hours}
+        dates = {h.date() for h in window_hours(w)}
         assert date(year, 12, 25) not in dates
         assert date(year + 1, 1, 1) not in dates
 
 
 def test_window_hours_are_increasing_and_aligned():
     w = winter_window(2016)
-    hours = w.hours
+    hours = window_hours(w)
     assert all(b > a for a, b in zip(hours, hours[1:]))
     assert all(h.minute == 0 and h.second == 0 for h in hours[:200])
     # hours come in 168-hour contiguous blocks
@@ -90,18 +127,18 @@ def test_window_span_covers_twenty_weeks():
 def test_window_indices_select_correct_hours():
     w = winter_window(2016)
     # a range starting one day before the window
-    rng_start = w.hours[0] - timedelta(hours=24)
+    rng_start = w.start - timedelta(hours=24)
     series = hs(rng_start, np.zeros(24 + w.span.n_hours))
     idx = w.indices_in(series.range)
     assert idx.size == 3024
     assert idx[0] == 24
     recovered = [rng_start + int(i) * HOUR for i in idx]
-    assert tuple(recovered) == w.hours
+    assert recovered == reference_window_hours(2016)
 
 
 def test_window_outside_range_rejected():
     w = winter_window(2016)
-    short = hs(w.hours[0], np.zeros(100))
+    short = hs(w.start, np.zeros(100))
     with pytest.raises(InvalidInputError, match="16/17"):
         w.indices_in(short.range)
 
@@ -145,17 +182,18 @@ def test_sample_stats_empty_rejected():
 def test_summary_windowed_ignores_outside_hours():
     w = winter_window(2016)
     values = np.full(w.span.n_hours, 999.0)
-    series = hs(w.hours[0], values)
+    series = hs(w.start, values)
     idx = w.indices_in(series.range)
     values[idx] = 1.0
-    assert summary(hs(w.hours[0], values), w) == (1.0, 0.0)
-    mean_all, _ = summary(hs(w.hours[0], values))
+    series = hs(w.start, values)
+    assert sample_stats(window_values(series, w)) == (1.0, 0.0)
+    mean_all, _ = sample_stats(window_values(series, None))
     assert mean_all > 1.0
 
 
 def test_summary_accepts_outage_series():
     s = outage_series(T0, [10.0, 20.0, 30.0, 40.0])
-    assert summary(s) == (25.0, 15.0)
+    assert sample_stats(window_values(s, None)) == (25.0, 15.0)
 
 
 # -- reconciliation error ----------------------------------------------------
@@ -195,14 +233,14 @@ def test_recon_error_windowed():
     n = w.span.n_hours
     mean_vals = np.zeros(n)
     min_vals = np.zeros(n)
-    idx = w.indices_in(HourlySeries(start=w.hours[0], values_mw=np.zeros(n)).range)
+    idx = w.indices_in(HourlySeries(start=w.start, values_mw=np.zeros(n)).range)
     mean_vals[idx] = 100.0
     min_vals[idx] = 50.0
     # conflicting hours outside the window must not matter
     outside = np.setdiff1d(np.arange(n), idx)
     mean_vals[outside] = 1000.0
     min_vals[outside] = 0.0
-    s = outage_series(w.hours[0], mean_vals, min_vals, 2 * mean_vals - min_vals)
+    s = outage_series(w.start, mean_vals, min_vals, 2 * mean_vals - min_vals)
     assert reconciliation_error(s, w) == 0.5
 
 
@@ -244,18 +282,14 @@ def test_acf_lag_bounds():
         acf_values(np.array([1.0]), [0])
 
 
-def fabricated_window(label: str, start: datetime, n: int) -> WinterWindow:
-    return WinterWindow(label=label, hours=tuple(start + k * HOUR for k in range(n)))
-
-
 def test_autocorrelation_averages_per_window():
     rng = np.random.default_rng(12)
-    series = hs(T0, rng.normal(size=24))
-    w1 = fabricated_window("w1", T0, 6)
-    w2 = fabricated_window("w2", T0 + 12 * HOUR, 6)
+    series = hs(T0, rng.normal(size=4 * 168))
+    w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
+    w2 = WinterWindow(label="w2", start=T0, weeks=(2,))
     got = autocorrelation(series, [w1, w2], lags=(0, 1, 2))
-    a1 = acf_values(series.values_mw[0:6], (0, 1, 2))
-    a2 = acf_values(series.values_mw[12:18], (0, 1, 2))
+    a1 = acf_values(series.values_mw[0:168], (0, 1, 2))
+    a2 = acf_values(series.values_mw[336:504], (0, 1, 2))
     for lag in (0, 1, 2):
         assert got[lag] == pytest.approx((a1[lag] + a2[lag]) / 2)
 
@@ -264,16 +298,16 @@ def test_autocorrelation_does_not_cross_window_seams():
     # Two windows at wildly different levels: pooling them into one sample
     # would produce a large positive lag-1 value from the level shift alone.
     rng = np.random.default_rng(3)
-    values = np.concatenate([rng.normal(size=12), 1000.0 + rng.normal(size=12)])
+    values = np.concatenate([rng.normal(size=168), 1000.0 + rng.normal(size=168)])
     series = hs(T0, values)
-    w1 = fabricated_window("w1", T0, 12)
-    w2 = fabricated_window("w2", T0 + 12 * HOUR, 12)
+    w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
+    w2 = WinterWindow(label="w2", start=T0, weeks=(1,))
     split = autocorrelation(series, [w1, w2], lags=(1,))
     pooled = acf_values(values, (1,))
     assert pooled[1] > 0.8  # dominated by the level shift
     assert abs(split[1]) < 0.8
-    a1 = acf_values(values[:12], (1,))
-    a2 = acf_values(values[12:], (1,))
+    a1 = acf_values(values[:168], (1,))
+    a2 = acf_values(values[168:], (1,))
     assert split[1] == pytest.approx((a1[1] + a2[1]) / 2)
 
 
@@ -292,8 +326,8 @@ def test_autocorrelation_empty_window_list_rejected():
 
 
 def test_autocorrelation_constant_window_names_window():
-    series = hs(T0, np.concatenate([np.full(6, 3.0), np.arange(6.0)]))
-    w = fabricated_window("flat", T0, 6)
+    series = hs(T0, np.concatenate([np.full(168, 3.0), np.arange(168.0)]))
+    w = WinterWindow(label="flat", start=T0, weeks=(0,))
     with pytest.raises(StatsError, match="flat"):
         autocorrelation(series, [w], lags=(1,))
 
