@@ -91,17 +91,30 @@ class FetchClient:
     def cached_pages(self, zone: str, day: date, doc_type: str) -> list[bytes] | None:
         """Return the cached pages for a day, or None on a cache miss.
 
-        Raises FetchError if a cached payload no longer matches its recorded
-        content hash (the cache is append-only; a mismatch means tampering
-        or corruption, not a stale entry).
+        Raises FetchError, naming the file, if the meta file is unreadable or
+        lists no ``sha256`` hashes, if a page it lists is missing, or if a
+        cached payload no longer matches its recorded content hash (the
+        cache is append-only; a mismatch means tampering or corruption, not
+        a stale entry).
         """
         meta_path = self._meta_path(zone, day, doc_type)
         if not meta_path.exists():
             return None
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            hashes = json.loads(meta_path.read_text(encoding="utf-8"))["sha256"]
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise FetchError(f"cache meta file {meta_path} is unreadable: {exc!r}") from exc
+        if not isinstance(hashes, list):
+            raise FetchError(f"cache meta file {meta_path}: sha256 is not a list")
         pages: list[bytes] = []
-        for page, expected in enumerate(meta["sha256"]):
-            payload = self.page_path(zone, day, doc_type, page).read_bytes()
+        for page, expected in enumerate(hashes):
+            path = self.page_path(zone, day, doc_type, page)
+            try:
+                payload = path.read_bytes()
+            except OSError as exc:
+                raise FetchError(
+                    f"cache page {path} listed in {meta_path} is unreadable: {exc}"
+                ) from exc
             digest = hashlib.sha256(payload).hexdigest()
             if digest != expected:
                 raise FetchError(

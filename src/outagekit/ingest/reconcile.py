@@ -13,10 +13,16 @@ The Forced and Planned channels reconcile only reports of their own kind.
 The Total channel pools all reports regardless of kind, so a forced and a
 planned report covering the same interval are treated as statements about
 the same event and reconcile via min/max instead of summing.
+
+The minute grid is built only over the hours that some report covers at
+least one minute of.  Every other hour has empty envelopes, so it is zero
+without building a grid for it: a unit with one two-day outage in a winter
+costs two days of minutes, not the winter.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -85,27 +91,70 @@ class HourlyOutageSeries:
         return self.o_mean_mw
 
 
-def _minute_envelope(
+def _clipped_minutes(
     reports: Iterable[OutageReport], period: HourRange
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-minute lower/upper outage envelopes over the period.
+) -> list[tuple[int, int, float]]:
+    """``(start, end, MW)`` minute offsets of each report into the period.
 
-    Reports straddling the period boundary are clipped, not dropped.
+    Reports straddling the period boundary are clipped, not dropped; reports
+    covering no whole minute of the period are left out.
     """
-    m = period.n_minutes
-    lo = np.full(m, np.inf)
-    hi = np.zeros(m)
-    covered = np.zeros(m, dtype=bool)
-    t0 = period.start
+    t0, m = period.start, period.n_minutes
+    spans = []
     for r in reports:
-        s = int((r.start - t0) / MINUTE)
-        e = int((r.end - t0) / MINUTE)
-        s = max(s, 0)
-        e = min(e, m)
-        if e <= s:
-            continue
-        np.minimum(lo[s:e], r.unavailable_mw, out=lo[s:e])
-        np.maximum(hi[s:e], r.unavailable_mw, out=hi[s:e])
+        s = max(int((r.start - t0) / MINUTE), 0)
+        e = min(int((r.end - t0) / MINUTE), m)
+        if s < e:
+            spans.append((s, e, r.unavailable_mw))
+    return spans
+
+
+def _pack_touched_hours(
+    spans: list[tuple[int, int, float]],
+) -> tuple[list[tuple[int, int, float]], np.ndarray]:
+    """Move the spans onto a grid of only the hours they touch.
+
+    The touched hours form maximal runs of consecutive hours; the runs are
+    laid end to end, and each span moves with its run by a whole number of
+    hours.  Returns the moved spans, in their original order, and for each
+    hour of the packed grid the period hour it stands for.  No span reaches
+    into another run and minute-of-hour positions are kept, so every packed
+    hour sees the same spans, in the same order, as on the full grid, and
+    its 60-minute mean is bit-for-bit the same.
+    """
+    runs: list[list[int]] = []
+    for h0, h1 in sorted((s // 60, -(-e // 60)) for s, e, _ in spans):
+        if runs and h0 <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], h1)
+        else:
+            runs.append([h0, h1])
+    starts: list[int] = []
+    shifts: list[int] = []
+    hours: list[int] = []
+    for h0, h1 in runs:
+        starts.append(h0)
+        shifts.append((h0 - len(hours)) * 60)
+        hours.extend(range(h0, h1))
+    moved = []
+    for s, e, mw in spans:
+        shift = shifts[bisect_right(starts, s // 60) - 1]
+        moved.append((s - shift, e - shift, mw))
+    return moved, np.array(hours)
+
+
+def _minute_envelope(
+    spans: Iterable[tuple[int, int, float]], n_minutes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-minute lower/upper outage envelopes over minutes ``[0, n_minutes)``.
+
+    A minute covered by no span is zero in both envelopes.
+    """
+    lo = np.full(n_minutes, np.inf)
+    hi = np.zeros(n_minutes)
+    covered = np.zeros(n_minutes, dtype=bool)
+    for s, e, mw in spans:
+        np.minimum(lo[s:e], mw, out=lo[s:e])
+        np.maximum(hi[s:e], mw, out=hi[s:e])
         covered[s:e] = True
     lo[~covered] = 0.0
     return lo, hi
@@ -114,9 +163,19 @@ def _minute_envelope(
 def _reconcile(
     reports: Sequence[OutageReport], period: HourRange
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, hi = _minute_envelope(reports, period)
-    o_min = lo.reshape(period.n_hours, 60).mean(axis=1)
-    o_max = hi.reshape(period.n_hours, 60).mean(axis=1)
+    """Hourly minimum, midpoint and maximum outage over the period.
+
+    Only the hours some report touches go through the minute grid; the
+    envelopes of every other hour are zero.
+    """
+    o_min = np.zeros(period.n_hours)
+    o_max = np.zeros(period.n_hours)
+    spans = _clipped_minutes(reports, period)
+    if spans:
+        packed, hours = _pack_touched_hours(spans)
+        lo, hi = _minute_envelope(packed, hours.size * 60)
+        o_min[hours] = lo.reshape(hours.size, 60).mean(axis=1)
+        o_max[hours] = hi.reshape(hours.size, 60).mean(axis=1)
     o_mean = (o_min + o_max) / 2.0
     return o_min, o_mean, o_max
 

@@ -13,6 +13,10 @@ Two input shapes are accepted, auto-detected from the payload bytes:
 Business types map A53 to planned and A54 to forced; records with any other
 business type are skipped with a warning.  Parsing never filters: withdrawn
 reports come out carrying status Withdrawn and are dropped downstream.
+
+The platform re-serves a document on every day it overlaps, so the caller
+can pass a set of document payloads already parsed and each distinct
+document is then parsed once.
 """
 
 from __future__ import annotations
@@ -65,11 +69,24 @@ WITHDRAWN_DOC_STATUS = {"A09", "A13"}
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def parse_document(raw: bytes, *, zone_eic: dict[str, str] | None = None) -> list[OutageReport]:
+def parse_document(
+    raw: bytes,
+    *,
+    zone_eic: dict[str, str] | None = None,
+    seen: set[bytes] | None = None,
+) -> list[OutageReport]:
     """Parse one raw payload into normalized reports.
 
     ``zone_eic`` extends the built-in EIC-to-zone table used to label
     reports with a zone code.
+
+    ``seen`` is a caller-owned set of document payloads already parsed: a
+    ZIP member, bare XML document or JSON-lines page already in it yields no
+    reports, and a new one is added once it has parsed.  Skipping is exact
+    for ``deduplicate``, which collapses byte-identical reports and keeps the
+    first occurrence of each, and every report first occurs in the first
+    occurrence of its document.  Warnings about unknown business types are
+    then logged once per distinct document rather than once per serving.
     """
     if not isinstance(raw, bytes):
         raise ParseError(f"expected bytes, got {type(raw).__name__}")
@@ -77,26 +94,33 @@ def parse_document(raw: bytes, *, zone_eic: dict[str, str] | None = None) -> lis
     if not head:
         return []
     if raw[:4] == _ZIP_MAGIC:
-        return _parse_zip(raw, zone_eic)
-    if head.startswith(b"<"):
-        return _parse_xml(raw, zone_eic)
-    if head.startswith(b"{"):
-        return _parse_jsonl(raw)
-    raise ParseError("unrecognized payload: not ZIP, XML, or JSON-lines")
+        return _parse_zip(raw, zone_eic, seen)
+    if not head.startswith((b"<", b"{")):
+        raise ParseError("unrecognized payload: not ZIP, XML, or JSON-lines")
+    if seen is not None and raw in seen:
+        return []
+    reports = _parse_xml(raw, zone_eic) if head.startswith(b"<") else _parse_jsonl(raw)
+    if seen is not None:
+        seen.add(raw)
+    return reports
 
 
-def _parse_zip(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
+def _parse_zip(
+    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes] | None
+) -> list[OutageReport]:
     reports: list[OutageReport] = []
     try:
         with zipfile.ZipFile(io.BytesIO(raw)) as zf:
             for name in sorted(zf.namelist()):
                 payload = zf.read(name)
-                if payload.lstrip()[:1] != b"<":
+                if payload.lstrip()[:1] != b"<" or (seen is not None and payload in seen):
                     continue
                 try:
                     reports.extend(_parse_xml(payload, zone_eic))
                 except ParseError as exc:
                     raise ParseError(f"{name}: {exc}") from exc
+                if seen is not None:
+                    seen.add(payload)
     except zipfile.BadZipFile as exc:
         raise ParseError(f"corrupt ZIP payload: {exc}") from exc
     return reports

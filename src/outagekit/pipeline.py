@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -81,6 +82,11 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """True for a JSON integer; bools and floats do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run depends on, except the cache contents.
@@ -144,19 +150,42 @@ class PipelineConfig:
             p = Path(value)
             return p if p.is_absolute() else base / p
 
+        def strings(key: str) -> tuple[str, ...]:
+            value = raw.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise InvalidInputError(f"{path}: {key} must be a list of strings, got {value!r}")
+            return tuple(value)
+
+        def integer(key: str, default: int) -> int:
+            value = raw.get(key, default)
+            if not _is_int(value):
+                raise InvalidInputError(f"{path}: {key} must be an integer, got {value!r}")
+            return value
+
         period = None
         if raw.get("period") is not None:
             p = raw["period"]
-            try:
-                period = HourRange(parse_utc(p["start"]), int(p["hours"]))
-            except (KeyError, TypeError) as exc:
+            if not (
+                isinstance(p, dict) and isinstance(p.get("start"), str) and _is_int(p.get("hours"))
+            ):
                 raise InvalidInputError(
                     f"{path}: period must be {{'start': <iso utc>, 'hours': <int>}}"
-                ) from exc
+                )
+            period = HourRange(parse_utc(p["start"]), p["hours"])
+        rate_limit_s = raw.get("rate_limit_s", 0.5)
+        if not (
+            isinstance(rate_limit_s, (int, float))
+            and not isinstance(rate_limit_s, bool)
+            and math.isfinite(rate_limit_s)
+            and rate_limit_s >= 0
+        ):
+            raise InvalidInputError(
+                f"{path}: rate_limit_s must be a finite number >= 0, got {rate_limit_s!r}"
+            )
         token = raw.get("api_token") or os.environ.get(TOKEN_ENV_VAR, "")
         return cls(
-            zones=tuple(raw.get("zones", ())),
-            seasons=tuple(raw.get("seasons", ())),
+            zones=strings("zones"),
+            seasons=strings("seasons"),
             period=period,
             cache_dir=resolve("cache_dir", "cache"),
             output_dir=resolve("output_dir", "out"),
@@ -164,12 +193,12 @@ class PipelineConfig:
             model_params_path=resolve("model_params_path"),
             demand_path=resolve("demand_path"),
             api_token=token,
-            seed=int(raw.get("seed", 0)),
-            rate_limit_s=float(raw.get("rate_limit_s", 0.5)),
-            retries=int(raw.get("retries", 3)),
+            seed=integer("seed", 0),
+            rate_limit_s=float(rate_limit_s),
+            retries=integer("retries", 3),
             zone_eic=dict(raw.get("zone_eic", {})),
-            histogram_bin_mw=int(raw.get("histogram_bin_mw", 500)),
-            timeseries_draws=int(raw.get("timeseries_draws", 3)),
+            histogram_bin_mw=integer("histogram_bin_mw", 500),
+            timeseries_draws=integer("timeseries_draws", 3),
         )
 
     def public_dict(self) -> dict:
@@ -300,13 +329,18 @@ def stage_fetch(config: PipelineConfig) -> int:
 def _parse_zone_period(
     client: FetchClient, config: PipelineConfig, zone: str, ev: Evaluation
 ) -> list:
+    """Reports of every distinct document served for a zone over a period.
+
+    A document re-served on a later day is parsed only the first time.
+    """
     eic = eic_for_zone(zone, config.zone_eic)
     reports = []
+    seen: set[bytes] = set()
     for day in days_in(ev.range):
         for doc_type in DOC_TYPES:
             for page, payload in enumerate(client.fetch_day(zone, day, doc_type, eic=eic)):
                 try:
-                    reports.extend(parse_document(payload, zone_eic=config.zone_eic))
+                    reports.extend(parse_document(payload, zone_eic=config.zone_eic, seen=seen))
                 except ParseError as exc:
                     raise ParseError(
                         f"{client.page_path(zone, day, doc_type, page)}: {exc}"
@@ -428,8 +462,12 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
 
 def _pooled_stats(
     per_ev: Sequence[tuple[HourlySeries | HourlyOutageSeries, WinterWindow | None]],
-) -> tuple[float, float, dict[int, float]]:
-    """Pooled mean/IQR and window-averaged ACF over (series, window) pairs."""
+) -> tuple[float, float, dict[int, float], int]:
+    """Pooled mean/IQR and window-averaged ACF over (series, window) pairs.
+
+    The last element counts the windows left out of the ACF because they
+    have zero variance (e.g. an all-zero channel).
+    """
     samples = []
     acfs: list[dict[int, float]] = []
     for series, window in per_ev:
@@ -437,12 +475,12 @@ def _pooled_stats(
         try:
             acfs.append(autocorrelation(series, [window], REPORT_LAGS_HOURS))
         except StatsError:
-            pass  # zero-variance window (e.g. an all-zero channel)
+            pass
     mean, iqr = sample_stats(np.concatenate(samples))
     acf: dict[int, float] = {}
     if acfs:
         acf = {lag: float(np.mean([a[lag] for a in acfs])) for lag in REPORT_LAGS_HOURS}
-    return mean, iqr, acf
+    return mean, iqr, acf, len(per_ev) - len(acfs)
 
 
 def stage_stats(config: PipelineConfig) -> Path:
@@ -471,7 +509,16 @@ def stage_stats(config: PipelineConfig) -> Path:
                         recon_errors.append(reconciliation_error(s, window))
                     except StatsError:
                         pass  # channel has no outage mass in this window
-            mean, iqr, acf = _pooled_stats(per_ev)
+            mean, iqr, acf, flat = _pooled_stats(per_ev)
+            logger.info(
+                "stats %s %s empirical: of %d windows, %d zero-variance skipped in the ACF, "
+                "%d zero-mass skipped in the reconciliation error",
+                zone,
+                channel.value,
+                len(per_ev),
+                flat,
+                len(per_ev) - len(recon_errors),
+            )
             rows.append(
                 okio.StatsRow(
                     zone=zone,
@@ -502,7 +549,14 @@ def stage_stats(config: PipelineConfig) -> Path:
             sim, _ = okio.read_sim_series(sim_path(config, zone, ev.slug))
             for window in ev.windows:
                 sim_pairs.append((sim, window))
-        sim_mean, sim_iqr, sim_acf = _pooled_stats(sim_pairs)
+        sim_mean, sim_iqr, sim_acf, flat = _pooled_stats(sim_pairs)
+        logger.info(
+            "stats %s %s simulated: of %d windows, %d zero-variance skipped in the ACF",
+            zone,
+            Channel.TOTAL.value,
+            len(sim_pairs),
+            flat,
+        )
         rows.append(
             okio.StatsRow(
                 zone=zone,

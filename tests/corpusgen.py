@@ -22,6 +22,10 @@ Notable content, all exercised on purpose:
 * zone BB: a record with an unrelated business type, skipped with a
   warning.
 
+``build_reserved_corpus`` builds a second, seeded one-zone corpus in which
+every document is re-served on each day it overlaps, as the platform does,
+including revised, withdrawn and unknown-business-type documents.
+
 Run directly to build a corpus for manual inspection:
     python3 tests/corpusgen.py /tmp/corpus
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 import zipfile
 from datetime import datetime, timedelta, timezone
@@ -292,6 +297,68 @@ def build_corpus(root: Path) -> Path:
         "rate_limit_s": 0.0,
         "retries": 1,
         "zone_eic": ZONE_EIC,
+    }
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return config_path
+
+
+def build_reserved_corpus(root: Path, seed: int, n_docs: int = 40) -> Path:
+    """Zone AA over the corpus period, each document served on every day it overlaps.
+
+    Drawn from ``seed``: a unit, an interval of up to five days, a business
+    type (one in ten unknown) and a status (one in ten withdrawn) per
+    document.  Three in ten documents get a revision 2, served from a day
+    inside the interval on, while revision 1 is still served that day.  A
+    day's documents are served bare when alone, else in ZIP pages of up to
+    three.  Returns the config path; the config has no registry, so only
+    fetch and ingest can run on it.
+    """
+    root = Path(root)
+    rng = random.Random(seed)
+    served: dict[int, list[bytes]] = {}
+    for i in range(n_docs):
+        first = rng.randrange(N_DAYS)
+        last = min(first + rng.randrange(5), N_DAYS - 1)
+        start_h = rng.randrange(24)
+        end_h = rng.randrange(start_h + 1, 25) if last == first else rng.randrange(24)
+        business = "A46" if rng.random() < 0.1 else rng.choice(("A53", "A54"))
+        status = "A13" if rng.random() < 0.1 else None
+        unit = rng.choice(("AA-U1", "AA-U2", "AA-U3"))
+
+        def doc(revision: int) -> bytes:
+            ts = _timeseries("1", business, "AA", "B04", unit, 400,
+                             (_ts(first, start_h), _ts(last, end_h)), "PT60M",
+                             [(1, rng.randrange(0, 400))])
+            return _document(f"AA-R{i}", revision, [ts], doc_status=status)
+
+        revise_on = rng.randint(first, last) if rng.random() < 0.3 else last + 1
+        original = doc(1)
+        revised = doc(2) if revise_on <= last else b""
+        for day in range(first, last + 1):
+            if day <= revise_on:
+                served.setdefault(day, []).append(original)
+            if day >= revise_on:
+                served.setdefault(day, []).append(revised)
+
+    client = FetchClient("", root / "cache", rate_limit_s=0.0)
+    for day_idx in range(N_DAYS):
+        day = (START + timedelta(days=day_idx)).date()
+        payloads = served.get(day_idx, [])
+        if len(payloads) == 1:
+            pages = payloads
+        else:
+            pages = [_zip_documents(payloads[k:k + 3]) for k in range(0, len(payloads), 3)]
+        client.store("AA", day, "A77", pages)
+        client.store("AA", day, "A80", [])
+
+    config = {
+        "zones": ["AA"],
+        "period": {"start": START.strftime("%Y-%m-%dT%H:%M:%SZ"), "hours": N_HOURS},
+        "cache_dir": "cache",
+        "output_dir": "out",
+        "rate_limit_s": 0.0,
+        "zone_eic": {"AA": ZONE_EIC["AA"]},
     }
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -187,6 +187,31 @@ def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):
     assert "token" in result.stderr
 
 
+@pytest.mark.parametrize("damage", ["garble-meta", "delete-page"])
+def test_damaged_cache_exits_4(runner, tmp_path, damage):
+    cache = tmp_path / "cache"
+    client = FetchClient("", cache, rate_limit_s=0.0)
+    day = datetime(2030, 3, 1, tzinfo=timezone.utc).date()
+    client.store("AA", day, "A77", [b"<Unavailability_MarketDocument/>"])
+    client.store("AA", day, "A80", [])
+    if damage == "garble-meta":
+        client.page_path("AA", day, "A77", 0).with_name("A77.meta.json").write_text("{")
+    else:
+        client.page_path("AA", day, "A77", 0).unlink()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2030-03-01T00:00:00Z", "hours": 24},
+        "cache_dir": str(cache),
+        "output_dir": str(tmp_path / "out"),
+        "rate_limit_s": 0.0,
+    }))
+    result = runner.invoke(main, ["ingest", "--config", str(config)])
+    assert result.exit_code == 4
+    assert "2030-03-01" in result.stderr
+    assert "earlier pipeline stages" not in result.stderr
+
+
 def test_unparseable_cache_exits_5(runner, tmp_path):
     cache = tmp_path / "cache"
     client = FetchClient("", cache, rate_limit_s=0.0)

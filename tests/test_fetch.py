@@ -5,6 +5,7 @@ import io
 import json
 import zipfile
 from datetime import date
+from pathlib import Path
 
 import pytest
 import requests
@@ -113,6 +114,31 @@ def test_corrupted_cache_detected(tmp_path):
     page = tmp_path / "cache" / "GB" / "2030-01-07" / "A77.page0.bin"
     page.write_bytes(b"tampered")
     with pytest.raises(FetchError, match="corrupted"):
+        c.cached_pages("GB", DAY, "A77")
+
+
+def _cached_day(tmp_path) -> tuple[FetchClient, Path]:
+    c = client(tmp_path, FakeTransport([(200, XML_PAGE)]))
+    c.fetch_day("GB", DAY, "A77")
+    return c, tmp_path / "cache" / "GB" / "2030-01-07"
+
+
+@pytest.mark.parametrize(
+    "meta_text",
+    ['{"pages": 1, "sha256": ["ab', "[1, 2]", '{"pages": 1}', '{"sha256": "abc"}'],
+    ids=["garbled", "not-an-object", "no-sha256", "sha256-not-a-list"],
+)
+def test_unreadable_cache_meta_is_fetch_error(tmp_path, meta_text):
+    c, day_dir = _cached_day(tmp_path)
+    (day_dir / "A77.meta.json").write_text(meta_text)
+    with pytest.raises(FetchError, match="A77.meta.json"):
+        c.fetch_day("GB", DAY, "A77")
+
+
+def test_missing_cache_page_is_fetch_error(tmp_path):
+    c, day_dir = _cached_day(tmp_path)
+    (day_dir / "A77.page0.bin").unlink()
+    with pytest.raises(FetchError, match="A77.page0.bin"):
         c.cached_pages("GB", DAY, "A77")
 
 

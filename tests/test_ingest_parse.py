@@ -351,6 +351,61 @@ def test_parse_jsonl_missing_field():
         parse(json.dumps(row).encode())
 
 
+# -- documents already parsed ------------------------------------------------
+
+
+def _doc(doc_id: str, business: str = "A54") -> bytes:
+    return _document(doc_id, 1, [
+        _timeseries("1", business, "AA", "B04", "U1", 400,
+                    ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
+    ])
+
+
+def test_seen_bare_document_parsed_once():
+    seen: set[bytes] = set()
+    doc = _doc("D1")
+    first = parse_document(doc, zone_eic=EIC, seen=seen)
+    assert [r.report_id for r in first] == ["D1:1"]
+    assert seen == {doc}
+    assert parse_document(doc, zone_eic=EIC, seen=seen) == []
+    assert parse_document(doc, zone_eic=EIC) == first  # no set: parse every time
+
+
+def test_seen_zip_members_skipped_individually():
+    seen: set[bytes] = set()
+    doc_a, doc_b, doc_c = _doc("D1"), _doc("D2"), _doc("D3")
+    parse_document(_zip_of([doc_a, doc_b]), zone_eic=EIC, seen=seen)
+    assert seen == {doc_a, doc_b}
+    again = parse_document(_zip_of([doc_b, doc_c]), zone_eic=EIC, seen=seen)
+    assert [r.report_id for r in again] == ["D3:1"]
+    assert parse_document(doc_c, zone_eic=EIC, seen=seen) == []  # served bare later
+
+
+def test_seen_jsonl_page_parsed_once():
+    seen: set[bytes] = set()
+    raw = json.dumps(_jsonl_row()).encode()
+    assert len(parse_document(raw, seen=seen)) == 1
+    assert parse_document(raw, seen=seen) == []
+
+
+def test_seen_unknown_business_type_warned_once(caplog):
+    seen: set[bytes] = set()
+    doc = _doc("D1", business="A46")
+    with caplog.at_level(logging.WARNING, logger="outagekit.ingest.xmlparse"):
+        for _ in range(3):
+            assert parse_document(doc, zone_eic=EIC, seen=seen) == []
+    assert caplog.text.count("unknown business type") == 1
+
+
+def test_seen_unparseable_document_not_recorded():
+    seen: set[bytes] = set()
+    bad = b"<wrong_root/>"
+    for _ in range(2):
+        with pytest.raises(ParseError, match="root"):
+            parse_document(bad, seen=seen)
+    assert seen == set()
+
+
 # -- revision handling -------------------------------------------------------
 
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outagekit.errors import InvalidInputError
 from outagekit.ingest import (
@@ -13,7 +17,7 @@ from outagekit.ingest import (
     unit_series,
     zone_aggregate,
 )
-from outagekit.timeseries import HourRange
+from outagekit.timeseries import MINUTE, HourRange
 
 from conftest import T0, make_report
 
@@ -213,6 +217,99 @@ def test_total_bounded_by_channel_sum():
         assert (total.o_max_mw <= forced.o_max_mw + planned.o_max_mw + 1e-9).all()
         assert (total.o_min_mw <= forced.o_min_mw + planned.o_min_mw + 1e-9).all()
         assert (total.o_max_mw >= np.maximum(forced.o_min_mw, planned.o_min_mw) - 1e-9).all()
+
+
+# -- touched-hour fast path against the full minute grid ---------------------
+
+
+def full_grid_reconcile(reports, period: HourRange):
+    """Reference reconciliation over a minute grid spanning the whole period."""
+    m = period.n_minutes
+    lo = np.full(m, np.inf)
+    hi = np.zeros(m)
+    covered = np.zeros(m, dtype=bool)
+    for r in reports:
+        s = max(int((r.start - period.start) / MINUTE), 0)
+        e = min(int((r.end - period.start) / MINUTE), m)
+        if e <= s:
+            continue
+        np.minimum(lo[s:e], r.unavailable_mw, out=lo[s:e])
+        np.maximum(hi[s:e], r.unavailable_mw, out=hi[s:e])
+        covered[s:e] = True
+    lo[~covered] = 0.0
+    o_min = lo.reshape(period.n_hours, 60).mean(axis=1)
+    o_max = hi.reshape(period.n_hours, 60).mean(axis=1)
+    return o_min, (o_min + o_max) / 2.0, o_max
+
+
+_KIND_OF = {Channel.FORCED: ReportKind.FORCED, Channel.PLANNED: ReportKind.PLANNED}
+
+
+def assert_matches_full_grid(reports, period: HourRange) -> None:
+    series = unit_series(reports, period)
+    for channel, s in series.items():
+        kind = _KIND_OF.get(channel)
+        selected = [r for r in reports if kind is None or r.kind is kind]
+        for got, want in zip((s.o_min_mw, s.o_mean_mw, s.o_max_mw),
+                             full_grid_reconcile(selected, period)):
+            assert got.tobytes() == want.tobytes(), channel
+
+
+@st.composite
+def reports_and_period(draw):
+    """Up to twelve reports on one unit around a 1- to 400-hour period.
+
+    Offsets are in seconds, so reports can straddle either period edge, lie
+    wholly outside it, or last less than an hour or less than a minute.
+    """
+    n_hours = draw(st.integers(1, 400))
+    period = HourRange(T0 + timedelta(hours=draw(st.integers(0, 48))), n_hours)
+    seconds = n_hours * 3600
+    offset_h = (period.start - T0) / timedelta(hours=1)
+    reports = []
+    for i in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(-7200, seconds + 7200))
+        length = draw(st.one_of(st.integers(1, 59), st.integers(60, 3600), st.integers(1, seconds)))
+        reports.append(
+            make_report(
+                f"r{i}",
+                start_h=offset_h + start / 3600.0,
+                end_h=offset_h + (start + length) / 3600.0,
+                unavailable_mw=draw(st.floats(0.0, 2000.0, allow_nan=False)),
+                kind=draw(st.sampled_from(ReportKind)),
+            )
+        )
+    return reports, period
+
+
+@settings(max_examples=400, deadline=None)
+@given(reports_and_period())
+def test_touched_hours_match_full_grid(case):
+    assert_matches_full_grid(*case)
+
+
+@pytest.mark.parametrize(
+    "bounds_h",
+    [
+        [],  # no reports
+        [(-3.0, -1.0), (401.0, 405.0)],  # wholly outside the period
+        [(-0.5, 0.25)],  # straddles the start
+        [(399.9, 402.0)],  # straddles the end
+        [(-1.0, 401.0)],  # covers everything
+        [(10.0 + 1 / 7200, 10.0 + 1 / 3600)],  # under a minute
+        [(17.05, 17.35), (250.5, 250.6)],  # sub-hour, far apart
+        [(5.5, 6.0), (6.0, 6.5), (7.0, 7.25), (7.1, 9.0)],  # runs meeting at hour edges
+        [(300.0, 320.0), (3.0, 4.0), (310.5, 310.75), (2.5, 3.5)],  # runs out of order
+    ],
+)
+def test_touched_hours_edge_cases(bounds_h):
+    period = HourRange(T0, 400)
+    reports = [
+        make_report(f"r{i}", start_h=a, end_h=b, unavailable_mw=123.456 + i,
+                    kind=ReportKind.FORCED if i % 2 else ReportKind.PLANNED)
+        for i, (a, b) in enumerate(bounds_h)
+    ]
+    assert_matches_full_grid(reports, period)
 
 
 # -- zone aggregation --------------------------------------------------------

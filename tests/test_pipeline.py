@@ -4,15 +4,17 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from outagekit import run_pipeline
+from outagekit import pipeline, run_pipeline
 from outagekit.errors import InvalidInputError, ParseError, UsageError
 from outagekit.fetch import FetchClient
 from outagekit.fleet import pmf_stats
+from outagekit.ingest import deduplicate, parse_document
 from outagekit.io import (
     RegistryRow,
     read_fleet,
@@ -32,13 +34,14 @@ from outagekit.pipeline import (
     pmf_path,
     series_path,
     sim_path,
+    stage_ingest,
     stage_stats,
     stats_path,
 )
 from outagekit.timeseries import HourRange
 from outagekit.types import Fuel
 
-from corpusgen import N_HOURS, START, ZONE_EIC
+from corpusgen import N_HOURS, START, ZONE_EIC, build_reserved_corpus
 
 
 
@@ -100,6 +103,73 @@ def test_config_rejects_bad_period(tmp_path):
     path.write_text(json.dumps({"zones": ["AA"], "period": {"start": "2030-01-07T00:00:00Z"}}))
     with pytest.raises(InvalidInputError, match="period"):
         PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("zones", "DE"),
+        ("zones", ["DE", 7]),
+        ("seasons", "16/17"),
+        ("seed", 1.9),
+        ("seed", True),
+        ("seed", "3"),
+        ("retries", True),
+        ("retries", 2.0),
+        ("histogram_bin_mw", 500.0),
+        ("timeseries_draws", None),
+        ("rate_limit_s", -0.5),
+        ("rate_limit_s", True),
+        ("rate_limit_s", "0.5"),
+        ("rate_limit_s", float("inf")),
+        ("period", {"start": "2030-01-07T00:00:00Z", "hours": 24.5}),
+        ("period", {"start": "2030-01-07T00:00:00Z", "hours": True}),
+        ("period", "2030-01-07"),
+    ],
+)
+def test_config_rejects_wrong_types(tmp_path, key, value):
+    raw = {"zones": ["AA"], "seasons": ["16/17"], key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InvalidInputError, match=key):
+        PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "raw, digest",
+    [
+        (
+            {
+                "zones": ["DE", "FR"],
+                "period": {"start": "2019-01-01T00:00:00Z", "hours": 8760},
+                "cache_dir": "/data/cache",
+                "output_dir": "/data/out",
+                "registry_path": "/data/registry.csv",
+                "seed": 21,
+                "rate_limit_s": 0,
+                "retries": 2,
+                "zone_eic": {"DE": "10Y1001A1001A83F"},
+                "histogram_bin_mw": 250,
+                "timeseries_draws": 4,
+            },
+            "a30b151c3c239cf2ba9b3ca3adb521ffe666b4e4edaf37988a17e6813c1434f9",
+        ),
+        (
+            {
+                "zones": ["GB"],
+                "seasons": ["16/17", "17/18"],
+                "cache_dir": "/data/cache",
+                "output_dir": "/data/out",
+                "rate_limit_s": 1.5,
+            },
+            "db2055fda4f93d46046ab322b73112720b52cf0352e09a39bdeaedb64266f9b2",
+        ),
+    ],
+)
+def test_config_hash_of_valid_configs_is_stable(tmp_path, raw, digest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert PipelineConfig.from_file(path).sha256() == digest
 
 
 def test_config_token_sources(tmp_path, monkeypatch):
@@ -405,7 +475,7 @@ def test_parse_failure_names_cached_page(tmp_path):
         run_pipeline(config)
 
 
-def test_zone_with_no_reports_yields_zero_series(tmp_path):
+def test_zone_with_no_reports_yields_zero_series(tmp_path, caplog):
     cache = tmp_path / "cache"
     client = FetchClient("", cache, rate_limit_s=0.0)
     start = datetime(2030, 2, 1, tzinfo=timezone.utc)
@@ -424,7 +494,8 @@ def test_zone_with_no_reports_yields_zero_series(tmp_path):
         seed=3,
         rate_limit_s=0.0,
     )
-    run_pipeline(config)
+    with caplog.at_level(logging.INFO, logger="outagekit.pipeline"):
+        run_pipeline(config)
     series = rows_by_timestamp(series_path(config, "CC", "period"))
     assert all(rec["total"] == "0.000" for rec in series.values())
     rows = stats_rows(stats_path(config))
@@ -433,6 +504,55 @@ def test_zone_with_no_reports_yields_zero_series(tmp_path):
     assert empirical["recon_error"] == ""  # undefined on a zero series
     assert empirical["acf_1h"] == ""  # zero variance
     assert float(rows[("CC", "Total", "model")]["mean_mw"]) == pytest.approx(10.0)
+    # the skipped statistics are logged, one line per zone, channel and source
+    skipped = [m for m in caplog.messages if m.startswith("stats CC ")]
+    assert skipped == [
+        f"stats CC {channel} empirical: of 1 windows, 1 zero-variance skipped in the ACF, "
+        "1 zero-mass skipped in the reconciliation error"
+        for channel in ("Forced", "Planned", "Total")
+    ] + ["stats CC Total simulated: of 1 windows, 1 zero-variance skipped in the ACF"]
+
+
+# -- each served document parsed once ----------------------------------------
+
+
+def _parse_all_zone_periods(config: PipelineConfig) -> dict:
+    client = pipeline._client(config)
+    return {
+        (zone, ev.slug): pipeline._parse_zone_period(client, config, zone, ev)
+        for zone in config.zones
+        for ev in evaluations(config)
+    }
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_parse_skip_matches_parsing_every_page(corpus, tmp_path, monkeypatch, seed):
+    """Skipping re-served documents changes neither the reports nor the series.
+
+    ``seed=None`` is the bundled corpus; the others are seeded corpora in
+    which every document is re-served on each day it overlaps.
+    """
+    if seed is None:
+        config = corpus["config"]
+    else:
+        config = PipelineConfig.from_file(build_reserved_corpus(tmp_path / "corpus", seed))
+    skipping = _parse_all_zone_periods(config)
+    fast_paths = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "skip"))
+
+    monkeypatch.setattr(
+        pipeline,
+        "parse_document",
+        lambda raw, *, zone_eic=None, seen=None: parse_document(raw, zone_eic=zone_eic),
+    )
+    every_page = _parse_all_zone_periods(config)
+    slow_paths = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "every"))
+
+    assert sum(map(len, skipping.values())) < sum(map(len, every_page.values()))
+    for key, reports in every_page.items():
+        assert deduplicate(skipping[key]) == deduplicate(reports), key
+    for fast, slow in zip(fast_paths, slow_paths, strict=True):
+        assert fast.name == slow.name
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 # -- plot-ready exports ------------------------------------------------------
