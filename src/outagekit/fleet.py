@@ -35,8 +35,8 @@ class CapacityOutagePMF:
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or p.size == 0:
             raise InvalidInputError("PMF must be a non-empty 1-D array")
-        if np.any(p < 0.0):
-            raise InvalidInputError("PMF entries must be non-negative")
+        if not (np.isfinite(p).all() and (p >= 0.0).all()):
+            raise InvalidInputError("PMF entries must be finite and non-negative")
         total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidInputError(f"PMF mass {total} is not 1 within {PROB_SUM_TOL}")

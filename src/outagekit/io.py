@@ -3,15 +3,29 @@
 All CSVs are UTF-8, comma-separated, ``\\n``-terminated, with ISO-8601 UTC
 timestamps, and are written with fixed float formatting so that re-running a
 stage on the same inputs reproduces the file byte for byte.
+
+This module is the only one that knows the formats:
+
+- Every CSV is read by ``_read_columns``, which finds columns by header name
+  and converts each cell as it streams the rows, keeping only the converted
+  values.  A missing column, a row with the wrong number of cells or a cell
+  its converter rejects raises ``InvalidInputError`` naming ``path:line``.
+- Every artifact is written by ``write_lines`` (CSV lines) or ``write_json``
+  (the simulation sidecar and the manifest).  Both write a temporary file
+  next to the target and rename it over the target, so a failed or
+  interrupted write leaves the old file, or none, and no temporary file.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import os
+import uuid
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,12 +41,6 @@ ZONE_SERIES_HEADER = (
     "planned_min,planned,planned_max,total_min,total,total_max"
 )
 
-_CHANNEL_COLUMNS = {
-    Channel.FORCED: ("forced_min", "forced", "forced_max"),
-    Channel.PLANNED: ("planned_min", "planned", "planned_max"),
-    Channel.TOTAL: ("total_min", "total", "total_max"),
-}
-
 
 class RegistryRow(NamedTuple):
     """One installed unit from the production/generation unit registry."""
@@ -42,33 +50,16 @@ class RegistryRow(NamedTuple):
     capacity_mw: int
 
 
-def _fuel_from_name(name: str, *, where: str) -> Fuel:
-    for fuel in Fuel:
-        if fuel.value == name:
-            return fuel
-    raise InvalidInputError(f"{where}: unknown fuel {name!r}")
-
-
 def write_registry(rows: Iterable[RegistryRow], path: Path | str) -> None:
     lines = ["zone,fuel,capacity_mw"]
     lines.extend(f"{r.zone},{r.fuel.value},{r.capacity_mw}" for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_registry(path: Path | str) -> list[RegistryRow]:
     """Read a unit registry CSV with columns zone,fuel,capacity_mw."""
-    rows: list[RegistryRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ("zone", "fuel", "capacity_mw"), where=str(path))
-        for lineno, rec in enumerate(reader, start=2):
-            rows.append(
-                RegistryRow(
-                    zone=rec["zone"],
-                    fuel=_fuel_from_name(rec["fuel"], where=f"{path}:{lineno}"),
-                    capacity_mw=_positive_int(rec["capacity_mw"], where=f"{path}:{lineno}"),
-                )
-            )
+    columns = _read_columns(path, {"zone": str, "fuel": Fuel, "capacity_mw": _positive_int})
+    rows = list(map(RegistryRow, *columns))
     if not rows:
         raise InvalidInputError(f"{path}: registry has no rows")
     return rows
@@ -81,38 +72,29 @@ def write_fleet(fleet: Fleet, path: Path | str) -> None:
         f"{fleet.zone},{u.fuel.value},{u.capacity_mw},{u.availability!r},{u.mttr_hours!r}"
         for u in fleet.units
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_fleet(path: Path | str) -> Fleet:
-    units: list[GeneratorUnit] = []
-    zone = ""
-    counters: dict[Fuel, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader,
-            ("zone", "fuel", "capacity_mw", "availability", "mttr_hours"),
-            where=str(path),
-        )
-        for lineno, rec in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            zone = rec["zone"]
-            fuel = _fuel_from_name(rec["fuel"], where=where)
-            index = counters.get(fuel, 0)
-            counters[fuel] = index + 1
-            unit_id = f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
-            units.append(
-                GeneratorUnit(
-                    id=unit_id,
-                    fuel=fuel,
-                    capacity_mw=_positive_int(rec["capacity_mw"], where=where),
-                    availability=float(rec["availability"]),
-                    mttr_hours=float(rec["mttr_hours"]),
-                )
-            )
-    if not units:
+    columns = _read_columns(
+        path,
+        {
+            "zone": str,
+            "fuel": Fuel,
+            "capacity_mw": _positive_int,
+            "availability": float,
+            "mttr_hours": float,
+        },
+    )
+    if not columns[0]:
         raise InvalidInputError(f"{path}: fleet has no units")
+    units: list[GeneratorUnit] = []
+    counters: dict[Fuel, int] = {}
+    for zone, fuel, capacity_mw, availability, mttr_hours in zip(*columns):
+        index = counters.get(fuel, 0)
+        counters[fuel] = index + 1
+        unit_id = f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
+        units.append(GeneratorUnit(unit_id, fuel, capacity_mw, availability, mttr_hours))
     return Fleet(zone=zone, units=tuple(units))
 
 
@@ -126,20 +108,18 @@ def write_pmf(pmf: CapacityOutagePMF, path: Path | str) -> None:
     lines.extend(
         f"{mw},{prob!r}" for mw, prob in enumerate(pmf.probabilities.tolist())
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_pmf(path: Path | str) -> CapacityOutagePMF:
-    probs: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ("outage_mw", "probability"), where=str(path))
-        for lineno, rec in enumerate(reader, start=2):
-            if int(rec["outage_mw"]) != len(probs):
-                raise InvalidInputError(
-                    f"{path}:{lineno}: PMF grid must be contiguous from 0"
-                )
-            probs.append(float(rec["probability"]))
+    grid = itertools.count()
+
+    def next_grid_point(text: str) -> None:
+        # Checked, not kept: the row position is the outage.
+        if int(text) != next(grid):
+            raise ValueError("PMF grid must be contiguous from 0")
+
+    _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
     return CapacityOutagePMF(probabilities=np.asarray(probs, dtype=np.float64))
 
 
@@ -162,31 +142,16 @@ def write_zone_series(
     for i, hour in enumerate(rng.hours()):
         values = ",".join(f"{col[i]:.3f}" for col in cols)
         lines.append(f"{format_utc(hour)},{values}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def read_zone_series(path: Path | str, *, zone: str = "") -> dict[Channel, HourlyOutageSeries]:
-    stamps: list[str] = []
-    data: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ZONE_SERIES_HEADER.split(","), where=str(path))
-        for rec in reader:
-            stamps.append(rec["timestamp_utc"])
-            for name in ZONE_SERIES_HEADER.split(",")[1:]:
-                data.setdefault(name, []).append(float(rec[name]))
-    start = _hourly_start(stamps, path=path)
-    out: dict[Channel, HourlyOutageSeries] = {}
-    for channel, (lo, mid, hi) in _CHANNEL_COLUMNS.items():
-        out[channel] = HourlyOutageSeries(
-            subject=zone,
-            channel=channel,
-            start=start,
-            o_min_mw=np.asarray(data[lo], dtype=np.float64),
-            o_mean_mw=np.asarray(data[mid], dtype=np.float64),
-            o_max_mw=np.asarray(data[hi], dtype=np.float64),
-        )
-    return out
+    # min, mean and max of each channel, in the order write_zone_series uses
+    start, columns = _read_hourly(path, *ZONE_SERIES_HEADER.split(",")[1:])
+    return {
+        channel: HourlyOutageSeries(zone, channel, start, *columns[3 * k : 3 * k + 3])
+        for k, channel in enumerate(Channel)
+    }
 
 
 def write_sim_series(
@@ -202,11 +167,8 @@ def write_sim_series(
     lines.extend(
         f"{format_utc(hour)},{values[i]!r}" for i, hour in enumerate(series.range.hours())
     )
-    target = Path(path)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sidecar_for(target).write_text(
-        json.dumps(dict(metadata), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_lines(lines, path)
+    write_json(dict(metadata), sidecar_for(path))
 
 
 def sidecar_for(path: Path | str) -> Path:
@@ -214,22 +176,12 @@ def sidecar_for(path: Path | str) -> Path:
 
 
 def read_sim_series(path: Path | str) -> tuple[HourlySeries, dict[str, object]]:
-    stamps: list[str] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ("timestamp_utc", "outage_mw"), where=str(path))
-        for rec in reader:
-            stamps.append(rec["timestamp_utc"])
-            values.append(float(rec["outage_mw"]))
-    series = HourlySeries(
-        start=_hourly_start(stamps, path=path), values_mw=np.asarray(values, dtype=np.float64)
-    )
+    start, (values,) = _read_hourly(path, "outage_mw")
     sidecar = sidecar_for(path)
     metadata: dict[str, object] = {}
     if sidecar.exists():
         metadata = json.loads(sidecar.read_text(encoding="utf-8"))
-    return series, metadata
+    return HourlySeries(start=start, values_mw=values), metadata
 
 
 class StatsRow(NamedTuple):
@@ -256,7 +208,7 @@ def write_stats_csv(rows: Sequence[StatsRow], path: Path | str) -> None:
             f"{_format_stat(s.mean_mw)},{_format_stat(s.iqr_mw)},"
             f"{_format_stat(s.recon_error)},{acf}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(lines, path)
 
 
 def _format_stat(value: float | None) -> str:
@@ -283,7 +235,10 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
         raise InvalidInputError(f"{path}: expected an object with a 'fuels' key")
     table: dict[Fuel, FuelParams] = {}
     for name, rec in raw["fuels"].items():
-        fuel = _fuel_from_name(name, where=str(path))
+        try:
+            fuel = Fuel(name)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
         try:
             table[fuel] = FuelParams(
                 availability=float(rec["availability"]),
@@ -300,50 +255,105 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
 
 def read_demand(path: Path | str) -> HourlySeries:
     """Read an hourly demand CSV with columns timestamp_utc,demand_mw."""
-    stamps: list[str] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, ("timestamp_utc", "demand_mw"), where=str(path))
-        for rec in reader:
-            stamps.append(rec["timestamp_utc"])
-            values.append(float(rec["demand_mw"]))
-    return HourlySeries(
-        start=_hourly_start(stamps, path=path), values_mw=np.asarray(values, dtype=np.float64)
-    )
+    start, (values,) = _read_hourly(path, "demand_mw")
+    return HourlySeries(start=start, values_mw=values)
 
 
-def _hourly_start(stamps: Sequence[str], *, path: Path | str) -> datetime:
-    """First timestamp of an hourly CSV, after checking every later row.
+def write_lines(lines: Iterable[str], path: Path | str) -> None:
+    """Write each line plus ``\\n`` to ``path``, atomically.
 
-    Row k (on line k + 2, after the header) must be exactly one hour after
-    row k - 1, so gaps, repeats and out-of-order rows are rejected.
+    The lines go to a temporary file in the target's directory, which is
+    renamed over the target only once every line is written.  If writing
+    fails, for example because ``lines`` raises, the temporary file is
+    removed and the target keeps its old contents.
     """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj: object, path: Path | str) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a trailing newline, atomically."""
+    write_lines([json.dumps(obj, indent=2, sort_keys=True)], path)
+
+
+def _read_columns(
+    path: Path | str, converters: Mapping[str, Callable[[str], Any]]
+) -> list[list[Any]]:
+    """Read the named columns of a CSV, one list per column in ``converters`` order.
+
+    Columns are found by header name, so their order in the file does not
+    matter and other columns are ignored.  The rows are streamed: each cell
+    is converted as it is read, in file order, and only the converted values
+    are kept.  Blank lines are skipped.  A missing column, a row whose cell
+    count differs from the header's, or a cell whose converter raises
+    ``ValueError`` raises ``InvalidInputError`` naming ``path:line``.
+    """
+    columns: list[list[Any]] = [[] for _ in converters]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in converters if name not in header]
+        if missing:
+            raise InvalidInputError(f"{path}: missing columns {missing}")
+        cells = [
+            (header.index(name), convert, column.append)
+            for (name, convert), column in zip(converters.items(), columns)
+        ]
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise InvalidInputError(
+                    f"{path}:{reader.line_num}: expected {width} cells, got {len(row)}"
+                )
+            for i, convert, append in cells:
+                try:
+                    append(convert(row[i]))
+                except ValueError as exc:
+                    raise InvalidInputError(
+                        f"{path}:{reader.line_num}: {header[i]}: {exc}"
+                    ) from exc
+    return columns
+
+
+def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[list[float]]]:
+    """Start hour and float columns of a CSV with one row per consecutive UTC hour."""
+    stamps, *values = _read_columns(
+        path, {"timestamp_utc": _hourly_stamps(), **dict.fromkeys(columns, float)}
+    )
     if not stamps:
         raise InvalidInputError(f"{path}: series has no rows")
-    start = prev = parse_utc(stamps[0])
-    for lineno, text in enumerate(stamps[1:], start=3):
+    return stamps[0], values
+
+
+def _hourly_stamps() -> Callable[[str], datetime]:
+    """A timestamp converter that requires each row to be one hour after the last.
+
+    Gaps, repeats and out-of-order rows are therefore rejected.
+    """
+    previous: datetime | None = None
+
+    def convert(text: str) -> datetime:
+        nonlocal previous
         ts = parse_utc(text)
-        if ts - prev != HOUR:
-            raise InvalidInputError(
-                f"{path}:{lineno}: timestamp {text} is not one hour after the previous row"
-            )
-        prev = ts
-    return start
+        if previous is not None and ts - previous != HOUR:
+            raise ValueError(f"timestamp {text} is not one hour after the previous row")
+        previous = ts
+        return ts
+
+    return convert
 
 
-def _require_columns(reader: csv.DictReader, expected: Sequence[str], *, where: str) -> None:
-    have = reader.fieldnames or []
-    missing = [c for c in expected if c not in have]
-    if missing:
-        raise InvalidInputError(f"{where}: missing columns {missing}")
-
-
-def _positive_int(text: str, *, where: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"{where}: not an integer: {text!r}") from exc
+def _positive_int(text: str) -> int:
+    value = int(text)
     if value < 1:
-        raise InvalidInputError(f"{where}: capacity must be positive, got {value}")
+        raise ValueError(f"capacity must be positive, got {value}")
     return value

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -62,24 +62,6 @@ PLOT_KINDS = ("histogram", "seasonal", "timeseries")
 _STREAM_FLEET = 101
 _STREAM_SIM = 102
 _STREAM_PLOT = 103
-
-_CONFIG_KEYS = {
-    "zones",
-    "seasons",
-    "period",
-    "cache_dir",
-    "output_dir",
-    "registry_path",
-    "model_params_path",
-    "demand_path",
-    "api_token",
-    "seed",
-    "rate_limit_s",
-    "retries",
-    "zone_eic",
-    "histogram_bin_mw",
-    "timeseries_draws",
-}
 
 
 def _is_int(value: object) -> bool:
@@ -135,7 +117,7 @@ class PipelineConfig:
             raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidInputError(f"{path}: unknown config keys {unknown}")
         # Resolve against the config file so the run is independent of the
@@ -182,6 +164,11 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"{path}: rate_limit_s must be a finite number >= 0, got {rate_limit_s!r}"
             )
+        zone_eic = raw.get("zone_eic", {})
+        if not (isinstance(zone_eic, dict) and all(isinstance(v, str) for v in zone_eic.values())):
+            raise InvalidInputError(
+                f"{path}: zone_eic must map zones to EIC strings, got {zone_eic!r}"
+            )
         token = raw.get("api_token") or os.environ.get(TOKEN_ENV_VAR, "")
         return cls(
             zones=strings("zones"),
@@ -196,7 +183,7 @@ class PipelineConfig:
             seed=integer("seed", 0),
             rate_limit_s=float(rate_limit_s),
             retries=integer("retries", 3),
-            zone_eic=dict(raw.get("zone_eic", {})),
+            zone_eic=zone_eic,
             histogram_bin_mw=integer("histogram_bin_mw", 500),
             timeseries_draws=integer("timeseries_draws", 3),
         )
@@ -598,9 +585,7 @@ def write_manifest(config: PipelineConfig, fuel_params_version: str) -> Path:
         "artifacts": artifacts,
     }
     target = manifest_path(config)
-    target.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    okio.write_json(manifest, target)
     return target
 
 
@@ -686,7 +671,7 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
             for i in range(n_bins)
         )
         target = config.output_dir / f"plot_histogram_{zone}.csv"
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        okio.write_lines(lines, target)
         written.append(target)
     return written
 
@@ -718,7 +703,7 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
                 f"{week + 1},{outage[week]!r},{demand_vals[week]!r}" for week in range(52)
             ]
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
-        target.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        okio.write_lines([header, *rows], target)
         written.append(target)
     return written
 
@@ -749,7 +734,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
                 sim_cells = ",".join(f"{s.values_mw[i]:.0f}" for s in sims)
                 lines.append(f"{format_utc(hour)},{series.o_mean_mw[i]:.3f},{sim_cells}")
             target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
-            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            okio.write_lines(lines, target)
             written.append(target)
     return written
 
@@ -763,6 +748,4 @@ def _extend_manifest(config: PipelineConfig, paths: Sequence[Path]) -> None:
     for p in paths:
         manifest["artifacts"][str(p.relative_to(config.output_dir))] = _sha256_file(p)
     manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
-    target.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    okio.write_json(manifest, target)

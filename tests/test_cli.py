@@ -171,6 +171,20 @@ def test_invalid_config_exits_2(runner, tmp_path):
     assert "bogus" in result.stderr
 
 
+def test_malformed_artifact_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    pmf = tmp_path / "out" / "pmf_AA.csv"
+    lines = pmf.read_text().splitlines()
+    lines[2] = "1,not-a-number"
+    pmf.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(
+        main, ["plot-data", "--kind", "histogram", "--config", str(config_path)]
+    )
+    assert result.exit_code == 2
+    assert "pmf_AA.csv:3: probability" in result.stderr
+
+
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("ENTSOE_API_TOKEN", raising=False)
     config = tmp_path / "config.json"

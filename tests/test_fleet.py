@@ -7,6 +7,7 @@ import pytest
 
 from outagekit.errors import InvalidInputError, MissingPoolError
 from outagekit.fleet import (
+    CapacityOutagePMF,
     fleet_outage_pmf,
     pmf_quantile,
     pmf_stats,
@@ -151,8 +152,6 @@ def test_pmf_stats_symmetric_three_point():
     # so the IQR is still 100.
     p = np.zeros(201)
     p[0], p[100], p[200] = 0.25, 0.5, 0.25
-    from outagekit.fleet import CapacityOutagePMF
-
     pmf = CapacityOutagePMF(probabilities=p)
     mean, iqr = pmf_stats(pmf)
     assert mean == pytest.approx(100.0)
@@ -160,6 +159,14 @@ def test_pmf_stats_symmetric_three_point():
     assert pmf_quantile(pmf, 0.25) == 0
     assert pmf_quantile(pmf, 0.75) == 100
     assert pmf_quantile(pmf, 1.0) == 200
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.5, np.nan], [np.nan], [1.0, np.nan, 0.0], [1.5, -0.5]], ids=str
+)
+def test_pmf_rejects_non_finite_or_negative_entries(probs):
+    with pytest.raises(InvalidInputError, match="finite and non-negative"):
+        CapacityOutagePMF(probabilities=np.array(probs))
 
 
 def test_pmf_quantile_rejects_bad_level():

@@ -25,6 +25,8 @@ from outagekit.io import (
     write_pmf,
     write_registry,
     write_sim_series,
+    write_json,
+    write_lines,
     write_stats_csv,
     write_zone_series,
 )
@@ -139,7 +141,15 @@ def test_pmf_file_shape(tmp_path):
 def test_pmf_rejects_gappy_grid(tmp_path):
     path = tmp_path / "pmf.csv"
     path.write_text("outage_mw,probability\n0,0.9\n2,0.1\n")
-    with pytest.raises(InvalidInputError, match="contiguous"):
+    with pytest.raises(InvalidInputError, match=r"pmf\.csv:3: .*contiguous"):
+        read_pmf(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_pmf_rejects_non_finite_probability(tmp_path, cell):
+    path = tmp_path / "pmf.csv"
+    path.write_text(f"outage_mw,probability\n0,0.5\n1,{cell}\n")
+    with pytest.raises(InvalidInputError, match="finite"):
         read_pmf(path)
 
 
@@ -342,14 +352,95 @@ def test_read_demand_missing_column(tmp_path):
         read_demand(path)
 
 
-# -- hourly timestamps -------------------------------------------------------
+# -- malformed rows, shared by every reader ----------------------------------
 
 
-HOURLY_READERS = {
-    "zone_series": (read_zone_series, ZONE_SERIES_HEADER, ",0,0,0,0,0,0,0,0,0"),
-    "sim_series": (read_sim_series, "timestamp_utc,outage_mw", ",5.0"),
-    "demand": (read_demand, "timestamp_utc,demand_mw", ",41000.0"),
+# reader, header, and two valid data rows whose last cell is numeric
+READERS = {
+    "registry": (read_registry, "zone,fuel,capacity_mw", ["AA,CCGT,400", "AA,Coal,600"]),
+    "fleet": (
+        read_fleet,
+        "zone,fuel,capacity_mw,availability,mttr_hours",
+        ["AA,CCGT,400,0.9,50.0", "AA,CCGT,250,0.85,41.5"],
+    ),
+    "pmf": (read_pmf, "outage_mw,probability", ["0,0.25", "1,0.75"]),
+    "zone_series": (
+        read_zone_series,
+        ZONE_SERIES_HEADER,
+        [
+            "2030-01-07T00:00:00Z,0.000,1.000,2.000,0.000,0.000,0.000,0.000,1.000,2.000",
+            "2030-01-07T01:00:00Z,1.000,1.500,2.000,3.000,3.000,3.000,4.000,4.500,5.000",
+        ],
+    ),
+    "sim_series": (
+        read_sim_series,
+        "timestamp_utc,outage_mw",
+        ["2030-01-07T00:00:00Z,0.0", "2030-01-07T01:00:00Z,250.0"],
+    ),
+    "demand": (
+        read_demand,
+        "timestamp_utc,demand_mw",
+        ["2030-01-07T00:00:00Z,41000.5", "2030-01-07T01:00:00Z,39875.0"],
+    ),
 }
+
+HOURLY_READERS = [
+    kind for kind, (_, header, _) in READERS.items() if header.startswith("timestamp_utc,")
+]
+
+
+MALFORMED = {
+    "non_numeric": lambda cells: [*cells[:-1], "abc"],
+    "short_row": lambda cells: cells[:-1],
+    "extra_cell": lambda cells: [*cells, "1"],
+    "bad_timestamp": lambda cells: ["2030-01-07 one o'clock", *cells[1:]],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [
+        (kind, case)
+        for kind in READERS
+        for case in MALFORMED
+        if case != "bad_timestamp" or kind in HOURLY_READERS
+    ],
+)
+def test_readers_reject_malformed_rows_naming_the_line(tmp_path, kind, case):
+    reader, header, (first, second) = READERS[kind]
+    bad = ",".join(MALFORMED[case](second.split(",")))
+    path = tmp_path / f"{kind}.csv"
+    # the blank line 3 is skipped but still counted, so the bad row is line 4
+    path.write_text(f"{header}\n{first}\n\n{bad}\n")
+    with pytest.raises(InvalidInputError, match=rf"{kind}\.csv:4: "):
+        reader(path)
+
+
+def _permuted(header: str, rows: list[str]) -> list[str]:
+    """Header and rows with the column order reversed."""
+    return [",".join(reversed(line.split(","))) for line in [header, *rows]]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda header, rows: [header, "", rows[0], "", "", rows[1], ""],
+        _permuted,
+    ],
+    ids=["blank_lines", "permuted_columns"],
+)
+@pytest.mark.parametrize("kind", list(READERS))
+def test_readers_skip_blank_lines_and_find_columns_by_name(tmp_path, kind, layout):
+    reader, header, rows = READERS[kind]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join([header, *rows]) + "\n")
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join(layout(header, rows)) + "\n")
+    # the results hold arrays, which do not compare with ==; their reprs do
+    assert repr(reader(other)) == repr(reader(plain))
+
+
+# -- hourly timestamps -------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -361,10 +452,48 @@ HOURLY_READERS = {
     ],
     ids=["gap", "duplicate", "out_of_order"],
 )
-@pytest.mark.parametrize("kind", list(HOURLY_READERS))
+@pytest.mark.parametrize("kind", HOURLY_READERS)
 def test_hourly_readers_reject_non_consecutive_rows(tmp_path, kind, stamps):
-    reader, header, cells = HOURLY_READERS[kind]
+    reader, header, rows = READERS[kind]
+    cells = rows[0][rows[0].index(","):]
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join([header, *(ts + cells for ts in stamps)]) + "\n")
     with pytest.raises(InvalidInputError, match=rf"{kind}\.csv:4: .*not one hour after"):
         reader(path)
+
+
+# -- atomic writes -----------------------------------------------------------
+
+
+def test_write_lines_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("old\n")
+    write_lines(iter(["x,y", "1,2"]), path)
+    assert path.read_bytes() == b"x,y\n1,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_write_leaves_old_file_and_no_temporary(tmp_path, existing):
+    path = tmp_path / "a.csv"
+    if existing:
+        path.write_bytes(b"header\nold row\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def lines():
+        yield "header"
+        yield "new row"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_lines(lines(), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing:
+        assert path.read_bytes() == b"header\nold row\n"
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "m.json"
+    write_json({"b": [1, 2], "a": None}, path)
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]

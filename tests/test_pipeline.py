@@ -125,6 +125,10 @@ def test_config_rejects_bad_period(tmp_path):
         ("period", {"start": "2030-01-07T00:00:00Z", "hours": 24.5}),
         ("period", {"start": "2030-01-07T00:00:00Z", "hours": True}),
         ("period", "2030-01-07"),
+        ("zone_eic", "abc"),
+        ("zone_eic", [["GB", "10YGB----------A"]]),
+        ("zone_eic", {"GB": 5}),
+        ("zone_eic", None),
     ],
 )
 def test_config_rejects_wrong_types(tmp_path, key, value):
