@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import uuid
 from datetime import datetime
@@ -180,7 +181,9 @@ def read_sim_series(path: Path | str) -> tuple[HourlySeries, dict[str, object]]:
     sidecar = sidecar_for(path)
     metadata: dict[str, object] = {}
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        metadata = _read_json(sidecar)
+        if not isinstance(metadata, dict):
+            raise InvalidInputError(f"{sidecar}: expected a JSON object")
     return HourlySeries(start=start, values_mw=values), metadata
 
 
@@ -229,28 +232,51 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
 
     Returns the table and its version string.  Fuels missing from the file
     are absent from the table (callers decide whether that is an error).
+    Both values must be finite JSON numbers; numeric strings are rejected,
+    not coerced.  Any malformed file raises ``InvalidInputError`` naming it.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict) or "fuels" not in raw:
-        raise InvalidInputError(f"{path}: expected an object with a 'fuels' key")
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("fuels"), dict):
+        raise InvalidInputError(f"{path}: expected an object with a 'fuels' object")
     table: dict[Fuel, FuelParams] = {}
     for name, rec in raw["fuels"].items():
         try:
             fuel = Fuel(name)
         except ValueError as exc:
             raise InvalidInputError(f"{path}: {exc}") from exc
+        if not isinstance(rec, dict) or not {"availability", "mttr_hours"} <= rec.keys():
+            raise InvalidInputError(f"{path}: fuel {name} needs availability and mttr_hours")
+        availability, mttr_hours = rec["availability"], rec["mttr_hours"]
+        if not all(_is_finite_number(v) for v in (availability, mttr_hours)):
+            raise InvalidInputError(
+                f"{path}: fuel {name}: availability and mttr_hours must be finite"
+                f" numbers, got {availability!r} and {mttr_hours!r}"
+            )
         try:
             table[fuel] = FuelParams(
-                availability=float(rec["availability"]),
-                mttr_hours=float(rec["mttr_hours"]),
+                availability=float(availability), mttr_hours=float(mttr_hours)
             )
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(
-                f"{path}: fuel {name} needs availability and mttr_hours"
-            ) from exc
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: fuel {name}: {exc}") from exc
     if not table:
         raise InvalidInputError(f"{path}: no fuels defined")
     return table, str(raw.get("version", "unversioned"))
+
+
+def _is_finite_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _read_json(path: Path | str) -> Any:
+    """Parse a JSON file; undecodable or malformed text names the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def read_demand(path: Path | str) -> HourlySeries:

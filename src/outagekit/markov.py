@@ -10,6 +10,18 @@ probabilities (valid for rates well below 1; both are clamped to [0, 1]).
 The stationary distribution of the chain is "in service with probability A",
 which is also used as the initial state so no burn-in is required.
 
+Each hour consumes one uniform u.  An in-service unit fails when
+u < lambda and an outaged unit is repaired when u < mu, so with
+lo = min(lambda, mu) and hi = max(lambda, mu) every hour after the first
+does one of three things whatever the state: u < lo toggles it,
+lo <= u < hi sets it (to "in service" when lambda < mu), and any other u
+keeps it.  The first hour is a set, to u < A.  The state is therefore the
+value of the last set XOR the parity of the toggles since, which
+``simulate_unit`` evaluates with array prefix operations instead of an
+hour-by-hour loop.  The comparisons are the loop's own ``<`` tests on the
+same floats and the rest is boolean algebra, so the series is bit-identical
+to the loop's.
+
 Randomness comes from numpy's default generator (PCG64).  Fleet simulations
 derive one child seed per unit from ``(seed, unit_index)`` so per-unit
 streams are independent, reproducible, and order-insensitive.
@@ -101,27 +113,48 @@ def simulate_unit(
     """Hourly outage series (0 or capacity_mw) of one unit.
 
     The first hour's state is drawn from the stationary distribution; each
-    later hour applies the transition probabilities.  Output is fully
-    determined by (unit, n_hours, seed).
+    later hour applies the transition probabilities.  One
+    ``rng.random(n_hours)`` draw drives all hours, and the chain is
+    evaluated as toggle/set/keep steps over those uniforms (see the module
+    docstring), so the output is fully determined by (unit, n_hours, seed)
+    and equals an hour-by-hour simulation bit for bit.
     """
     if n_hours < 1:
         raise InvalidInputError(f"n_hours must be >= 1, got {n_hours}")
     rates = transition_rates(unit.availability, unit.mttr_hours)
-    lam = rates.failure_rate_lambda
-    mu = rates.repair_rate_mu
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_hours)
-    up = np.empty(n_hours, dtype=bool)
-    state = u[0] < unit.availability
-    up[0] = state
-    for t in range(1, n_hours):
-        if state:
-            state = not (u[t] < lam)
-        else:
-            state = u[t] < mu
-        up[t] = state
+    u = np.random.default_rng(seed).random(n_hours)
+    up = _in_service(u, rates, unit.availability)
     values = np.where(up, 0.0, float(unit.capacity_mw))
     return HourlySeries(start=start, values_mw=values)
+
+
+def _in_service(u: np.ndarray, rates: TransitionRates, availability: float) -> np.ndarray:
+    """In-service flag of each hour of the chain driven by uniforms ``u``.
+
+    ``parity`` is the XOR prefix of the toggles.  At each set hour s the
+    state is the set value v(s), so the state at any hour t is
+    ``parity[t] ^ offset[s]`` with ``offset[s] = v(s) ^ parity[s]`` and s
+    the last set hour up to t.  ``offset`` is carried forward between sets
+    as an XOR prefix of its changes, which are non-zero only at set hours.
+    """
+    lam = rates.failure_rate_lambda
+    mu = rates.repair_rate_mu
+    toggles = u < min(lam, mu)
+    toggles[0] = False
+    sets = u < max(lam, mu)
+    sets ^= toggles  # now lo <= u < hi
+    sets[0] = True
+    parity = np.logical_xor.accumulate(toggles)
+    set_hours = np.flatnonzero(sets)
+    offset = parity[set_hours]
+    offset ^= lam < mu
+    offset[0] = u[0] < availability
+    changes = np.zeros_like(sets)
+    changes[set_hours] = offset
+    changes[set_hours[1:]] ^= offset[:-1]
+    up = np.logical_xor.accumulate(changes)
+    up ^= parity
+    return up
 
 
 def simulate_fleet(

@@ -185,6 +185,25 @@ def test_malformed_artifact_exits_2(runner, corpus, tmp_path):
     assert "pmf_AA.csv:3: probability" in result.stderr
 
 
+def test_malformed_params_file_exits_2(runner, corpus, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text('{"fuels": {"CCGT": {"availability": "high", "mttr_hours": 50}}}')
+    config_path = write_config(corpus, tmp_path, model_params_path=str(params))
+    result = runner.invoke(main, ["fleet", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert "params.json: fuel CCGT" in result.stderr
+
+
+def test_garbled_sim_sidecar_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    sidecar = next((tmp_path / "out").glob("sim_*.csv.meta.json"))
+    sidecar.write_text("{")
+    result = runner.invoke(main, ["stats", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert f"{sidecar.name}: not valid JSON" in result.stderr
+
+
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("ENTSOE_API_TOKEN", raising=False)
     config = tmp_path / "config.json"

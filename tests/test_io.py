@@ -243,6 +243,15 @@ def test_sim_series_without_sidecar(tmp_path):
     assert meta == {}
 
 
+@pytest.mark.parametrize("sidecar_text", ["{", "[1, 2]"])
+def test_sim_series_bad_sidecar_names_it(tmp_path, sidecar_text):
+    path = tmp_path / "sim.csv"
+    path.write_text("timestamp_utc,outage_mw\n2030-01-07T00:00:00Z,5.0\n")
+    sidecar_for(path).write_text(sidecar_text)
+    with pytest.raises(InvalidInputError, match="sim.csv.meta.json"):
+        read_sim_series(path)
+
+
 # -- statistics CSV ----------------------------------------------------------
 
 
@@ -320,6 +329,36 @@ def test_load_fuel_params_bad_shapes(tmp_path):
         load_fuel_params(path)
     path.write_text(json.dumps({"fuels": {"Geothermal": {"availability": 0.9, "mttr_hours": 1}}}))
     with pytest.raises(InvalidInputError, match="Geothermal"):
+        load_fuel_params(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"fuels": {"CCGT": {"availability": "abc", "mttr_hours": 50}}}',
+        '{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": "50"}}}',
+        '{"fuels": {"CCGT": {"availability": true, "mttr_hours": 50}}}',
+        '{"fuels": {"CCGT": {"availability": NaN, "mttr_hours": 50}}}',
+        '{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": Infinity}}}',
+        '{"fuels": {"CCGT": {"availability": 1.5, "mttr_hours": 50}}}',
+        '{"fuels": {"CCGT": [0.9, 50]}}',
+        '{"fuels": ["CCGT"]}',
+        '{"fuels": "CCGT"}',
+        '{"fuels": {"CCGT": ',
+        "",
+    ],
+)
+def test_load_fuel_params_rejects_malformed_file_naming_it(tmp_path, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match="params.json"):
+        load_fuel_params(path)
+
+
+def test_load_fuel_params_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InvalidInputError, match="params.json: not valid JSON"):
         load_fuel_params(path)
 
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outagekit.errors import InvalidInputError
 from outagekit.markov import (
+    TransitionRates,
+    _in_service,
     derive_seed,
     simulate_fleet,
     simulate_unit,
@@ -14,7 +19,7 @@ from outagekit.markov import (
     theoretical_unit_acf,
     transition_rates,
 )
-from outagekit.types import Fleet
+from outagekit.types import Fleet, Fuel, GeneratorUnit
 
 from conftest import make_unit
 
@@ -93,6 +98,91 @@ def test_theoretical_acf_negative_lag_rejected():
 
 
 # -- unit simulation ---------------------------------------------------------
+
+
+def _in_service_loop(u: np.ndarray, rates: TransitionRates, availability: float) -> np.ndarray:
+    """Reference chain: one transition test per hour, as first written."""
+    lam = rates.failure_rate_lambda
+    mu = rates.repair_rate_mu
+    up = np.empty(len(u), dtype=bool)
+    state = u[0] < availability
+    up[0] = state
+    for t in range(1, len(u)):
+        if state:
+            state = not (u[t] < lam)
+        else:
+            state = u[t] < mu
+        up[t] = state
+    return up
+
+
+def _simulate_unit_loop(unit, n_hours: int, seed: int) -> np.ndarray:
+    """Reference for ``simulate_unit``: same draw, hour-by-hour chain."""
+    rates = transition_rates(unit.availability, unit.mttr_hours)
+    u = np.random.default_rng(seed).random(n_hours)
+    up = _in_service_loop(u, rates, unit.availability)
+    return np.where(up, 0.0, float(unit.capacity_mw))
+
+
+# (availability, mttr_hours) rows covering each regime of the recurrence.
+CHAIN_REGIMES = [
+    (0.9, 50.0),  # lambda < mu
+    (0.3, 10.0),  # lambda > mu
+    (0.5, 4.0),  # lambda == mu
+    (1.0, 20.0),  # lambda == 0: never fails
+    (0.7, 0.5),  # mu clamped to 1
+    (0.7, 1.0),  # mu == 1 unclamped
+    (0.001, 1.0),  # both clamped to 1: strict alternation
+]
+
+
+@pytest.mark.parametrize("availability,mttr_hours", CHAIN_REGIMES)
+@pytest.mark.parametrize("n_hours", [1, 2, 4321])
+def test_simulate_matches_loop_in_each_regime(availability, mttr_hours, n_hours):
+    unit = make_unit(capacity_mw=321, availability=availability, mttr_hours=mttr_hours)
+    for seed in range(5):
+        got = simulate_unit(unit, n_hours, seed).values_mw
+        assert got.tobytes() == _simulate_unit_loop(unit, n_hours, seed).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    availability=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.001, 1.0)),
+    mttr_hours=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 500.0)),
+    n_hours=st.one_of(st.sampled_from([1, 2]), st.integers(1, 60), st.integers(1000, 6000)),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_simulate_matches_loop(availability, mttr_hours, n_hours, seed):
+    unit = make_unit(capacity_mw=77, availability=availability, mttr_hours=mttr_hours)
+    got = simulate_unit(unit, n_hours, seed).values_mw
+    assert got.tobytes() == _simulate_unit_loop(unit, n_hours, seed).tobytes()
+
+
+@st.composite
+def chain_on_edge_uniforms(draw):
+    """Rates plus uniforms that often sit exactly on, or one ulp off, a rate.
+
+    A generator stream almost never hits a rate exactly, so this is what
+    tests every ``<`` against ``<=``.
+    """
+    availability = draw(st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.001, 1.0)))
+    mttr_hours = draw(st.one_of(st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.05, 100.0)))
+    rates = transition_rates(availability, mttr_hours)
+    edges = [0.0, availability]
+    for rate in (rates.failure_rate_lambda, rates.repair_rate_mu):
+        edges += [rate, np.nextafter(rate, 0.0), np.nextafter(rate, 1.0)]
+    edges = [float(e) for e in edges if 0.0 <= e < 1.0]
+    uniform = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True))
+    u = np.array(draw(st.lists(uniform, min_size=1, max_size=80)))
+    return u, rates, availability
+
+
+@settings(max_examples=500, deadline=None)
+@given(chain_on_edge_uniforms())
+def test_chain_matches_loop_on_rate_edges(case):
+    u, rates, availability = case
+    got = _in_service(u, rates, availability)
+    assert got.tobytes() == _in_service_loop(u, rates, availability).tobytes()
 
 
 def test_simulate_perfect_unit_never_fails():
@@ -176,6 +266,29 @@ def test_fleet_sim_long_run_mean():
     series = simulate_fleet(fleet, 10**6, seed=STATIONARITY_SEED)
     expected = 100 * 0.1 + 200 * 0.2
     assert float(series.values_mw.mean()) == pytest.approx(expected, rel=0.01)
+
+
+def test_fleet_sim_bytes_pinned():
+    """Fixed draw order and seed derivation: a change to either shows here."""
+    rows = [
+        (Fuel.BIOMASS, 100, 0.86, 40.0),
+        (Fuel.COAL, 137, 0.86, 40.0),
+        (Fuel.CCGT, 174, 0.90, 50.0),
+        (Fuel.OIL, 211, 0.91, 50.0),
+        (Fuel.HYDRO, 248, 0.90, 20.0),
+        (Fuel.NUCLEAR, 285, 0.81, 150.0),
+        (Fuel.CHP, 322, 0.90, 50.0),
+        (Fuel.WASTE, 359, 0.86, 40.0),
+        (Fuel.CCGT, 500, 1.0, 50.0),  # never fails
+        (Fuel.OIL, 45, 0.7, 0.5),  # mu clamped to 1
+        (Fuel.COAL, 660, 0.3, 10.0),  # lambda > mu
+        (Fuel.HYDRO, 250, 0.5, 4.0),  # lambda == mu
+    ]
+    units = tuple(GeneratorUnit(f"u{i}", *row) for i, row in enumerate(rows))
+    series = simulate_fleet(Fleet(zone="PIN", units=units), 3024, seed=20240229)
+    assert hashlib.sha256(series.values_mw.tobytes()).hexdigest() == (
+        "910403f09e047dd59b1475b53cd299f1ec165e18f5913861b7aa5cfb900ef9f0"
+    )
 
 
 def test_fleet_sim_rejects_empty_fleet():
