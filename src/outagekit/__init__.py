@@ -37,13 +37,11 @@ from .fleet import (
 from .ingest import (
     Channel,
     HourlyOutageSeries,
-    HourlyOutageTriple,
     OutageReport,
     ReportKind,
     ReportStatus,
     deduplicate,
     filter_reports,
-    hourly_outage,
     parse_document,
     unit_series,
     zone_aggregate,
@@ -90,7 +88,6 @@ __all__ = [
     "GeneratorUnit",
     "HourRange",
     "HourlyOutageSeries",
-    "HourlyOutageTriple",
     "HourlySeries",
     "InvalidInputError",
     "MissingPoolError",
@@ -111,7 +108,6 @@ __all__ = [
     "emit_plot_data",
     "filter_reports",
     "fleet_outage_pmf",
-    "hourly_outage",
     "parse_document",
     "pmf_quantile",
     "pmf_stats",

@@ -22,6 +22,7 @@ from xml.etree import ElementTree
 import requests
 
 from .errors import AuthError, FetchError, InvalidInputError
+from .io import write_bytes, write_json
 from .zones import eic_for_zone
 
 logger = logging.getLogger(__name__)
@@ -127,14 +128,15 @@ class FetchClient:
     def store(self, zone: str, day: date, doc_type: str, pages: Sequence[bytes]) -> None:
         """Cache the pages of a (zone, day, doc_type), with their content hashes.
 
-        An empty ``pages`` records a day without matching data.  The meta
-        file is written last, after every page it lists.
+        An empty ``pages`` records a day without matching data.  Every file
+        is written atomically, and the meta file last, after every page it
+        lists: a store that fails partway leaves no meta file, so the day
+        is still a cache miss.
         """
-        day_dir = self._day_dir(zone, day)
-        day_dir.mkdir(parents=True, exist_ok=True)
+        self._day_dir(zone, day).mkdir(parents=True, exist_ok=True)
         hashes = []
         for page, payload in enumerate(pages):
-            self.page_path(zone, day, doc_type, page).write_bytes(payload)
+            write_bytes(payload, self.page_path(zone, day, doc_type, page))
             hashes.append(hashlib.sha256(payload).hexdigest())
         meta = {
             "zone": zone,
@@ -144,9 +146,7 @@ class FetchClient:
             "sha256": hashes,
             "fetched_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         }
-        self._meta_path(zone, day, doc_type).write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(meta, self._meta_path(zone, day, doc_type))
 
     # -- network --------------------------------------------------------
 

@@ -11,9 +11,7 @@ from .reports import (
 from .xmlparse import parse_document
 from .reconcile import (
     Channel,
-    HourlyOutageTriple,
     HourlyOutageSeries,
-    hourly_outage,
     unit_series,
     zone_aggregate,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "filter_reports",
     "parse_document",
     "Channel",
-    "HourlyOutageTriple",
     "HourlyOutageSeries",
-    "hourly_outage",
     "unit_series",
     "zone_aggregate",
 ]

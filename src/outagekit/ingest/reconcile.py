@@ -42,21 +42,6 @@ class Channel(Enum):
 
 
 @dataclass(frozen=True)
-class HourlyOutageTriple:
-    """Reconciled outage for one hour: minimum, midpoint, maximum (MW)."""
-
-    o_min_mw: float
-    o_mean_mw: float
-    o_max_mw: float
-
-    def __post_init__(self) -> None:
-        if not self.o_min_mw <= self.o_mean_mw <= self.o_max_mw:
-            raise InvalidInputError(
-                f"triple out of order: {self.o_min_mw}, {self.o_mean_mw}, {self.o_max_mw}"
-            )
-
-
-@dataclass(frozen=True)
 class HourlyOutageSeries:
     """Hourly reconciled outages for one subject (unit or zone) and channel."""
 
@@ -178,14 +163,6 @@ def _reconcile(
         o_max[hours] = hi.reshape(hours.size, 60).mean(axis=1)
     o_mean = (o_min + o_max) / 2.0
     return o_min, o_mean, o_max
-
-
-def hourly_outage(reports: Sequence[OutageReport], hour: datetime) -> HourlyOutageTriple:
-    """Reconciled outage triple for a single hour."""
-    o_min, o_mean, o_max = _reconcile(reports, HourRange(hour, 1))
-    return HourlyOutageTriple(
-        o_min_mw=float(o_min[0]), o_mean_mw=float(o_mean[0]), o_max_mw=float(o_max[0])
-    )
 
 
 def unit_series(

@@ -11,9 +11,10 @@ This module is the only one that knows the formats:
   values.  A missing column, a row with the wrong number of cells or a cell
   its converter rejects raises ``InvalidInputError`` naming ``path:line``.
 - Every artifact is written by ``write_lines`` (CSV lines) or ``write_json``
-  (the simulation sidecar and the manifest).  Both write a temporary file
-  next to the target and rename it over the target, so a failed or
-  interrupted write leaves the old file, or none, and no temporary file.
+  (the simulation sidecar and the manifest), and every fetch-cache page by
+  ``write_bytes``.  All three write a temporary file next to the target and
+  rename it over the target, so a failed or interrupted write leaves the
+  old file, or none, and no temporary file.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import json
 import math
 import os
 import uuid
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +53,6 @@ class RegistryRow(NamedTuple):
     capacity_mw: int
 
 
-def write_registry(rows: Iterable[RegistryRow], path: Path | str) -> None:
-    lines = ["zone,fuel,capacity_mw"]
-    lines.extend(f"{r.zone},{r.fuel.value},{r.capacity_mw}" for r in rows)
-    write_lines(lines, path)
-
-
 def read_registry(path: Path | str) -> list[RegistryRow]:
     """Read a unit registry CSV with columns zone,fuel,capacity_mw."""
     columns = _read_columns(path, {"zone": str, "fuel": Fuel, "capacity_mw": _positive_int})
@@ -77,10 +73,11 @@ def write_fleet(fleet: Fleet, path: Path | str) -> None:
 
 
 def read_fleet(path: Path | str) -> Fleet:
+    """Read a fleet CSV; every row must name the first row's zone."""
     columns = _read_columns(
         path,
         {
-            "zone": str,
+            "zone": _same_zone(),
             "fuel": Fuel,
             "capacity_mw": _positive_int,
             "availability": float,
@@ -95,7 +92,10 @@ def read_fleet(path: Path | str) -> Fleet:
         index = counters.get(fuel, 0)
         counters[fuel] = index + 1
         unit_id = f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
-        units.append(GeneratorUnit(unit_id, fuel, capacity_mw, availability, mttr_hours))
+        try:
+            units.append(GeneratorUnit(unit_id, fuel, capacity_mw, availability, mttr_hours))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: unit {unit_id}: {exc}") from exc
     return Fleet(zone=zone, units=tuple(units))
 
 
@@ -285,23 +285,38 @@ def read_demand(path: Path | str) -> HourlySeries:
     return HourlySeries(start=start, values_mw=values)
 
 
-def write_lines(lines: Iterable[str], path: Path | str) -> None:
-    """Write each line plus ``\\n`` to ``path``, atomically.
+@contextmanager
+def _replacing(path: Path | str, **open_args: Any) -> Iterator[IO[Any]]:
+    """Open a temporary file next to ``path``, renamed over it when the block ends.
 
-    The lines go to a temporary file in the target's directory, which is
-    renamed over the target only once every line is written.  If writing
-    fails, for example because ``lines`` raises, the temporary file is
-    removed and the target keeps its old contents.
+    ``open_args`` are passed to ``open`` and must open a new file (mode
+    ``x``).  If the block raises, the temporary file is removed and the
+    target keeps its old contents, or stays absent.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+        with open(tmp, **open_args) as fh:
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_bytes(data: bytes, path: Path | str) -> None:
+    """Write ``data`` to ``path``, atomically."""
+    with _replacing(path, mode="xb") as fh:
+        fh.write(data)
+
+
+def write_lines(lines: Iterable[str], path: Path | str) -> None:
+    """Write each line plus ``\\n`` to ``path`` as UTF-8, atomically.
+
+    If ``lines`` raises, the target keeps its old contents.
+    """
+    with _replacing(path, mode="x", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def write_json(obj: object, path: Path | str) -> None:
@@ -374,6 +389,21 @@ def _hourly_stamps() -> Callable[[str], datetime]:
             raise ValueError(f"timestamp {text} is not one hour after the previous row")
         previous = ts
         return ts
+
+    return convert
+
+
+def _same_zone() -> Callable[[str], str]:
+    """A zone converter that requires every row to name the first row's zone."""
+    first: str | None = None
+
+    def convert(text: str) -> str:
+        nonlocal first
+        if first is None:
+            first = text
+        elif text != first:
+            raise ValueError(f"zone {text!r} differs from the first row's zone {first!r}")
+        return text
 
     return convert
 

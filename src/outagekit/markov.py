@@ -24,7 +24,9 @@ to the loop's.
 
 Randomness comes from numpy's default generator (PCG64).  Fleet simulations
 derive one child seed per unit from ``(seed, unit_index)`` so per-unit
-streams are independent, reproducible, and order-insensitive.
+streams are independent and reproducible.  The seed follows the unit's
+position, so reordering a fleet changes the simulated bytes; the fleet
+series is invariant to unit order only in distribution.
 """
 
 from __future__ import annotations

@@ -217,25 +217,26 @@ class PipelineConfig:
 
 
 class Evaluation(NamedTuple):
-    """One evaluation period: a label, its hourly range, and stat windows.
+    """One evaluation period: a label, its hourly range, and its stat window.
 
-    ``windows`` is ``(None,)`` for an explicit period override, meaning the
-    whole range is treated as a single statistics window.
+    ``window`` is the season's winter window, whose span is ``range``, or
+    ``None`` for an explicit period override, meaning the whole range is the
+    statistics window.
     """
 
     label: str
     slug: str
     range: HourRange
-    windows: tuple[WinterWindow | None, ...]
+    window: WinterWindow | None
 
 
 def evaluations(config: PipelineConfig) -> list[Evaluation]:
     if config.period is not None:
-        return [Evaluation("period", "period", config.period, (None,))]
+        return [Evaluation("period", "period", config.period, None)]
     evs = []
     for label in config.seasons:
         window = winter_window(season_label_to_year(label))
-        evs.append(Evaluation(label, label.replace("/", "-"), window.span, (window,)))
+        evs.append(Evaluation(label, label.replace("/", "-"), window.span, window))
     return evs
 
 
@@ -452,15 +453,17 @@ def _pooled_stats(
 ) -> tuple[float, float, dict[int, float], int]:
     """Pooled mean/IQR and window-averaged ACF over (series, window) pairs.
 
-    The last element counts the windows left out of the ACF because they
-    have zero variance (e.g. an all-zero channel).
+    Each window's ACF is computed on its own, so values are never correlated
+    across a window seam, and the per-window ACFs are averaged with equal
+    weight.  The last element counts the windows left out of the ACF because
+    they have zero variance (e.g. an all-zero channel).
     """
     samples = []
     acfs: list[dict[int, float]] = []
     for series, window in per_ev:
         samples.append(window_values(series, window))
         try:
-            acfs.append(autocorrelation(series, [window], REPORT_LAGS_HOURS))
+            acfs.append(autocorrelation(series, window, REPORT_LAGS_HOURS))
         except StatsError:
             pass
     mean, iqr = sample_stats(np.concatenate(samples))
@@ -490,12 +493,11 @@ def stage_stats(config: PipelineConfig) -> Path:
             recon_errors: list[float] = []
             for ev in evaluations(config):
                 s = empirical[ev.slug][channel]
-                for window in ev.windows:
-                    per_ev.append((s, window))
-                    try:
-                        recon_errors.append(reconciliation_error(s, window))
-                    except StatsError:
-                        pass  # channel has no outage mass in this window
+                per_ev.append((s, ev.window))
+                try:
+                    recon_errors.append(reconciliation_error(s, ev.window))
+                except StatsError:
+                    pass  # channel has no outage mass in this window
             mean, iqr, acf, flat = _pooled_stats(per_ev)
             logger.info(
                 "stats %s %s empirical: of %d windows, %d zero-variance skipped in the ACF, "
@@ -531,11 +533,10 @@ def stage_stats(config: PipelineConfig) -> Path:
                 ),
             )
         )
-        sim_pairs = []
-        for ev in evaluations(config):
-            sim, _ = okio.read_sim_series(sim_path(config, zone, ev.slug))
-            for window in ev.windows:
-                sim_pairs.append((sim, window))
+        sim_pairs = [
+            (okio.read_sim_series(sim_path(config, zone, ev.slug))[0], ev.window)
+            for ev in evaluations(config)
+        ]
         sim_mean, sim_iqr, sim_acf, flat = _pooled_stats(sim_pairs)
         logger.info(
             "stats %s %s simulated: of %d windows, %d zero-variance skipped in the ACF",
@@ -643,9 +644,8 @@ def _empirical_window_values(
     chunks: list[list[np.ndarray]] = [[] for _ in channels]
     for ev in evaluations(config):
         by_channel = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)
-        for window in ev.windows:
-            for parts, channel in zip(chunks, channels):
-                parts.append(window_values(by_channel[channel], window))
+        for parts, channel in zip(chunks, channels):
+            parts.append(window_values(by_channel[channel], ev.window))
     return [np.concatenate(parts) for parts in chunks]
 
 
@@ -684,24 +684,21 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
             "seasonal plot data needs an evaluation period of at least one full "
             "year; configure 'period' accordingly"
         )
-    demand = okio.read_demand(config.demand_path) if config.demand_path else None
+    ev = year_long[0]
+    header = "week,outage"
+    demand: list[list[float]] = []
+    if config.demand_path:
+        header += ",demand"
+        demand.append(weekly_profile(okio.read_demand(config.demand_path)).tolist())
     written = []
     for zone in config.zones:
-        ev = year_long[0]
         series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[
             Channel.TOTAL
         ]
-        if demand is None:
-            outage = weekly_profile(series).tolist()
-            header = "week,outage"
-            rows = [f"{week + 1},{outage[week]!r}" for week in range(52)]
-        else:
-            outage_arr, demand_arr = weekly_profile(series, demand)
-            outage, demand_vals = outage_arr.tolist(), demand_arr.tolist()
-            header = "week,outage,demand"
-            rows = [
-                f"{week + 1},{outage[week]!r},{demand_vals[week]!r}" for week in range(52)
-            ]
+        profiles = [weekly_profile(series).tolist(), *demand]
+        rows = [
+            ",".join([str(week + 1), *(repr(p[week]) for p in profiles)]) for week in range(52)
+        ]
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
         okio.write_lines([header, *rows], target)
         written.append(target)

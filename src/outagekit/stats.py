@@ -1,6 +1,10 @@
 """Comparison statistics: winter windows, windowed sample mean and IQR,
 reconciliation error, lagged autocorrelation and weekly seasonality.
 
+Each statistic takes one series and at most one window (``None`` meaning
+the whole series).  Pooling over the windows of several evaluations is done
+once, in ``pipeline._pooled_stats``.
+
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
 hourly sample, which is the convention for continuous samples; discrete
 outage PMFs in fleet.pmf_stats use the inverse-CDF convention instead.  The
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,13 +146,20 @@ def reconciliation_error(
     return float(np.abs(mean_vals - min_vals).sum() / denom)
 
 
-def acf_values(values: np.ndarray, lags: Sequence[int], *, context: str = "series") -> dict[int, float]:
-    """Sample autocorrelation of one window at the given lags.
+def autocorrelation(
+    series: HourlySeries | HourlyOutageSeries,
+    window: WinterWindow | None,
+    lags: Sequence[int] = REPORT_LAGS_HOURS,
+) -> dict[int, float]:
+    """Sample autocorrelation of a series inside one window at the given lags.
 
     Uses the standard biased estimator with the window's own mean removed;
-    lag 0 is exactly 1.
+    lag 0 is exactly 1.  ``window=None`` takes the whole series.  Windows
+    are not contiguous in time, so each is evaluated on its own; averaging
+    over windows is left to the caller.
     """
-    x = np.asarray(values, dtype=np.float64)
+    context = "full series" if window is None else f"window {window.label}"
+    x = window_values(series, window)
     if x.size < 2:
         raise InvalidInputError(f"{context}: need at least 2 values for autocorrelation")
     xc = x - x.mean()
@@ -166,45 +177,13 @@ def acf_values(values: np.ndarray, lags: Sequence[int], *, context: str = "serie
     return out
 
 
-def autocorrelation(
-    series: HourlySeries | HourlyOutageSeries,
-    windows: Iterable[WinterWindow | None] | None,
-    lags: Sequence[int] = REPORT_LAGS_HOURS,
-) -> dict[int, float]:
-    """Mean sample autocorrelation across windows at the given lags.
-
-    Each window is evaluated on its own (windows are not contiguous in time,
-    so values are never correlated across a window seam) and the per-window
-    autocorrelations are averaged with equal weight.  ``windows=None``
-    treats the whole series as a single window.
-    """
-    window_list: list[WinterWindow | None] = list(windows) if windows is not None else [None]
-    if not window_list:
-        raise InvalidInputError("no windows given")
-    per_window: list[dict[int, float]] = []
-    for w in window_list:
-        label = w.label if w is not None else "full series"
-        per_window.append(acf_values(window_values(series, w), lags, context=f"window {label}"))
-    return {lag: float(np.mean([acf[lag] for acf in per_window])) for lag in lags}
-
-
-def weekly_profile(
-    series: HourlySeries | HourlyOutageSeries, demand: HourlySeries | None = None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def weekly_profile(series: HourlySeries | HourlyOutageSeries) -> np.ndarray:
     """Normalized mean weekly level over the year (52 values, mean 1).
 
     Hours are pooled by ISO week number across all covered years (week 53
     folds into week 52), averaged per week, then divided by the mean of the
-    52 weekly values.  The same transform applies to the optional demand
-    series, in which case a pair of profiles is returned.
+    52 weekly values.
     """
-    profile = _weekly_profile_one(series)
-    if demand is None:
-        return profile
-    return profile, _weekly_profile_one(demand)
-
-
-def _weekly_profile_one(series: HourlySeries | HourlyOutageSeries) -> np.ndarray:
     values = series.values_mw
     if values.size < 8760:
         raise InvalidInputError(

@@ -63,15 +63,6 @@ class HourRange:
         if self.n_hours < 1:
             raise InvalidInputError(f"n_hours must be >= 1, got {self.n_hours}")
 
-    @classmethod
-    def from_span(cls, start: datetime, end: datetime) -> "HourRange":
-        start = ensure_hour_aligned(start)
-        end = ensure_hour_aligned(end)
-        n = int((end - start) / HOUR)
-        if n < 1:
-            raise InvalidInputError(f"empty hour range {start.isoformat()}..{end.isoformat()}")
-        return cls(start=start, n_hours=n)
-
     @property
     def end(self) -> datetime:
         return self.start + self.n_hours * HOUR

@@ -8,6 +8,7 @@ excluded from fleet aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +38,17 @@ class Renewable(Enum):
     OTHER_RENEWABLE = "OtherRenewable"
 
 
+def _check_reliability(availability: float, mttr_hours: float) -> None:
+    """Reject an availability outside (0, 1] or an MTTR that is not finite and > 0.
+
+    The comparisons are false for NaN, so NaN is rejected too.
+    """
+    if not 0.0 < availability <= 1.0:
+        raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
+    if not 0.0 < mttr_hours < math.inf:
+        raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours}")
+
+
 @dataclass(frozen=True)
 class FuelParams:
     """Long-run availability and mean time to repair for one fuel class."""
@@ -45,12 +57,7 @@ class FuelParams:
     mttr_hours: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.availability <= 1.0:
-            raise InvalidInputError(
-                f"availability must be in (0, 1], got {self.availability}"
-            )
-        if self.mttr_hours <= 0.0:
-            raise InvalidInputError(f"mttr_hours must be > 0, got {self.mttr_hours}")
+        _check_reliability(self.availability, self.mttr_hours)
 
 
 # Built-in per-fuel parameter table.  Override via a JSON parameters file
@@ -89,12 +96,7 @@ class GeneratorUnit:
             raise InvalidInputError(
                 f"capacity_mw must be a positive integer, got {self.capacity_mw!r}"
             )
-        if not 0.0 < self.availability <= 1.0:
-            raise InvalidInputError(
-                f"availability must be in (0, 1], got {self.availability}"
-            )
-        if self.mttr_hours <= 0.0:
-            raise InvalidInputError(f"mttr_hours must be > 0, got {self.mttr_hours}")
+        _check_reliability(self.availability, self.mttr_hours)
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,3 @@ class Fleet:
     @property
     def total_capacity_mw(self) -> int:
         return sum(u.capacity_mw for u in self.units)
-
-    def capacity_by_fuel(self) -> dict[Fuel, int]:
-        totals: dict[Fuel, int] = {}
-        for u in self.units:
-            totals[u.fuel] = totals.get(u.fuel, 0) + u.capacity_mw
-        return totals

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 from outagekit.ingest import OutageReport, ReportKind, ReportStatus
-from outagekit.types import Fuel, GeneratorUnit
+from outagekit.io import RegistryRow, write_lines
+from outagekit.types import Fleet, Fuel, GeneratorUnit
 
 T0 = datetime(2030, 1, 7, 0, 0, tzinfo=timezone.utc)
 
@@ -53,6 +56,21 @@ def make_report(
         kind=kind,
         status=status,
     )
+
+
+def write_registry(rows: Iterable[RegistryRow], path: Path | str) -> None:
+    """Write a unit registry CSV in the layout ``io.read_registry`` reads."""
+    lines = ["zone,fuel,capacity_mw"]
+    lines.extend(f"{r.zone},{r.fuel.value},{r.capacity_mw}" for r in rows)
+    write_lines(lines, path)
+
+
+def capacity_by_fuel(fleet: Fleet) -> dict[Fuel, int]:
+    """Installed capacity of each fuel in a fleet, in MW."""
+    totals: dict[Fuel, int] = {}
+    for u in fleet.units:
+        totals[u.fuel] = totals.get(u.fuel, 0) + u.capacity_mw
+    return totals
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from outagekit.fleet import fleet_outage_pmf, pmf_stats
-from outagekit.ingest.reconcile import Channel, hourly_outage, unit_series
+from outagekit.ingest.reconcile import Channel, unit_series
 from outagekit.ingest.reports import ReportKind, filter_reports
 from outagekit.markov import simulate_unit, transition_rates
 from outagekit.pipeline import run_pipeline
@@ -124,14 +124,12 @@ def test_subhourly_reconciliation_reference_hours():
         "170 MW; overlapping 400 MW forced and planned reports total "
         "400 MW, not 800"
     ):
-        t = hourly_outage(
-            [
-                make_report("a", start_h=0.0, end_h=0.2, unavailable_mw=50.0),
-                make_report("b", start_h=0.2, end_h=1.0, unavailable_mw=200.0),
-            ],
-            T0,
-        )
-        assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (170.0, 170.0, 170.0)
+        step = [
+            make_report("a", start_h=0.0, end_h=0.2, unavailable_mw=50.0),
+            make_report("b", start_h=0.2, end_h=1.0, unavailable_mw=200.0),
+        ]
+        t = unit_series(step, HourRange(T0, 1))[Channel.TOTAL]
+        assert (t.o_min_mw[0], t.o_mean_mw[0], t.o_max_mw[0]) == (170.0, 170.0, 170.0)
 
         overlapping = [
             make_report("f", unavailable_mw=400.0, kind=ReportKind.FORCED),

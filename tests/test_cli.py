@@ -194,6 +194,20 @@ def test_malformed_params_file_exits_2(runner, corpus, tmp_path):
     assert "params.json: fuel CCGT" in result.stderr
 
 
+def test_non_finite_mttr_in_fleet_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["fleet", "--config", str(config_path)]).exit_code == 0
+    fleet = tmp_path / "out" / "fleet_AA.csv"
+    header, first, *rest = fleet.read_text().splitlines()
+    first = first.rsplit(",", 1)[0] + ",inf"
+    fleet.write_text("\n".join([header, first, *rest]) + "\n")
+    for stage in ("model", "simulate"):
+        result = runner.invoke(main, [stage, "--config", str(config_path)])
+        assert result.exit_code == 2, stage
+        assert "fleet_AA.csv: unit AA-" in result.stderr
+        assert "mttr_hours must be finite and > 0, got inf" in result.stderr
+
+
 def test_garbled_sim_sidecar_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0

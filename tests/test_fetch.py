@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -149,6 +150,58 @@ def test_no_data_day_cached_as_empty(tmp_path):
     assert len(transport.calls) == 1
     assert c.fetch_day("GB", DAY, "A77") == []  # served from cache
     assert len(transport.calls) == 1
+
+
+class _HalfWrite:
+    """A file that writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["first-page", "second-page", "meta"])
+def test_store_failing_partway_leaves_a_clean_miss(tmp_path, monkeypatch, failing):
+    import outagekit.io as okio
+
+    opened: list[Path] = []
+
+    def open_failing_once(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        opened.append(file)
+        return _HalfWrite(fh) if len(opened) - 1 == failing else fh
+
+    # shadows the builtin inside outagekit.io only, where every cache file is opened
+    monkeypatch.setattr(okio, "open", open_failing_once, raising=False)
+    pages = [zip_page(PAGE_SIZE_DOCS), XML_PAGE]
+    c = client(tmp_path, FakeTransport([(200, pages[0]), (200, pages[1])]))
+    with pytest.raises(OSError, match="No space left"):
+        c.fetch_day("GB", DAY, "A77")
+    day_dir = tmp_path / "cache" / "GB" / "2030-01-07"
+    left = sorted(p.name for p in day_dir.iterdir())
+    assert not [name for name in left if name.endswith(".tmp")], left
+    assert "A77.meta.json" not in left
+    assert c.cached_pages("GB", DAY, "A77") is None
+
+    monkeypatch.undo()
+    transport = FakeTransport([(200, pages[0]), (200, pages[1])])
+    c = client(tmp_path, transport)
+    assert c.fetch_day("GB", DAY, "A77") == pages
+    assert len(transport.calls) == 2  # a miss, fetched again in full
+    assert c.cached_pages("GB", DAY, "A77") == pages
 
 
 # -- request shape -----------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from outagekit.fleet import (
 )
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelParams, FuelSizePool
 
-from conftest import make_unit
+from conftest import capacity_by_fuel, make_unit
 
 
 def brute_force_pmf(units) -> np.ndarray:
@@ -212,11 +213,11 @@ def test_synthesize_exact_totals_and_determinism():
     a = synthesize_fleet(targets, pools, FUEL_PARAMS, seed=1, zone="GB")
     b = synthesize_fleet(targets, pools, FUEL_PARAMS, seed=1, zone="GB")
     assert a == b
-    assert a.capacity_by_fuel() == {Fuel.NUCLEAR: 10_000}
+    assert capacity_by_fuel(a) == {Fuel.NUCLEAR: 10_000}
     assert all(u.capacity_mw in (1000, 2000) or u is a.units[-1] for u in a.units)
     assert all(u.availability == FUEL_PARAMS[Fuel.NUCLEAR].availability for u in a.units)
     different = synthesize_fleet(targets, pools, FUEL_PARAMS, seed=2, zone="GB")
-    assert different.capacity_by_fuel() == {Fuel.NUCLEAR: 10_000}
+    assert capacity_by_fuel(different) == {Fuel.NUCLEAR: 10_000}
 
 
 def test_synthesize_single_size_pool_forced_composition():
@@ -250,7 +251,23 @@ def test_synthesize_many_seeds_always_hit_target():
     targets = {Fuel.CCGT: 1234, Fuel.COAL: 999}
     for seed in range(20):
         fleet = synthesize_fleet(targets, pools, FUEL_PARAMS, seed=seed, zone="Z")
-        assert fleet.capacity_by_fuel() == targets
+        assert capacity_by_fuel(fleet) == targets
+
+
+@pytest.mark.parametrize("mttr_hours", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_mttr_must_be_finite_and_positive(mttr_hours):
+    with pytest.raises(InvalidInputError, match="mttr_hours must be finite and > 0"):
+        FuelParams(availability=0.9, mttr_hours=mttr_hours)
+    with pytest.raises(InvalidInputError, match="mttr_hours must be finite and > 0"):
+        make_unit(mttr_hours=mttr_hours)
+
+
+@pytest.mark.parametrize("availability", [0.0, -0.1, 1.5, math.nan, math.inf])
+def test_availability_must_be_in_unit_interval(availability):
+    with pytest.raises(InvalidInputError, match="availability must be in"):
+        FuelParams(availability=availability, mttr_hours=50.0)
+    with pytest.raises(InvalidInputError, match="availability must be in"):
+        make_unit(availability=availability)
 
 
 def test_table_one_values_shipped():

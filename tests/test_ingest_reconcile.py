@@ -11,9 +11,7 @@ from outagekit.errors import InvalidInputError
 from outagekit.ingest import (
     Channel,
     HourlyOutageSeries,
-    HourlyOutageTriple,
     ReportKind,
-    hourly_outage,
     unit_series,
     zone_aggregate,
 )
@@ -32,16 +30,22 @@ def triples(series: HourlyOutageSeries) -> list[tuple[float, float, float]]:
 # -- single-hour reconciliation ----------------------------------------------
 
 
+def one_hour_total(reports, hour) -> tuple[float, float, float]:
+    """Total-channel (min, mean, max) of the reports over one hour."""
+    (t,) = triples(unit_series(reports, HourRange(hour, 1))[Channel.TOTAL])
+    return t
+
+
 def test_single_report_full_hour():
-    t = hourly_outage([make_report(unavailable_mw=150.0)], T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (150.0, 150.0, 150.0)
+    t = one_hour_total([make_report(unavailable_mw=150.0)], T0)
+    assert t == (150.0, 150.0, 150.0)
 
 
 def test_partial_hour_coverage_time_averages():
     # 100 MW for the first half hour, nothing reported after: uncovered
     # minutes count as zero outage.
-    t = hourly_outage([make_report(end_h=0.5, unavailable_mw=100.0)], T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (50.0, 50.0, 50.0)
+    t = one_hour_total([make_report(end_h=0.5, unavailable_mw=100.0)], T0)
+    assert t == (50.0, 50.0, 50.0)
 
 
 def test_step_within_hour_averages_to_170():
@@ -49,8 +53,8 @@ def test_step_within_hour_averages_to_170():
         make_report("a", start_h=0.0, end_h=0.2, unavailable_mw=50.0),
         make_report("b", start_h=0.2, end_h=1.0, unavailable_mw=200.0),
     ]
-    t = hourly_outage(reports, T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (170.0, 170.0, 170.0)
+    t = one_hour_total(reports, T0)
+    assert t == (170.0, 170.0, 170.0)
 
 
 def test_conflicting_reports_spread_the_envelope():
@@ -58,28 +62,23 @@ def test_conflicting_reports_spread_the_envelope():
         make_report("a", unavailable_mw=100.0),
         make_report("b", unavailable_mw=300.0),
     ]
-    t = hourly_outage(reports, T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (100.0, 200.0, 300.0)
+    t = one_hour_total(reports, T0)
+    assert t == (100.0, 200.0, 300.0)
 
 
 def test_no_reports_is_zero():
-    t = hourly_outage([], T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (0.0, 0.0, 0.0)
+    t = one_hour_total([], T0)
+    assert t == (0.0, 0.0, 0.0)
 
 
 def test_reports_outside_hour_ignored():
-    t = hourly_outage([make_report(start_h=2, end_h=3)], T0)
-    assert t.o_max_mw == 0.0
+    t = one_hour_total([make_report(start_h=2, end_h=3)], T0)
+    assert t[2] == 0.0
 
 
 def test_straddling_report_clipped_not_dropped():
-    t = hourly_outage([make_report(start_h=-5, end_h=5, unavailable_mw=80.0)], T0)
-    assert (t.o_min_mw, t.o_mean_mw, t.o_max_mw) == (80.0, 80.0, 80.0)
-
-
-def test_triple_ordering_enforced():
-    with pytest.raises(InvalidInputError):
-        HourlyOutageTriple(o_min_mw=10.0, o_mean_mw=5.0, o_max_mw=20.0)
+    t = one_hour_total([make_report(start_h=-5, end_h=5, unavailable_mw=80.0)], T0)
+    assert t == (80.0, 80.0, 80.0)
 
 
 # -- channel split -----------------------------------------------------------

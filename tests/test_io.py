@@ -23,7 +23,6 @@ from outagekit.io import (
     stats_header,
     write_fleet,
     write_pmf,
-    write_registry,
     write_sim_series,
     write_json,
     write_lines,
@@ -34,7 +33,7 @@ from outagekit.stats import SummaryStats
 from outagekit.timeseries import HourlySeries
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel
 
-from conftest import T0, make_unit
+from conftest import T0, make_unit, write_registry
 
 
 # -- registry ----------------------------------------------------------------
@@ -107,6 +106,29 @@ def test_fleet_availability_survives_round_trip_exactly(tmp_path):
     back = read_fleet(path)
     assert back.units[0].availability == 0.8613841
     assert back.units[0].mttr_hours == 41.77
+
+
+@pytest.mark.parametrize("mttr", ["inf", "nan", "0"])
+def test_fleet_bad_mttr_rejected_naming_the_file(tmp_path, mttr):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "zone,fuel,capacity_mw,availability,mttr_hours\n"
+        "AA,CCGT,400,0.9,50.0\n"
+        f"AA,CCGT,250,0.9,{mttr}\n"
+    )
+    with pytest.raises(InvalidInputError, match=r"fleet\.csv: unit AA-CCGT-001: mttr_hours"):
+        read_fleet(path)
+
+
+def test_fleet_mixed_zones_rejected_naming_the_line(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "zone,fuel,capacity_mw,availability,mttr_hours\n"
+        "XX,CCGT,400,0.9,50.0\n"
+        "YY,CCGT,250,0.9,50.0\n"
+    )
+    with pytest.raises(InvalidInputError, match=r"fleet\.csv:3: zone: zone 'YY' differs"):
+        read_fleet(path)
 
 
 def test_fleet_empty_rejected(tmp_path):

@@ -20,7 +20,6 @@ from outagekit.io import (
     read_fleet,
     read_pmf,
     read_sim_series,
-    write_registry,
 )
 from outagekit.markov import derive_seed
 from outagekit.pipeline import (
@@ -41,6 +40,7 @@ from outagekit.pipeline import (
 from outagekit.timeseries import HourRange
 from outagekit.types import Fuel
 
+from conftest import capacity_by_fuel, write_registry
 from corpusgen import N_HOURS, START, ZONE_EIC, build_reserved_corpus
 
 
@@ -218,7 +218,7 @@ def test_period_override_yields_single_evaluation(corpus):
     (ev,) = evaluations(corpus["config"])
     assert ev.label == "period"
     assert ev.range == HourRange(START, N_HOURS)
-    assert ev.windows == (None,)
+    assert ev.window is None
 
 
 def test_season_evaluations():
@@ -228,7 +228,7 @@ def test_season_evaluations():
     assert [ev.slug for ev in evs] == ["16-17", "17-18"]
     assert evs[0].range.start == datetime(2016, 11, 6, tzinfo=timezone.utc)
     assert evs[0].range.n_hours == 20 * 168
-    assert evs[0].windows is not None and evs[0].windows[0].label == "16/17"
+    assert evs[0].window is not None and evs[0].window.label == "16/17"
 
 
 def test_days_in_covers_partial_days():
@@ -347,10 +347,10 @@ def test_fleet_totals_match_registry(full_run):
     aa = read_fleet(fleet_path(config, "AA"))
     assert aa.zone == "AA"
     assert aa.total_capacity_mw == 1550
-    assert aa.capacity_by_fuel() == {Fuel.CCGT: 650, Fuel.NUCLEAR: 600, Fuel.COAL: 300}
+    assert capacity_by_fuel(aa) == {Fuel.CCGT: 650, Fuel.NUCLEAR: 600, Fuel.COAL: 300}
     bb = read_fleet(fleet_path(config, "BB"))
     assert bb.total_capacity_mw == 970
-    assert bb.capacity_by_fuel() == {Fuel.CCGT: 350, Fuel.HYDRO: 120, Fuel.COAL: 500}
+    assert capacity_by_fuel(bb) == {Fuel.CCGT: 350, Fuel.HYDRO: 120, Fuel.COAL: 500}
 
 
 def test_model_mean_is_expected_unavailable_capacity(full_run):

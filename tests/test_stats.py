@@ -5,14 +5,15 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from outagekit import pipeline
 from outagekit.errors import InvalidInputError, StatsError
 from outagekit.ingest import Channel, HourlyOutageSeries
+from outagekit.pipeline import _pooled_stats
 from outagekit.stats import (
     REPORT_LAGS_HOURS,
     RETAINED_HOURS,
     SummaryStats,
     WinterWindow,
-    acf_values,
     autocorrelation,
     first_sunday_of_november,
     reconciliation_error,
@@ -83,7 +84,7 @@ def test_window_indices_match_hourly_reference():
         hours = reference_window_hours(year)
         assert w.start == hours[0], year
         assert w.n_hours == len(hours), year
-        assert w.span == HourRange.from_span(hours[0], hours[-1] + HOUR), year
+        assert w.span == HourRange(hours[0], int((hours[-1] + HOUR - hours[0]) / HOUR)), year
         expected = [int((h - hours[0]) / HOUR) for h in hours]
         np.testing.assert_array_equal(w.indices_in(w.span), expected, err_msg=str(year))
 
@@ -247,67 +248,79 @@ def test_recon_error_windowed():
 # -- autocorrelation ---------------------------------------------------------
 
 
+def acf(values, lags):
+    """Autocorrelation of a plain array, taken as one whole-series window."""
+    return autocorrelation(hs(T0, values), None, lags)
+
+
 def test_acf_lag_zero_is_one():
-    acf = acf_values(np.array([3.0, 1.0, 4.0, 1.0, 5.0]), [0])
-    assert acf[0] == 1.0
+    got = acf(np.array([3.0, 1.0, 4.0, 1.0, 5.0]), [0])
+    assert got[0] == 1.0
 
 
 def test_acf_alternating_series():
     n = 100
     x = np.tile([1.0, -1.0], n // 2)
-    acf = acf_values(x, [1])
-    assert acf[1] == pytest.approx(-(n - 1) / n)
+    got = acf(x, [1])
+    assert got[1] == pytest.approx(-(n - 1) / n)
 
 
 def test_acf_matches_manual_estimator():
     rng = np.random.default_rng(5)
     x = rng.normal(size=500)
-    acf = acf_values(x, [3])
+    got = acf(x, [3])
     xc = x - x.mean()
-    assert acf[3] == pytest.approx(float(xc[:-3] @ xc[3:] / (xc @ xc)))
+    assert got[3] == pytest.approx(float(xc[:-3] @ xc[3:] / (xc @ xc)))
 
 
 def test_acf_zero_variance_rejected():
     with pytest.raises(StatsError, match="zero variance"):
-        acf_values(np.full(50, 7.0), [1])
+        acf(np.full(50, 7.0), [1])
 
 
 def test_acf_lag_bounds():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(InvalidInputError):
-        acf_values(x, [-1])
+        acf(x, [-1])
     with pytest.raises(InvalidInputError):
-        acf_values(x, [4])
+        acf(x, [4])
     with pytest.raises(InvalidInputError):
-        acf_values(np.array([1.0]), [0])
+        acf(np.array([1.0]), [0])
 
 
-def test_autocorrelation_averages_per_window():
+# Window averaging lives in pipeline._pooled_stats, which evaluates the report
+# lags; these one-week windows are too short for the 168 h lag, so the tests
+# pool at short lags instead.
+
+
+def test_autocorrelation_averages_per_window(monkeypatch):
+    monkeypatch.setattr(pipeline, "REPORT_LAGS_HOURS", (0, 1, 2))
     rng = np.random.default_rng(12)
     series = hs(T0, rng.normal(size=4 * 168))
     w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
     w2 = WinterWindow(label="w2", start=T0, weeks=(2,))
-    got = autocorrelation(series, [w1, w2], lags=(0, 1, 2))
-    a1 = acf_values(series.values_mw[0:168], (0, 1, 2))
-    a2 = acf_values(series.values_mw[336:504], (0, 1, 2))
+    _, _, got, _ = _pooled_stats([(series, w1), (series, w2)])
+    a1 = acf(series.values_mw[0:168], (0, 1, 2))
+    a2 = acf(series.values_mw[336:504], (0, 1, 2))
     for lag in (0, 1, 2):
         assert got[lag] == pytest.approx((a1[lag] + a2[lag]) / 2)
 
 
-def test_autocorrelation_does_not_cross_window_seams():
+def test_autocorrelation_does_not_cross_window_seams(monkeypatch):
     # Two windows at wildly different levels: pooling them into one sample
     # would produce a large positive lag-1 value from the level shift alone.
+    monkeypatch.setattr(pipeline, "REPORT_LAGS_HOURS", (1,))
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.normal(size=168), 1000.0 + rng.normal(size=168)])
     series = hs(T0, values)
     w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
     w2 = WinterWindow(label="w2", start=T0, weeks=(1,))
-    split = autocorrelation(series, [w1, w2], lags=(1,))
-    pooled = acf_values(values, (1,))
+    _, _, split, _ = _pooled_stats([(series, w1), (series, w2)])
+    pooled = acf(values, (1,))
     assert pooled[1] > 0.8  # dominated by the level shift
     assert abs(split[1]) < 0.8
-    a1 = acf_values(values[:168], (1,))
-    a2 = acf_values(values[168:], (1,))
+    a1 = acf(values[:168], (1,))
+    a2 = acf(values[168:], (1,))
     assert split[1] == pytest.approx((a1[1] + a2[1]) / 2)
 
 
@@ -315,21 +328,16 @@ def test_autocorrelation_whole_series_when_no_windows():
     rng = np.random.default_rng(8)
     series = hs(T0, rng.normal(size=300))
     got = autocorrelation(series, None, lags=(1, 6))
-    ref = acf_values(series.values_mw, (1, 6))
+    xc = series.values_mw - series.values_mw.mean()
+    ref = {lag: float(xc[:-lag] @ xc[lag:] / (xc @ xc)) for lag in (1, 6)}
     assert got == pytest.approx(ref)
-
-
-def test_autocorrelation_empty_window_list_rejected():
-    series = hs(T0, np.arange(10.0))
-    with pytest.raises(InvalidInputError, match="no windows"):
-        autocorrelation(series, [], lags=(1,))
 
 
 def test_autocorrelation_constant_window_names_window():
     series = hs(T0, np.concatenate([np.full(168, 3.0), np.arange(168.0)]))
     w = WinterWindow(label="flat", start=T0, weeks=(0,))
     with pytest.raises(StatsError, match="flat"):
-        autocorrelation(series, [w], lags=(1,))
+        autocorrelation(series, w, lags=(1,))
 
 
 def test_report_lags():
@@ -384,7 +392,7 @@ def test_weekly_profile_zero_series_rejected():
 def test_weekly_profile_with_demand_returns_pair():
     outage = hs(YEAR_START, np.full(8760, 100.0))
     demand = hs(YEAR_START, np.full(8760, 30000.0))
-    op, dp = weekly_profile(outage, demand)
+    op, dp = weekly_profile(outage), weekly_profile(demand)
     np.testing.assert_allclose(op, 1.0)
     np.testing.assert_allclose(dp, 1.0)
 
