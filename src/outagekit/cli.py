@@ -11,7 +11,7 @@ code  meaning
 1     unexpected internal error
 2     usage or invalid input/config
 3     authentication (bad or missing API token)
-4     fetch/network failure
+4     fetch/network failure or damaged cache page
 5     document parse failure
 6     statistics undefined on the given data
 ====  ==========================================
@@ -137,7 +137,7 @@ def cli(verbose: bool) -> None:
 @cli.command()
 @_common_options
 def fetch(config_path, zones, seasons, seed) -> None:
-    """Download (or verify cached) unavailability documents."""
+    """Download the unavailability documents missing from the cache."""
     with _exit_on_error():
         config = _load_config(config_path, zones, seasons, seed)
         n = stage_fetch(config)

@@ -89,6 +89,15 @@ class FetchClient:
         """Cache file of one payload page of a (zone, day, doc_type)."""
         return self._day_dir(zone, day) / f"{doc_type}.page{page}.bin"
 
+    def is_cached(self, zone: str, day: date, doc_type: str) -> bool:
+        """Whether a (zone, day, doc_type) is in the cache, without reading its pages.
+
+        ``store`` writes the meta file last, after every page it lists, so
+        the meta file marks a complete store.  The pages are checked against
+        their hashes only when ``cached_pages`` reads them.
+        """
+        return self._meta_path(zone, day, doc_type).exists()
+
     def cached_pages(self, zone: str, day: date, doc_type: str) -> list[bytes] | None:
         """Return the cached pages for a day, or None on a cache miss.
 
@@ -98,9 +107,9 @@ class FetchClient:
         cache is append-only; a mismatch means tampering or corruption, not
         a stale entry).
         """
-        meta_path = self._meta_path(zone, day, doc_type)
-        if not meta_path.exists():
+        if not self.is_cached(zone, day, doc_type):
             return None
+        meta_path = self._meta_path(zone, day, doc_type)
         try:
             hashes = json.loads(meta_path.read_text(encoding="utf-8"))["sha256"]
         except (OSError, ValueError, TypeError, KeyError) as exc:

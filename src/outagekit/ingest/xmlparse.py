@@ -15,8 +15,9 @@ business type are skipped with a warning.  Parsing never filters: withdrawn
 reports come out carrying status Withdrawn and are dropped downstream.
 
 The platform re-serves a document on every day it overlaps, so the caller
-can pass a set of document payloads already parsed and each distinct
-document is then parsed once.
+can pass a set of the documents already parsed and each distinct document
+is then parsed once; a re-served ZIP member is skipped before it is
+inflated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ from __future__ import annotations
 import io
 import json
 import logging
+import lzma
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from xml.etree import ElementTree
@@ -68,25 +72,58 @@ WITHDRAWN_DOC_STATUS = {"A09", "A13"}
 
 _ZIP_MAGIC = b"PK\x03\x04"
 
+#: What reading a damaged member raises: a bad header or CRC (BadZipFile),
+#: a bad deflate, LZMA or bzip2 stream (zlib.error, LZMAError, OSError), a
+#: stream that ends early (EOFError), an unsupported method or flag
+#: (NotImplementedError), an encrypted member (RuntimeError) or a name that
+#: is not UTF-8 (UnicodeDecodeError).
+_BAD_MEMBER_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    lzma.LZMAError,
+    OSError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+    UnicodeDecodeError,
+)
+
+#: A ZIP local file header (PKWARE APPNOTE 4.3.7): signature, flag word,
+#: name length and extra-field length, skipping the fields in between.
+_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+
+_UTF8_NAME_FLAG = 0x800
+
 
 def parse_document(
     raw: bytes,
     *,
     zone_eic: dict[str, str] | None = None,
-    seen: set[bytes] | None = None,
+    seen: set[bytes | tuple] | None = None,
 ) -> list[OutageReport]:
     """Parse one raw payload into normalized reports.
 
     ``zone_eic`` extends the built-in EIC-to-zone table used to label
     reports with a zone code.
 
-    ``seen`` is a caller-owned set of document payloads already parsed: a
-    ZIP member, bare XML document or JSON-lines page already in it yields no
-    reports, and a new one is added once it has parsed.  Skipping is exact
-    for ``deduplicate``, which collapses byte-identical reports and keeps the
-    first occurrence of each, and every report first occurs in the first
-    occurrence of its document.  Warnings about unknown business types are
-    then logged once per distinct document rather than once per serving.
+    ``seen`` is a caller-owned set that lets each distinct document be
+    parsed once.  It holds two kinds of entries:
+
+    * document payloads (``bytes``): a ZIP member, bare XML document or
+      JSON-lines page already in it yields no reports, and a new one is
+      added once it has parsed;
+    * ZIP member keys (``tuple``): the member's compression method, flag
+      word, CRC, uncompressed size and stored bytes.  A member whose key is
+      in the set is skipped before it is inflated.  Its key is added once
+      its payload has parsed or been skipped, so a key stands for a payload
+      already accounted for.  A document compressed differently misses the
+      key but is still skipped by its payload.
+
+    Skipping is exact for ``deduplicate``, which collapses byte-identical
+    reports and keeps the first occurrence of each, and every report first
+    occurs in the first occurrence of its document.  Warnings about unknown
+    business types are then logged once per distinct document rather than
+    once per serving.
     """
     if not isinstance(raw, bytes):
         raise ParseError(f"expected bytes, got {type(raw).__name__}")
@@ -106,24 +143,63 @@ def parse_document(
 
 
 def _parse_zip(
-    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes] | None
+    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes | tuple] | None
 ) -> list[OutageReport]:
-    reports: list[OutageReport] = []
     try:
-        with zipfile.ZipFile(io.BytesIO(raw)) as zf:
-            for name in sorted(zf.namelist()):
-                payload = zf.read(name)
-                if payload.lstrip()[:1] != b"<" or (seen is not None and payload in seen):
-                    continue
+        archive = zipfile.ZipFile(io.BytesIO(raw))
+    except zipfile.BadZipFile as exc:
+        raise ParseError(f"corrupt ZIP payload: {exc}") from exc
+    reports: list[OutageReport] = []
+    with archive:
+        # A stable sort keeps same-named members in archive order.
+        for info in sorted(archive.infolist(), key=lambda i: i.filename):
+            key = _member_key(raw, info) if seen is not None else None
+            if key is not None and key in seen:
+                continue
+            try:
+                payload = archive.read(info)
+            except _BAD_MEMBER_ERRORS as exc:
+                raise ParseError(
+                    f"{info.filename}: unreadable ZIP member: {str(exc) or type(exc).__name__}"
+                ) from exc
+            if payload.lstrip()[:1] == b"<" and not (seen is not None and payload in seen):
                 try:
                     reports.extend(_parse_xml(payload, zone_eic))
                 except ParseError as exc:
-                    raise ParseError(f"{name}: {exc}") from exc
+                    raise ParseError(f"{info.filename}: {exc}") from exc
                 if seen is not None:
                     seen.add(payload)
-    except zipfile.BadZipFile as exc:
-        raise ParseError(f"corrupt ZIP payload: {exc}") from exc
+            if key is not None:
+                seen.add(key)
     return reports
+
+
+def _member_key(raw: bytes, info: zipfile.ZipInfo) -> tuple | None:
+    """Key of a ZIP member's stored bytes, sliced from the page without inflating.
+
+    The stored bytes follow the local header's fixed part, name and extra
+    field, and run for ``compress_size`` bytes.  Returns None when the local
+    header is not one ``ZipFile.read`` accepts (bad signature or a name that
+    differs from the central directory's), so such a member is always read
+    and fails as it would without a key.  The flag word is part of the key,
+    so an encrypted member never matches one that was read.
+    """
+    start = info.header_offset
+    if len(raw) < start + _LOCAL_HEADER.size:
+        return None
+    signature, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, start)
+    name_start = start + _LOCAL_HEADER.size
+    data_start = name_start + name_len + extra_len
+    try:
+        name = raw[name_start : name_start + name_len].decode(
+            "utf-8" if flags & _UTF8_NAME_FLAG else "cp437"
+        )
+    except UnicodeDecodeError:
+        return None
+    if signature != _ZIP_MAGIC or name != info.orig_filename:
+        return None
+    stored = raw[data_start : data_start + info.compress_size]
+    return (info.compress_type, info.flag_bits, info.CRC, info.file_size, stored)
 
 
 # -- XML ---------------------------------------------------------------------

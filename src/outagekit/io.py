@@ -72,12 +72,12 @@ def write_fleet(fleet: Fleet, path: Path | str) -> None:
     write_lines(lines, path)
 
 
-def read_fleet(path: Path | str) -> Fleet:
-    """Read a fleet CSV; every row must name the first row's zone."""
+def read_fleet(path: Path | str, *, zone: str) -> Fleet:
+    """Read the fleet CSV of ``zone``; every row must name that zone."""
     columns = _read_columns(
         path,
         {
-            "zone": _same_zone(),
+            "zone": _same_zone(zone),
             "fuel": Fuel,
             "capacity_mw": _positive_int,
             "availability": float,
@@ -88,7 +88,7 @@ def read_fleet(path: Path | str) -> Fleet:
         raise InvalidInputError(f"{path}: fleet has no units")
     units: list[GeneratorUnit] = []
     counters: dict[Fuel, int] = {}
-    for zone, fuel, capacity_mw, availability, mttr_hours in zip(*columns):
+    for fuel, capacity_mw, availability, mttr_hours in zip(*columns[1:]):
         index = counters.get(fuel, 0)
         counters[fuel] = index + 1
         unit_id = f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
@@ -139,10 +139,15 @@ def write_zone_series(
     for channel in Channel:
         s = by_channel[channel]
         cols.extend((s.o_min_mw, s.o_mean_mw, s.o_max_mw))
+    # format_utc's layout for every hour in one NumPy call; unlike strftime,
+    # it keeps four digits for years before 1000, which parse_utc needs
+    first = np.datetime64(rng.start.replace(tzinfo=None), "h")
+    stamps = np.datetime_as_string(first + np.arange(rng.n_hours), unit="s").tolist()
+    row = "%sZ" + ",%.3f" * len(cols)
     lines = [ZONE_SERIES_HEADER]
-    for i, hour in enumerate(rng.hours()):
-        values = ",".join(f"{col[i]:.3f}" for col in cols)
-        lines.append(f"{format_utc(hour)},{values}")
+    lines.extend(
+        row % (stamp, *values) for stamp, values in zip(stamps, np.column_stack(cols).tolist())
+    )
     write_lines(lines, path)
 
 
@@ -393,16 +398,12 @@ def _hourly_stamps() -> Callable[[str], datetime]:
     return convert
 
 
-def _same_zone() -> Callable[[str], str]:
-    """A zone converter that requires every row to name the first row's zone."""
-    first: str | None = None
+def _same_zone(zone: str) -> Callable[[str], str]:
+    """A zone converter that requires every row to name ``zone``."""
 
     def convert(text: str) -> str:
-        nonlocal first
-        if first is None:
-            first = text
-        elif text != first:
-            raise ValueError(f"zone {text!r} differs from the first row's zone {first!r}")
+        if text != zone:
+            raise ValueError(f"zone {text!r} differs from the expected zone {zone!r}")
         return text
 
     return convert

@@ -301,7 +301,11 @@ def _client(config: PipelineConfig) -> FetchClient:
 
 
 def stage_fetch(config: PipelineConfig) -> int:
-    """Ensure every zone-day of every evaluation period is in the cache."""
+    """Ensure every zone-day of every evaluation period is in the cache.
+
+    A day already cached is not read: ingest, which reads every page,
+    checks each one against its recorded hash.
+    """
     client = _client(config)
     fetched = 0
     for zone in config.zones:
@@ -309,7 +313,8 @@ def stage_fetch(config: PipelineConfig) -> int:
         for ev in evaluations(config):
             for day in days_in(ev.range):
                 for doc_type in DOC_TYPES:
-                    client.fetch_day(zone, day, doc_type, eic=eic)
+                    if not client.is_cached(zone, day, doc_type):
+                        client.fetch_day(zone, day, doc_type, eic=eic)
                     fetched += 1
     return fetched
 
@@ -323,7 +328,7 @@ def _parse_zone_period(
     """
     eic = eic_for_zone(zone, config.zone_eic)
     reports = []
-    seen: set[bytes] = set()
+    seen: set[bytes | tuple] = set()
     for day in days_in(ev.range):
         for doc_type in DOC_TYPES:
             for page, payload in enumerate(client.fetch_day(zone, day, doc_type, eic=eic)):
@@ -424,7 +429,7 @@ def stage_model(config: PipelineConfig) -> list[Path]:
     """Convolve each zone fleet into its capacity-outage PMF CSV."""
     written: list[Path] = []
     for zone in config.zones:
-        fleet = okio.read_fleet(fleet_path(config, zone))
+        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         pmf = fleet_outage_pmf(fleet)
         target = pmf_path(config, zone)
         okio.write_pmf(pmf, target)
@@ -436,7 +441,7 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
     """Run the two-state chain over each evaluation period for each zone."""
     written: list[Path] = []
     for zone_idx, zone in enumerate(config.zones):
-        fleet = okio.read_fleet(fleet_path(config, zone))
+        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         for ev_idx, ev in enumerate(evaluations(config)):
             seed = derive_seed(config.seed, _STREAM_SIM, zone_idx, ev_idx)
             sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
@@ -709,7 +714,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
     draws = config.timeseries_draws
     for zone_idx, zone in enumerate(config.zones):
-        fleet = okio.read_fleet(fleet_path(config, zone))
+        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         for ev_idx, ev in enumerate(evaluations(config)):
             series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[
                 Channel.TOTAL

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
+import struct
+import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -276,6 +279,65 @@ def test_unparseable_cache_exits_5(runner, tmp_path):
     result = runner.invoke(main, ["ingest", "--config", str(config)])
     assert result.exit_code == 5
     assert "A77.page0.bin" in result.stderr
+
+
+def _single_day_config(tmp_path: Path, cache: Path) -> Path:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2030-03-01T00:00:00Z", "hours": 24},
+        "cache_dir": str(cache),
+        "output_dir": str(tmp_path / "out"),
+        "rate_limit_s": 0.0,
+    }))
+    return config
+
+
+def test_bad_zip_member_in_cache_exits_5(runner, tmp_path):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("doc_0.xml", b"<Unavailability_MarketDocument/>")
+    page = bytearray(buf.getvalue())
+    # compression method 99 in the local and the central directory header
+    struct.pack_into("<H", page, 8, 99)
+    struct.pack_into("<H", page, page.index(b"PK\x01\x02") + 10, 99)
+    cache = tmp_path / "cache"
+    client = FetchClient("", cache, rate_limit_s=0.0)
+    day = datetime(2030, 3, 1, tzinfo=timezone.utc).date()
+    client.store("AA", day, "A77", [bytes(page)])
+    client.store("AA", day, "A80", [])
+    result = runner.invoke(main, ["ingest", "--config", str(_single_day_config(tmp_path, cache))])
+    assert result.exit_code == 5
+    assert "A77.page0.bin: doc_0.xml: unreadable ZIP member" in result.stderr
+
+
+def test_fetch_leaves_page_verification_to_ingest(runner, tmp_path):
+    cache = tmp_path / "cache"
+    client = FetchClient("", cache, rate_limit_s=0.0)
+    day = datetime(2030, 3, 1, tzinfo=timezone.utc).date()
+    client.store("AA", day, "A77", [b"<Unavailability_MarketDocument/>"])
+    client.store("AA", day, "A80", [])
+    client.page_path("AA", day, "A77", 0).write_bytes(b"<tampered/>")
+    config = str(_single_day_config(tmp_path, cache))
+    result = runner.invoke(main, ["fetch", "--config", config])
+    assert result.exit_code == 0
+    assert "2 zone-day documents in cache" in result.output
+    result = runner.invoke(main, ["ingest", "--config", config])
+    assert result.exit_code == 4
+    assert "cache corrupted for AA 2030-03-01 A77 page 0" in result.stderr
+
+
+def test_fleet_of_another_zone_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    out = tmp_path / "out"
+    (out / "fleet_AA.csv").write_bytes((out / "fleet_BB.csv").read_bytes())
+    for args in (["model"], ["simulate"], ["plot-data", "--kind", "timeseries"]):
+        result = runner.invoke(main, [*args, "--config", str(config_path)])
+        assert result.exit_code == 2, args
+        assert "fleet_AA.csv:2: zone: zone 'BB' differs from the expected zone 'AA'" in (
+            result.stderr
+        )
 
 
 def test_undefined_statistic_exits_6(runner, tmp_path):

@@ -3,10 +3,14 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
+import struct
 import zipfile
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outagekit.errors import ParseError
 from outagekit.ingest import (
@@ -18,6 +22,7 @@ from outagekit.ingest import (
     filter_reports,
     parse_document,
 )
+from outagekit.ingest import xmlparse
 from outagekit.ingest.xmlparse import PSR_TYPE_MAP
 from outagekit.types import Fuel, Renewable
 
@@ -299,6 +304,85 @@ def test_parse_corrupt_zip():
         parse(b"PK\x03\x04garbage-that-is-not-a-zip")
 
 
+STORED = (zipfile.ZIP_STORED, None)
+DEFLATE_1 = (zipfile.ZIP_DEFLATED, 1)
+DEFLATE_9 = (zipfile.ZIP_DEFLATED, 9)
+BZIP2 = (zipfile.ZIP_BZIP2, 9)
+
+
+def _zip_members(members: list[tuple[bytes, tuple[int, int | None]]]) -> bytes:
+    """A ZIP page of (payload, (compression method, level)) members."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for i, (payload, (method, level)) in enumerate(members):
+            zf.writestr(f"doc_{i}.xml", payload, compress_type=method, compresslevel=level)
+    return buf.getvalue()
+
+
+#: offset and format of a field in a ZIP local header; the central
+#: directory header holds the same field two bytes further on
+_HEADER_FIELDS = {
+    "flags": (6, "<H"),
+    "method": (8, "<H"),
+    "crc": (14, "<I"),
+    "compress_size": (18, "<I"),
+    "file_size": (22, "<I"),
+}
+
+
+def _patched(page: bytes, member: int = 0, **fields: int) -> bytes:
+    """``page`` with header fields of one member set in both of its headers."""
+    with zipfile.ZipFile(io.BytesIO(page)) as zf:
+        local = zf.infolist()[member].header_offset
+    central = [m.start() for m in re.finditer(b"PK\x01\x02", page)][member]
+    out = bytearray(page)
+    for field, value in fields.items():
+        offset, fmt = _HEADER_FIELDS[field]
+        struct.pack_into(fmt, out, local + offset, value)
+        struct.pack_into(fmt, out, central + offset + 2, value)
+    return bytes(out)
+
+
+def _bad_deflate_stream() -> bytes:
+    page = bytearray(_zip_members([(_doc("D1"), DEFLATE_1)]))
+    # first deflate block header: final block, block type 3 (reserved)
+    page[30 + len("doc_0.xml")] = 0x07
+    return bytes(page)
+
+
+def _stored_page() -> bytes:
+    return _zip_members([(_doc("D1"), STORED)])
+
+
+BAD_MEMBERS = {
+    "invalid_deflate": (_bad_deflate_stream, "invalid block type"),
+    "method_99": (lambda: _patched(_stored_page(), method=99), "compression method"),
+    "encrypted": (lambda: _patched(_stored_page(), flags=0x1), "encrypted"),
+    "truncated": (
+        lambda: _patched(
+            _stored_page(), compress_size=len(_doc("D1")) + 500, file_size=len(_doc("D1")) + 500
+        ),
+        "EOFError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MEMBERS))
+def test_parse_bad_zip_member_is_a_parse_error_naming_it(case):
+    build, reason = BAD_MEMBERS[case]
+    with pytest.raises(ParseError, match=rf"doc_0\.xml: unreadable ZIP member: .*{reason}"):
+        parse(build())
+
+
+def test_parse_duplicate_named_members_reads_each():
+    buf = io.BytesIO()
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("a.xml", _doc("D1"))
+            zf.writestr("a.xml", _doc("D2"))
+    assert [r.report_id for r in parse(buf.getvalue())] == ["D1:1", "D2:1"]
+
+
 # -- JSON-lines mirror -------------------------------------------------------
 
 
@@ -372,10 +456,12 @@ def test_seen_bare_document_parsed_once():
 
 
 def test_seen_zip_members_skipped_individually():
-    seen: set[bytes] = set()
+    seen: set[bytes | tuple] = set()
     doc_a, doc_b, doc_c = _doc("D1"), _doc("D2"), _doc("D3")
     parse_document(_zip_of([doc_a, doc_b]), zone_eic=EIC, seen=seen)
-    assert seen == {doc_a, doc_b}
+    assert {e for e in seen if isinstance(e, bytes)} == {doc_a, doc_b}
+    assert sum(isinstance(e, tuple) for e in seen) == 2  # one member key per member
+    assert len(seen) == 4
     again = parse_document(_zip_of([doc_b, doc_c]), zone_eic=EIC, seen=seen)
     assert [r.report_id for r in again] == ["D3:1"]
     assert parse_document(doc_c, zone_eic=EIC, seen=seen) == []  # served bare later
@@ -403,6 +489,139 @@ def test_seen_unparseable_document_not_recorded():
     for _ in range(2):
         with pytest.raises(ParseError, match="root"):
             parse_document(bad, seen=seen)
+    assert seen == set()
+
+
+def _counting(monkeypatch, owner: object, attr: str) -> list[int]:
+    """Count calls of ``owner.attr``; the returned list holds the count."""
+    original = getattr(owner, attr)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_seen_zip_member_skipped_before_inflating(monkeypatch):
+    page = _zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_9)])
+    seen: set[bytes | tuple] = set()
+    assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 2
+    reads = _counting(monkeypatch, zipfile.ZipFile, "read")
+    assert parse_document(page, zone_eic=EIC, seen=seen) == []
+    assert reads == [0]
+
+
+def test_seen_document_compressed_differently_parsed_once(monkeypatch):
+    doc = _doc("D1")
+    pages = [_zip_members([(doc, level)]) for level in (DEFLATE_1, DEFLATE_9, STORED)]
+    parses = _counting(monkeypatch, xmlparse, "_parse_xml")
+    reads = _counting(monkeypatch, zipfile.ZipFile, "read")
+    seen: set[bytes | tuple] = set()
+    served = [parse_document(page, zone_eic=EIC, seen=seen) for page in pages]
+    assert [len(reports) for reports in served] == [1, 0, 0]
+    assert parses == [1]
+    assert reads == [3]  # no serving hit an earlier serving's member key
+    keys = [e for e in seen if isinstance(e, tuple)]
+    assert len({key[-1] for key in keys}) == 3
+    assert {e for e in seen if isinstance(e, bytes)} == {doc}
+
+
+def test_seen_member_with_same_stored_bytes_but_another_crc_is_rejected():
+    page = _stored_page()
+    with zipfile.ZipFile(io.BytesIO(page)) as zf:
+        crc = zf.infolist()[0].CRC
+    bad = _patched(page, crc=crc ^ 1)
+    seen: set[bytes | tuple] = set()
+    assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 1
+    with pytest.raises(ParseError, match=r"doc_0\.xml: unreadable ZIP member: Bad CRC-32"):
+        parse_document(bad, zone_eic=EIC, seen=seen)
+    with pytest.raises(ParseError, match="Bad CRC-32"):
+        parse(bad)
+
+
+def _damage_local_header(page: bytes, damage: str) -> bytes:
+    """``page`` with the second member's local header damaged as zipfile refuses."""
+    if damage == "encrypted_flag":
+        return _patched(page, member=1, flags=0x1)
+    with zipfile.ZipFile(io.BytesIO(page)) as zf:
+        local = zf.infolist()[1].header_offset
+    out = bytearray(page)
+    if damage == "signature":
+        out[local + 3] = 0x05
+    else:  # the name: doc_1.xml -> doc_X.xml
+        out[local + 30 + 4] = ord("X")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("damage", ["signature", "name", "encrypted_flag"])
+def test_seen_member_with_a_header_zipfile_refuses_is_still_rejected(damage):
+    # the damaged member's stored bytes equal those of a member already seen
+    page = _zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_1)])
+    bad = _damage_local_header(page, damage)
+    seen: set[bytes | tuple] = set()
+    assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 2
+    with pytest.raises(ParseError, match=r"doc_1\.xml: unreadable ZIP member"):
+        parse_document(bad, zone_eic=EIC, seen=seen)
+    with pytest.raises(ParseError, match=r"doc_1\.xml: unreadable ZIP member"):
+        parse(bad)
+
+
+#: documents a page may carry: revisions, an unknown business type, and a
+#: member that is not XML
+MIXTURE_DOCS = [
+    _doc("D1"),
+    _document("D1", 2, [
+        _timeseries("1", "A54", "AA", "B04", "U1", 400,
+                    ("2030-01-07T00:00Z", "2030-01-07T03:00Z"), "PT60M", [(1, 100)]),
+    ]),
+    _doc("D2", business="A53"),
+    _doc("D3", business="A46"),
+    b"not a document",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pages=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(MIXTURE_DOCS) - 1),
+                    st.sampled_from([STORED, DEFLATE_1, DEFLATE_9, BZIP2]),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_seen_skipping_matches_parsing_every_page(pages, data):
+    raw_pages = []
+    for members, bare in pages:
+        if bare and len(members) == 1 and MIXTURE_DOCS[members[0][0]].startswith(b"<"):
+            raw_pages.append(MIXTURE_DOCS[members[0][0]])
+        else:
+            raw_pages.append(_zip_members([(MIXTURE_DOCS[i], how) for i, how in members]))
+    order = data.draw(st.permutations(range(len(raw_pages))))
+    seen: set[bytes | tuple] = set()
+    skipping = [r for k in order for r in parse_document(raw_pages[k], zone_eic=EIC, seen=seen)]
+    every_page = [r for page in raw_pages for r in parse(page)]
+    assert deduplicate(skipping) == deduplicate(every_page)
+
+
+def test_seen_unparseable_zip_member_not_recorded():
+    seen: set[bytes | tuple] = set()
+    page = _zip_members([(b"<wrong_root/>", DEFLATE_1)])
+    for _ in range(2):
+        with pytest.raises(ParseError, match="doc_0.xml: unexpected root"):
+            parse_document(page, seen=seen)
     assert seen == set()
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from outagekit.io import (
     write_zone_series,
 )
 from outagekit.stats import SummaryStats
-from outagekit.timeseries import HourlySeries
+from outagekit.timeseries import HourlySeries, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel
 
 from conftest import T0, make_unit, write_registry
@@ -93,7 +95,7 @@ def test_fleet_round_trip(tmp_path):
     )
     path = tmp_path / "fleet.csv"
     write_fleet(fleet, path)
-    back = read_fleet(path)
+    back = read_fleet(path, zone="AA")
     assert back == fleet  # positional ids regenerate identically
 
 
@@ -103,7 +105,7 @@ def test_fleet_availability_survives_round_trip_exactly(tmp_path):
     fleet = Fleet(zone="Z", units=(make_unit("Z-CCGT-000", 100, 0.8613841, 41.77),))
     path = tmp_path / "fleet.csv"
     write_fleet(fleet, path)
-    back = read_fleet(path)
+    back = read_fleet(path, zone="Z")
     assert back.units[0].availability == 0.8613841
     assert back.units[0].mttr_hours == 41.77
 
@@ -117,7 +119,7 @@ def test_fleet_bad_mttr_rejected_naming_the_file(tmp_path, mttr):
         f"AA,CCGT,250,0.9,{mttr}\n"
     )
     with pytest.raises(InvalidInputError, match=r"fleet\.csv: unit AA-CCGT-001: mttr_hours"):
-        read_fleet(path)
+        read_fleet(path, zone="AA")
 
 
 def test_fleet_mixed_zones_rejected_naming_the_line(tmp_path):
@@ -128,14 +130,27 @@ def test_fleet_mixed_zones_rejected_naming_the_line(tmp_path):
         "YY,CCGT,250,0.9,50.0\n"
     )
     with pytest.raises(InvalidInputError, match=r"fleet\.csv:3: zone: zone 'YY' differs"):
-        read_fleet(path)
+        read_fleet(path, zone="XX")
+
+
+def test_fleet_of_another_zone_rejected_at_its_first_row(tmp_path):
+    path = tmp_path / "fleet.csv"
+    path.write_text(
+        "zone,fuel,capacity_mw,availability,mttr_hours\n"
+        "BB,CCGT,400,0.9,50.0\n"
+        "BB,CCGT,250,0.9,50.0\n"
+    )
+    with pytest.raises(
+        InvalidInputError, match=r"fleet\.csv:2: zone: zone 'BB' differs from the expected zone 'AA'"
+    ):
+        read_fleet(path, zone="AA")
 
 
 def test_fleet_empty_rejected(tmp_path):
     path = tmp_path / "fleet.csv"
     path.write_text("zone,fuel,capacity_mw,availability,mttr_hours\n")
     with pytest.raises(InvalidInputError, match="no units"):
-        read_fleet(path)
+        read_fleet(path, zone="AA")
 
 
 # -- PMF ---------------------------------------------------------------------
@@ -214,6 +229,43 @@ def test_zone_series_header_and_formatting(tmp_path):
     # every value cell has exactly three decimals
     for cell in lines[1].split(",")[1:]:
         assert len(cell.split(".")[1]) == 3
+
+
+def _zone_series_lines_per_cell(by_channel: dict[Channel, HourlyOutageSeries]) -> list[str]:
+    """The zone-series writer's lines built one NumPy scalar and one timestamp at a time."""
+    cols = [col for c in Channel for col in (
+        by_channel[c].o_min_mw, by_channel[c].o_mean_mw, by_channel[c].o_max_mw
+    )]
+    lines = [ZONE_SERIES_HEADER]
+    for i, hour in enumerate(by_channel[Channel.TOTAL].range.hours()):
+        values = ",".join(f"{col[i]:.3f}" for col in cols)
+        lines.append(f"{format_utc(hour)},{values}")
+    return lines
+
+
+def test_zone_series_bytes_match_per_cell_formatting(tmp_path):
+    # nan, signed zero, halves at the third decimal (binary values just
+    # above and below a tie), large values, and a span over a leap day and
+    # a year end
+    special = [
+        np.nan, -0.0, 0.0, 0.0005, 0.0015, 0.0025, 1.0005, 2.675, -0.0004,
+        -1.2345, 999999.9995, 1e6, 1234567.8915, 8.5e7, 1e15, np.inf, -np.inf,
+    ]
+    rng = np.random.default_rng(7)
+    n = 24 * 400
+    start = datetime(2015, 12, 30, tzinfo=timezone.utc)
+    channels = {}
+    for k, channel in enumerate(Channel):
+        cols = []
+        for j in range(3):
+            col = np.round(rng.uniform(-5, 2e6, n), int(rng.integers(2, 6)))
+            col[: len(special)] = np.roll(special, 3 * k + j)
+            cols.append(col)
+        channels[channel] = HourlyOutageSeries("AA", channel, start, *cols)
+    path = tmp_path / "series.csv"
+    write_zone_series(channels, path)
+    expected = "".join(f"{line}\n" for line in _zone_series_lines_per_cell(channels))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_zone_series_requires_all_channels(tmp_path):
@@ -420,7 +472,7 @@ def test_read_demand_missing_column(tmp_path):
 READERS = {
     "registry": (read_registry, "zone,fuel,capacity_mw", ["AA,CCGT,400", "AA,Coal,600"]),
     "fleet": (
-        read_fleet,
+        functools.partial(read_fleet, zone="AA"),
         "zone,fuel,capacity_mw,availability,mttr_hours",
         ["AA,CCGT,400,0.9,50.0", "AA,CCGT,250,0.85,41.5"],
     ),

@@ -12,7 +12,7 @@ import pytest
 
 from outagekit import pipeline, run_pipeline
 from outagekit.errors import InvalidInputError, ParseError, UsageError
-from outagekit.fetch import FetchClient
+from outagekit.fetch import DOC_TYPES, FetchClient
 from outagekit.fleet import pmf_stats
 from outagekit.ingest import deduplicate, parse_document
 from outagekit.io import (
@@ -344,11 +344,11 @@ def test_series_oversize_mirror_report_dropped(full_run):
 
 def test_fleet_totals_match_registry(full_run):
     config = full_run["config"]
-    aa = read_fleet(fleet_path(config, "AA"))
+    aa = read_fleet(fleet_path(config, "AA"), zone="AA")
     assert aa.zone == "AA"
     assert aa.total_capacity_mw == 1550
     assert capacity_by_fuel(aa) == {Fuel.CCGT: 650, Fuel.NUCLEAR: 600, Fuel.COAL: 300}
-    bb = read_fleet(fleet_path(config, "BB"))
+    bb = read_fleet(fleet_path(config, "BB"), zone="BB")
     assert bb.total_capacity_mw == 970
     assert capacity_by_fuel(bb) == {Fuel.CCGT: 350, Fuel.HYDRO: 120, Fuel.COAL: 500}
 
@@ -557,6 +557,17 @@ def test_parse_skip_matches_parsing_every_page(corpus, tmp_path, monkeypatch, se
     for fast, slow in zip(fast_paths, slow_paths, strict=True):
         assert fast.name == slow.name
         assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_warm_cache_fetch_reads_no_page(corpus, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("stage_fetch read a cached day")
+
+    monkeypatch.setattr(FetchClient, "cached_pages", unexpected)
+    monkeypatch.setattr(FetchClient, "fetch_day", unexpected)
+    config = corpus["config"]
+    expected = sum(len(days_in(ev.range)) for ev in evaluations(config))
+    assert pipeline.stage_fetch(config) == expected * len(config.zones) * len(DOC_TYPES)
 
 
 # -- plot-ready exports ------------------------------------------------------
