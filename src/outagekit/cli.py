@@ -41,6 +41,7 @@ from .errors import (
     UsageError,
 )
 from .pipeline import (
+    PLOT_KINDS,
     PipelineConfig,
     emit_plot_data,
     run_pipeline,
@@ -197,7 +198,7 @@ def stats(config_path, zones, seasons, seed) -> None:
 @click.option(
     "--kind",
     required=True,
-    help="One of: histogram, seasonal, timeseries.",
+    help=f"One of: {', '.join(PLOT_KINDS)}.",
 )
 @_common_options
 def plot_data(kind, config_path, zones, seasons, seed) -> None:

@@ -10,6 +10,9 @@ This module is the only one that knows the formats:
   and converts each cell as it streams the rows, keeping only the converted
   values.  A missing column, a row with the wrong number of cells or a cell
   its converter rejects raises ``InvalidInputError`` naming ``path:line``.
+- ``_write_rows`` is the one row formatter of every array-backed CSV (the
+  series, the PMF and the plot files): one ``%`` format per row, and one
+  ``np.datetime_as_string`` call for all the hourly stamps.
 - Every artifact is written by ``write_lines`` (CSV lines) or ``write_json``
   (the simulation sidecar and the manifest), and every fetch-cache page by
   ``write_bytes``.  All three write a temporary file next to the target and
@@ -36,7 +39,7 @@ from .errors import InvalidInputError
 from .fleet import CapacityOutagePMF
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS, SummaryStats
-from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
+from .timeseries import HOUR, HourlySeries, parse_utc
 from .types import Fleet, Fuel, FuelParams, GeneratorUnit
 
 ZONE_SERIES_HEADER = (
@@ -105,11 +108,8 @@ def write_pmf(pmf: CapacityOutagePMF, path: Path | str) -> None:
     Probabilities use shortest round-trip formatting, so reading the file
     back reproduces the array bit for bit.
     """
-    lines = ["outage_mw,probability"]
-    lines.extend(
-        f"{mw},{prob!r}" for mw, prob in enumerate(pmf.probabilities.tolist())
-    )
-    write_lines(lines, path)
+    probs = pmf.probabilities
+    _write_rows("outage_mw,probability", "%d,%r", [np.arange(probs.size), probs], path)
 
 
 def read_pmf(path: Path | str) -> CapacityOutagePMF:
@@ -134,21 +134,12 @@ def write_zone_series(
     ranges = {s.range for s in by_channel.values()}
     if len(ranges) != 1:
         raise InvalidInputError("zone series channels cover different periods")
-    rng = next(iter(ranges))
     cols: list[np.ndarray] = []
     for channel in Channel:
         s = by_channel[channel]
         cols.extend((s.o_min_mw, s.o_mean_mw, s.o_max_mw))
-    # format_utc's layout for every hour in one NumPy call; unlike strftime,
-    # it keeps four digits for years before 1000, which parse_utc needs
-    first = np.datetime64(rng.start.replace(tzinfo=None), "h")
-    stamps = np.datetime_as_string(first + np.arange(rng.n_hours), unit="s").tolist()
-    row = "%sZ" + ",%.3f" * len(cols)
-    lines = [ZONE_SERIES_HEADER]
-    lines.extend(
-        row % (stamp, *values) for stamp, values in zip(stamps, np.column_stack(cols).tolist())
-    )
-    write_lines(lines, path)
+    start = ranges.pop().start
+    _write_rows(ZONE_SERIES_HEADER, ",".join(["%.3f"] * len(cols)), cols, path, start=start)
 
 
 def read_zone_series(path: Path | str, *, zone: str = "") -> dict[Channel, HourlyOutageSeries]:
@@ -168,12 +159,7 @@ def write_sim_series(
     The sidecar (``<path>.meta.json``) records the seed, RNG name and model
     parameters needed to regenerate the series.
     """
-    lines = ["timestamp_utc,outage_mw"]
-    values = series.values_mw.tolist()
-    lines.extend(
-        f"{format_utc(hour)},{values[i]!r}" for i, hour in enumerate(series.range.hours())
-    )
-    write_lines(lines, path)
+    _write_rows("timestamp_utc,outage_mw", "%r", [series.values_mw], path, start=series.start)
     write_json(dict(metadata), sidecar_for(path))
 
 
@@ -186,10 +172,35 @@ def read_sim_series(path: Path | str) -> tuple[HourlySeries, dict[str, object]]:
     sidecar = sidecar_for(path)
     metadata: dict[str, object] = {}
     if sidecar.exists():
-        metadata = _read_json(sidecar)
+        metadata = read_json(sidecar)
         if not isinstance(metadata, dict):
             raise InvalidInputError(f"{sidecar}: expected a JSON object")
     return HourlySeries(start=start, values_mw=values), metadata
+
+
+def write_histogram(
+    bins_gw: np.ndarray, freq_total: np.ndarray, freq_forced: np.ndarray,
+    model_prob: np.ndarray, path: Path | str,
+) -> None:
+    """Write each outage bin's lower edge in GW, its empirical frequencies and model mass."""
+    columns = [bins_gw, freq_total, freq_forced, model_prob]
+    _write_rows("bin_gw,freq_total,freq_forced,model_prob", "%.3f,%r,%r,%r", columns, path)
+
+
+def write_seasonal(outage: np.ndarray, demand: np.ndarray | None, path: Path | str) -> None:
+    """Write the weekly outage profile, and the demand profile if given, by week from 1."""
+    profiles = [outage] if demand is None else [outage, demand]
+    header = "week,outage" if demand is None else "week,outage,demand"
+    weeks = np.arange(1, outage.size + 1)
+    _write_rows(header, "%d" + ",%r" * len(profiles), [weeks, *profiles], path)
+
+
+def write_timeseries_plot(
+    empirical_mw: np.ndarray, sims: Sequence[np.ndarray], start: datetime, path: Path | str
+) -> None:
+    """Write the empirical hourly series (3 decimals) next to whole-MW simulated draws."""
+    header = "timestamp_utc,empirical_mw" + "".join(f",sim{k}_mw" for k in range(1, len(sims) + 1))
+    _write_rows(header, "%.3f" + ",%.0f" * len(sims), [empirical_mw, *sims], path, start=start)
 
 
 class StatsRow(NamedTuple):
@@ -240,7 +251,7 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
     Both values must be finite JSON numbers; numeric strings are rejected,
     not coerced.  Any malformed file raises ``InvalidInputError`` naming it.
     """
-    raw = _read_json(path)
+    raw = read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("fuels"), dict):
         raise InvalidInputError(f"{path}: expected an object with a 'fuels' object")
     table: dict[Fuel, FuelParams] = {}
@@ -276,7 +287,7 @@ def _is_finite_number(value: object) -> bool:
     )
 
 
-def _read_json(path: Path | str) -> Any:
+def read_json(path: Path | str) -> Any:
     """Parse a JSON file; undecodable or malformed text names the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -322,6 +333,22 @@ def write_lines(lines: Iterable[str], path: Path | str) -> None:
     """
     with _replacing(path, mode="x", encoding="utf-8", newline="") as fh:
         fh.writelines(f"{line}\n" for line in lines)
+
+
+def _write_rows(
+    header: str, fmt: str, columns: Sequence[np.ndarray], path: Path | str, *,
+    start: datetime | None = None,
+) -> None:
+    """Stream ``header`` and ``fmt % row`` for each row of the columns' ``tolist()``
+    cells; with ``start``, each row begins with its hour's UTC stamp."""
+    cells = [col.tolist() for col in columns]
+    if start is not None:
+        # format_utc's layout in one NumPy call, but with four-digit years before 1000
+        first = np.datetime64(start.replace(tzinfo=None), "h")
+        hours = first + np.arange(len(cells[0]))
+        cells.insert(0, np.datetime_as_string(hours, unit="s").tolist())
+        fmt = "%sZ," + fmt
+    write_lines(itertools.chain([header], (fmt % row for row in zip(*cells))), path)
 
 
 def write_json(obj: object, path: Path | str) -> None:

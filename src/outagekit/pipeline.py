@@ -55,8 +55,6 @@ logger = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "ENTSOE_API_TOKEN"
 
-PLOT_KINDS = ("histogram", "seasonal", "timeseries")
-
 # Disjoint seed branches so fleet synthesis, simulation and plot draws never
 # share RNG streams.
 _STREAM_FLEET = 101
@@ -627,14 +625,10 @@ def emit_plot_data(config: PipelineConfig, kind: str) -> list[Path]:
     in GW), ``seasonal`` (52-week outage and optional demand profiles) and
     ``timeseries`` (empirical series next to independent simulated draws).
     """
-    if kind == "histogram":
-        emitted = _emit_histograms(config)
-    elif kind == "seasonal":
-        emitted = _emit_seasonal(config)
-    elif kind == "timeseries":
-        emitted = _emit_timeseries(config)
-    else:
+    emit = _PLOT_EMITTERS.get(kind)
+    if emit is None:
         raise UsageError(f"unknown plot-data kind {kind!r}; expected one of {PLOT_KINDS}")
+    emitted = emit(config)
     _extend_manifest(config, emitted)
     return emitted
 
@@ -669,14 +663,8 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
         padded = np.zeros(n_bins * width, dtype=np.float64)
         padded[: pmf.probabilities.size] = pmf.probabilities
         model_prob = padded.reshape(n_bins, width).sum(axis=1)
-        lines = ["bin_gw,freq_total,freq_forced,model_prob"]
-        lines.extend(
-            f"{edges[i] / 1000.0:.3f},{float(freq_total[i])!r},"
-            f"{float(freq_forced[i])!r},{float(model_prob[i])!r}"
-            for i in range(n_bins)
-        )
         target = config.output_dir / f"plot_histogram_{zone}.csv"
-        okio.write_lines(lines, target)
+        okio.write_histogram((edges / 1000.0)[:-1], freq_total, freq_forced, model_prob, target)
         written.append(target)
     return written
 
@@ -690,29 +678,20 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
             "year; configure 'period' accordingly"
         )
     ev = year_long[0]
-    header = "week,outage"
-    demand: list[list[float]] = []
-    if config.demand_path:
-        header += ",demand"
-        demand.append(weekly_profile(okio.read_demand(config.demand_path)).tolist())
+    demand = weekly_profile(okio.read_demand(config.demand_path)) if config.demand_path else None
     written = []
     for zone in config.zones:
         series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[
             Channel.TOTAL
         ]
-        profiles = [weekly_profile(series).tolist(), *demand]
-        rows = [
-            ",".join([str(week + 1), *(repr(p[week]) for p in profiles)]) for week in range(52)
-        ]
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
-        okio.write_lines([header, *rows], target)
+        okio.write_seasonal(weekly_profile(series), demand, target)
         written.append(target)
     return written
 
 
 def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
-    draws = config.timeseries_draws
     for zone_idx, zone in enumerate(config.zones):
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         for ev_idx, ev in enumerate(evaluations(config)):
@@ -725,18 +704,11 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
                     ev.range.n_hours,
                     derive_seed(config.seed, _STREAM_PLOT, zone_idx, ev_idx, k),
                     start=ev.range.start,
-                )
-                for k in range(draws)
+                ).values_mw
+                for k in range(config.timeseries_draws)
             ]
-            header = "timestamp_utc,empirical_mw," + ",".join(
-                f"sim{k + 1}_mw" for k in range(draws)
-            )
-            lines = [header]
-            for i, hour in enumerate(ev.range.hours()):
-                sim_cells = ",".join(f"{s.values_mw[i]:.0f}" for s in sims)
-                lines.append(f"{format_utc(hour)},{series.o_mean_mw[i]:.3f},{sim_cells}")
             target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
-            okio.write_lines(lines, target)
+            okio.write_timeseries_plot(series.o_mean_mw, sims, ev.range.start, target)
             written.append(target)
     return written
 
@@ -746,8 +718,19 @@ def _extend_manifest(config: PipelineConfig, paths: Sequence[Path]) -> None:
     target = manifest_path(config)
     if not target.exists():
         return
-    manifest = json.loads(target.read_text(encoding="utf-8"))
+    manifest = okio.read_json(target)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("artifacts"), dict)):
+        raise InvalidInputError(f"{target}: expected a JSON object with an 'artifacts' object")
     for p in paths:
         manifest["artifacts"][str(p.relative_to(config.output_dir))] = _sha256_file(p)
     manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
     okio.write_json(manifest, target)
+
+
+_PLOT_EMITTERS: dict[str, Callable[[PipelineConfig], list[Path]]] = {
+    "histogram": _emit_histograms,
+    "seasonal": _emit_seasonal,
+    "timeseries": _emit_timeseries,
+}
+
+PLOT_KINDS = tuple(_PLOT_EMITTERS)

@@ -221,6 +221,19 @@ def test_garbled_sim_sidecar_exits_2(runner, corpus, tmp_path):
     assert f"{sidecar.name}: not valid JSON" in result.stderr
 
 
+def test_garbled_manifest_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    manifest = tmp_path / "out" / "manifest.json"
+    for text in ("{", "[]", '{"tool": "outagekit"}', '{"artifacts": ["a"]}'):
+        manifest.write_text(text)
+        result = runner.invoke(
+            main, ["plot-data", "--kind", "histogram", "--config", str(config_path)]
+        )
+        assert result.exit_code == 2, text
+        assert "manifest.json" in result.stderr, text
+
+
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("ENTSOE_API_TOKEN", raising=False)
     config = tmp_path / "config.json"

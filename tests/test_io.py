@@ -24,15 +24,18 @@ from outagekit.io import (
     sidecar_for,
     stats_header,
     write_fleet,
-    write_pmf,
-    write_sim_series,
+    write_histogram,
     write_json,
     write_lines,
+    write_pmf,
+    write_seasonal,
+    write_sim_series,
     write_stats_csv,
+    write_timeseries_plot,
     write_zone_series,
 )
 from outagekit.stats import SummaryStats
-from outagekit.timeseries import HourlySeries, format_utc
+from outagekit.timeseries import HourlySeries, HourRange, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel
 
 from conftest import T0, make_unit, write_registry
@@ -268,6 +271,24 @@ def test_zone_series_bytes_match_per_cell_formatting(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def test_series_starting_before_year_1000_round_trip(tmp_path):
+    # strftime writes year 999 as "999", which parse_utc cannot read back
+    start = datetime(999, 12, 31, 22, tzinfo=timezone.utc)
+    values = np.array([0.0, 1.5, 2.25, 3.0])
+    sim_path = tmp_path / "sim.csv"
+    write_sim_series(HourlySeries(start=start, values_mw=values), {}, sim_path)
+    back, _ = read_sim_series(sim_path)
+    assert back.start == start
+    np.testing.assert_array_equal(back.values_mw, values)
+    channels = {c: HourlyOutageSeries("AA", c, start, values, values, values) for c in Channel}
+    zone_path = tmp_path / "series.csv"
+    write_zone_series(channels, zone_path)
+    back_channels = read_zone_series(zone_path, zone="AA")
+    assert all(s.start == start for s in back_channels.values())
+    np.testing.assert_array_equal(back_channels[Channel.TOTAL].o_mean_mw, values)
+    assert "\n0999-12-31T22:00:00Z," in sim_path.read_text()
+
+
 def test_zone_series_requires_all_channels(tmp_path):
     channels = _zone_channels()
     del channels[Channel.PLANNED]
@@ -324,6 +345,123 @@ def test_sim_series_bad_sidecar_names_it(tmp_path, sidecar_text):
     sidecar_for(path).write_text(sidecar_text)
     with pytest.raises(InvalidInputError, match="sim.csv.meta.json"):
         read_sim_series(path)
+
+
+# -- byte oracles of the array-backed writers --------------------------------
+#
+# Each reference formats one cell and one timestamp at a time, as the
+# writers did before they shared one row formatter.
+
+# nan, signed zero, halves at the third decimal (binary values just above and
+# below a tie), large values and infinities
+SPECIAL = [
+    np.nan, -0.0, 0.0, 0.0005, 0.0015, 0.0025, 1.0005, 2.675, -0.0004, -1.2345,
+    999999.9995, 1e6, 1234567.8915, 8.5e7, 1e9 + 0.5, 1e12, 1e15, np.inf, -np.inf,
+]
+# a span over a leap day and a year end
+ORACLE_START = datetime(2015, 12, 30, tzinfo=timezone.utc)
+
+
+def _oracle_columns(n: int, k: int) -> list[np.ndarray]:
+    """``k`` columns of ``n`` values: the special values, rolled per column, then random."""
+    rng = np.random.default_rng(11)
+    cols = []
+    for j in range(k):
+        col = np.round(rng.uniform(-5, 2e6, n), int(rng.integers(0, 6)))
+        col[: len(SPECIAL)] = np.roll(SPECIAL, j)
+        cols.append(col)
+    return cols
+
+
+def _sim_series_lines(values):
+    hours = HourRange(ORACLE_START, values.size).hours()
+    cells = values.tolist()
+    return ["timestamp_utc,outage_mw"] + [
+        f"{format_utc(hour)},{cells[i]!r}" for i, hour in enumerate(hours)
+    ]
+
+
+def _pmf_lines(probs):
+    return ["outage_mw,probability"] + [
+        f"{mw},{prob!r}" for mw, prob in enumerate(probs.tolist())
+    ]
+
+
+def _histogram_lines(edges, freq_total, freq_forced, model_prob):
+    return ["bin_gw,freq_total,freq_forced,model_prob"] + [
+        f"{edges[i] / 1000.0:.3f},{float(freq_total[i])!r},"
+        f"{float(freq_forced[i])!r},{float(model_prob[i])!r}"
+        for i in range(edges.size - 1)
+    ]
+
+
+def _seasonal_lines(*profiles):
+    header = "week,outage" + (",demand" if len(profiles) == 2 else "")
+    cells = [p.tolist() for p in profiles]
+    return [header] + [
+        ",".join([str(week + 1), *(repr(p[week]) for p in cells)]) for week in range(52)
+    ]
+
+
+def _timeseries_lines(empirical, *sims):
+    header = "timestamp_utc,empirical_mw," + ",".join(
+        f"sim{k + 1}_mw" for k in range(len(sims))
+    )
+    lines = [header]
+    for i, hour in enumerate(HourRange(ORACLE_START, empirical.size).hours()):
+        sim_cells = ",".join(f"{s[i]:.0f}" for s in sims)
+        lines.append(f"{format_utc(hour)},{empirical[i]:.3f},{sim_cells}")
+    return lines
+
+
+def _probabilities(col):
+    """A valid PMF from ``col``: signed zeros and tiny and subnormal masses,
+    then the finite cells with negatives flipped, scaled to unit mass."""
+    col = col[np.isfinite(col)]
+    col = np.where(col < 0, -col, col)
+    return np.concatenate([[-0.0, 0.0, 5e-324, 1e-300, 1e-17], col / col.sum()])
+
+
+def _write_histogram(edges, *freqs, path):
+    write_histogram((edges / 1000.0)[:-1], *freqs, path)
+
+
+# name -> (rows, columns, writer(*columns, path=...), per-cell reference)
+BYTE_ORACLES = {
+    "sim_series": (
+        24 * 400, 1,
+        lambda v, path: write_sim_series(HourlySeries(ORACLE_START, v), {}, path),
+        _sim_series_lines,
+    ),
+    "pmf": (
+        5000, 1,
+        lambda p, path: write_pmf(CapacityOutagePMF(_probabilities(p)), path),
+        lambda p: _pmf_lines(_probabilities(p)),
+    ),
+    "histogram": (4001, 4, _write_histogram, _histogram_lines),
+    "seasonal": (52, 1, lambda o, path: write_seasonal(o, None, path), _seasonal_lines),
+    "seasonal_demand": (52, 2, lambda o, d, path: write_seasonal(o, d, path), _seasonal_lines),
+    "timeseries_one_draw": (
+        24 * 400, 2,
+        lambda e, s, path: write_timeseries_plot(e, [s], ORACLE_START, path),
+        _timeseries_lines,
+    ),
+    "timeseries_three_draws": (
+        24 * 400, 4,
+        lambda e, *s, path: write_timeseries_plot(e, s, ORACLE_START, path),
+        _timeseries_lines,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BYTE_ORACLES)
+def test_writer_bytes_match_per_cell_formatting(tmp_path, name):
+    n_rows, n_cols, write, reference = BYTE_ORACLES[name]
+    cols = _oracle_columns(n_rows, n_cols)
+    path = tmp_path / f"{name}.csv"
+    write(*cols, path=path)
+    expected = "".join(f"{line}\n" for line in reference(*cols))
+    assert path.read_bytes() == expected.encode()
 
 
 # -- statistics CSV ----------------------------------------------------------
