@@ -50,7 +50,6 @@ from .markov import (
     TransitionRates,
     simulate_fleet,
     simulate_unit,
-    theoretical_unit_acf,
     transition_rates,
 )
 from .pipeline import PipelineConfig, emit_plot_data, run_pipeline
@@ -117,7 +116,6 @@ __all__ = [
     "simulate_fleet",
     "simulate_unit",
     "synthesize_fleet",
-    "theoretical_unit_acf",
     "transition_rates",
     "unit_series",
     "weekly_profile",

@@ -63,10 +63,6 @@ def pool_unit_sizes(
         raise InvalidInputError("registry is empty")
     sizes: dict[Fuel, list[int]] = {}
     for fuel, capacity_mw in rows:
-        if capacity_mw < 1:
-            raise InvalidInputError(
-                f"registry capacity must be positive, got {capacity_mw} for {fuel.value}"
-            )
         sizes.setdefault(fuel, []).append(int(capacity_mw))
     return {
         fuel: FuelSizePool(fuel=fuel, sizes_mw=tuple(vals))
@@ -111,7 +107,7 @@ def synthesize_fleet(
         if target <= 0:
             continue
         pool = pools.get(fuel)
-        if pool is None or not pool.sizes_mw:
+        if pool is None:
             raise MissingPoolError(
                 f"fuel {fuel.value} has target {target} MW but no size pool"
             )

@@ -209,18 +209,16 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _child_text(elem: ElementTree.Element, name: str) -> str | None:
-    for child in elem:
-        if _localname(child.tag) == name:
-            return child.text
-    return None
-
-
 def _direct_child(elem: ElementTree.Element, name: str) -> ElementTree.Element | None:
     for child in elem:
         if _localname(child.tag) == name:
             return child
     return None
+
+
+def _child_text(elem: ElementTree.Element, name: str) -> str | None:
+    child = _direct_child(elem, name)
+    return None if child is None else child.text
 
 
 def _parse_resolution(text: str) -> timedelta:

@@ -6,9 +6,11 @@ to repair MTTR (hours), the hourly repair and failure rates are
     mu = 1 / MTTR        lambda = mu * (1 / A - 1)
 
 and the discrete-time chain uses these rates directly as per-hour transition
-probabilities (valid for rates well below 1; both are clamped to [0, 1]).
-The stationary distribution of the chain is "in service with probability A",
-which is also used as the initial state so no burn-in is required.
+probabilities.  They are probabilities only when MTTR >= 1 h and
+A >= 1/(1 + MTTR); ``GeneratorUnit`` and ``FuelParams`` reject any other
+pair, so the chain runs on the rates as computed.  The stationary
+distribution of the chain is "in service with probability A", which is
+also used as the initial state so no burn-in is required.
 
 Each hour consumes one uniform u.  An in-service unit fails when
 u < lambda and an outaged unit is repaired when u < mu, so with
@@ -31,14 +33,14 @@ series is invariant to unit order only in distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .timeseries import HourlySeries
-from .types import Fleet, GeneratorUnit
+from .timeseries import HourlySeries, format_utc
+from .types import Fleet, GeneratorUnit, _check_reliability
 
 RNG_NAME = "numpy.random.default_rng (PCG64)"
 
@@ -47,52 +49,23 @@ RNG_NAME = "numpy.random.default_rng (PCG64)"
 DEFAULT_SIM_START = datetime(2000, 1, 1, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class TransitionRates:
+class TransitionRates(NamedTuple):
     """Per-hour repair and failure transition probabilities."""
 
     repair_rate_mu: float
     failure_rate_lambda: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.repair_rate_mu <= 1.0:
-            raise InvalidInputError(f"mu must be in (0, 1], got {self.repair_rate_mu}")
-        if not 0.0 <= self.failure_rate_lambda <= 1.0:
-            raise InvalidInputError(
-                f"lambda must be in [0, 1], got {self.failure_rate_lambda}"
-            )
-
 
 def transition_rates(availability: float, mttr_hours: float) -> TransitionRates:
-    """Repair/failure rates from availability and MTTR, clamped to [0, 1].
+    """Repair/failure rates from availability and MTTR.
 
-    availability = 0 is rejected because the failure rate diverges.
+    A pair outside the chain's domain (see the module docstring) raises
+    ``InvalidInputError``; any other gives 0 < mu <= 1 and 0 <= lambda <= 1.
     """
-    if not 0.0 < availability <= 1.0:
-        raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
-    if mttr_hours <= 0.0:
-        raise InvalidInputError(f"mttr_hours must be > 0, got {mttr_hours}")
+    _check_reliability(availability, mttr_hours)
     mu = 1.0 / mttr_hours
     lam = mu * (1.0 / availability - 1.0)
-    return TransitionRates(
-        repair_rate_mu=min(mu, 1.0),
-        failure_rate_lambda=min(max(lam, 0.0), 1.0),
-    )
-
-
-def theoretical_unit_acf(rates: TransitionRates, lag_hours: int) -> float:
-    """Exact autocorrelation of the stationary two-state chain at one lag.
-
-    For per-hour transition probabilities lambda (up to down) and mu (down to
-    up) the lag-k autocorrelation is (1 - lambda - mu)^k.  Serves as the
-    closed-form oracle for empirical autocorrelation comparisons.
-    """
-    if lag_hours < 0:
-        raise InvalidInputError(f"lag must be >= 0, got {lag_hours}")
-    s = rates.failure_rate_lambda + rates.repair_rate_mu
-    if s == 0.0:
-        raise InvalidInputError("mu + lambda = 0: chain is constant, ACF undefined")
-    return float((1.0 - s) ** lag_hours)
+    return TransitionRates(repair_rate_mu=mu, failure_rate_lambda=lam)
 
 
 def derive_seed(seed: int, *branch: int) -> int:
@@ -183,8 +156,6 @@ def simulate_fleet(
 
 def simulation_metadata(fleet: Fleet, n_hours: int, seed: int, start: datetime) -> dict:
     """JSON-ready sidecar describing a fleet simulation run."""
-    from .timeseries import format_utc
-
     return {
         "rng": RNG_NAME,
         "seed": seed,
@@ -194,5 +165,5 @@ def simulation_metadata(fleet: Fleet, n_hours: int, seed: int, start: datetime) 
         "total_capacity_mw": fleet.total_capacity_mw,
         "n_hours": n_hours,
         "start": format_utc(start),
-        "transition_model": "two-state chain, per-hour probabilities mu=1/MTTR, lambda=mu*(1/A-1), clamped to [0,1]",
+        "transition_model": "two-state chain, per-hour probabilities mu=1/MTTR, lambda=mu*(1/A-1)",
     }

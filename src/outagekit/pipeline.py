@@ -628,8 +628,13 @@ def emit_plot_data(config: PipelineConfig, kind: str) -> list[Path]:
     emit = _PLOT_EMITTERS.get(kind)
     if emit is None:
         raise UsageError(f"unknown plot-data kind {kind!r}; expected one of {PLOT_KINDS}")
+    manifest = _existing_manifest(config)
     emitted = emit(config)
-    _extend_manifest(config, emitted)
+    if manifest is not None:
+        for p in emitted:
+            manifest["artifacts"][str(p.relative_to(config.output_dir))] = _sha256_file(p)
+        manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
+        okio.write_json(manifest, manifest_path(config))
     return emitted
 
 
@@ -713,18 +718,19 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     return written
 
 
-def _extend_manifest(config: PipelineConfig, paths: Sequence[Path]) -> None:
-    """Add freshly emitted files to the manifest, if one exists."""
+def _existing_manifest(config: PipelineConfig) -> dict | None:
+    """The manifest that emitted plot files extend, or None if there is none.
+
+    A garbled manifest raises before anything is written, so a failed
+    ``plot-data`` run leaves no plot file that the manifest does not list.
+    """
     target = manifest_path(config)
     if not target.exists():
-        return
+        return None
     manifest = okio.read_json(target)
     if not (isinstance(manifest, dict) and isinstance(manifest.get("artifacts"), dict)):
         raise InvalidInputError(f"{target}: expected a JSON object with an 'artifacts' object")
-    for p in paths:
-        manifest["artifacts"][str(p.relative_to(config.output_dir))] = _sha256_file(p)
-    manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
-    okio.write_json(manifest, target)
+    return manifest
 
 
 _PLOT_EMITTERS: dict[str, Callable[[PipelineConfig], list[Path]]] = {

@@ -39,14 +39,25 @@ class Renewable(Enum):
 
 
 def _check_reliability(availability: float, mttr_hours: float) -> None:
-    """Reject an availability outside (0, 1] or an MTTR that is not finite and > 0.
+    """Reject an (availability, MTTR) pair the hourly two-state chain cannot hold.
 
+    Availability must be in (0, 1] and the MTTR finite and > 0.  The chain
+    uses the rates mu = 1/MTTR and lambda = mu * (1/A - 1) as per-hour
+    probabilities, so both must be at most 1: MTTR >= 1 h and
+    A >= 1/(1 + MTTR).  lambda is computed with the float expression
+    ``markov.transition_rates`` uses, so no accepted pair gives lambda > 1.
     The comparisons are false for NaN, so NaN is rejected too.
     """
     if not 0.0 < availability <= 1.0:
         raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
     if not 0.0 < mttr_hours < math.inf:
         raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours}")
+    if mttr_hours < 1.0 or (1.0 / mttr_hours) * (1.0 / availability - 1.0) > 1.0:
+        raise InvalidInputError(
+            "mttr_hours must be >= 1 and availability >= 1/(1 + mttr_hours), so that"
+            f" both hourly rates are at most 1, got availability {availability}"
+            f" and mttr_hours {mttr_hours}"
+        )
 
 
 @dataclass(frozen=True)

@@ -202,13 +202,23 @@ def test_non_finite_mttr_in_fleet_exits_2(runner, corpus, tmp_path):
     assert runner.invoke(main, ["fleet", "--config", str(config_path)]).exit_code == 0
     fleet = tmp_path / "out" / "fleet_AA.csv"
     header, first, *rest = fleet.read_text().splitlines()
-    first = first.rsplit(",", 1)[0] + ",inf"
-    fleet.write_text("\n".join([header, first, *rest]) + "\n")
-    for stage in ("model", "simulate"):
-        result = runner.invoke(main, [stage, "--config", str(config_path)])
-        assert result.exit_code == 2, stage
-        assert "fleet_AA.csv: unit AA-" in result.stderr
-        assert "mttr_hours must be finite and > 0, got inf" in result.stderr
+    for mttr, message in [
+        ("inf", "mttr_hours must be finite and > 0, got inf"),
+        ("0.5", "mttr_hours must be >= 1 and availability >= 1/(1 + mttr_hours)"),
+    ]:
+        bad = first.rsplit(",", 1)[0] + "," + mttr
+        fleet.write_text("\n".join([header, bad, *rest]) + "\n")
+        for stage in ("model", "simulate"):
+            result = runner.invoke(main, [stage, "--config", str(config_path)])
+            assert result.exit_code == 2, (mttr, stage)
+            assert "fleet_AA.csv: unit AA-" in result.stderr
+            assert message in result.stderr
+    params = tmp_path / "params.json"
+    params.write_text('{"fuels": {"CCGT": {"availability": 0.05, "mttr_hours": 10}}}')
+    config_path = write_config(corpus, tmp_path, model_params_path=str(params))
+    result = runner.invoke(main, ["fleet", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert "params.json: fuel CCGT: mttr_hours must be >= 1" in result.stderr
 
 
 def test_garbled_sim_sidecar_exits_2(runner, corpus, tmp_path):
@@ -232,6 +242,7 @@ def test_garbled_manifest_exits_2(runner, corpus, tmp_path):
         )
         assert result.exit_code == 2, text
         assert "manifest.json" in result.stderr, text
+        assert list((tmp_path / "out").glob("plot_*.csv")) == [], text
 
 
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import outagekit
@@ -11,3 +13,15 @@ def test_every_export_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["rates"].repair_rate_mu == 0.02
+    assert namespace["rates"].failure_rate_lambda == pytest.approx(1 / 450)
+    assert namespace["mean_mw"] == pytest.approx(400 * 0.10 + 600 * 0.19)
+    assert namespace["series"].values_mw.size == 8760

@@ -200,6 +200,11 @@ def test_pool_unit_sizes_empty_registry():
         pool_unit_sizes([])
 
 
+def test_pool_unit_sizes_rejects_non_positive_size():
+    with pytest.raises(InvalidInputError, match="size pool for Coal contains non-positive"):
+        pool_unit_sizes([(Fuel.COAL, 500), (Fuel.COAL, 0)])
+
+
 # -- fleet synthesis ---------------------------------------------------------
 
 
@@ -268,6 +273,14 @@ def test_availability_must_be_in_unit_interval(availability):
         FuelParams(availability=availability, mttr_hours=50.0)
     with pytest.raises(InvalidInputError, match="availability must be in"):
         make_unit(availability=availability)
+
+
+@pytest.mark.parametrize("availability,mttr_hours", [(0.9, 0.5), (0.05, 10.0)])
+def test_pair_outside_chain_domain_rejected(availability, mttr_hours):
+    with pytest.raises(InvalidInputError, match="both hourly rates are at most 1"):
+        FuelParams(availability=availability, mttr_hours=mttr_hours)
+    with pytest.raises(InvalidInputError, match="both hourly rates are at most 1"):
+        make_unit(availability=availability, mttr_hours=mttr_hours)
 
 
 def test_table_one_values_shipped():

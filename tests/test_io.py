@@ -113,7 +113,7 @@ def test_fleet_availability_survives_round_trip_exactly(tmp_path):
     assert back.units[0].mttr_hours == 41.77
 
 
-@pytest.mark.parametrize("mttr", ["inf", "nan", "0"])
+@pytest.mark.parametrize("mttr", ["inf", "nan", "0", "0.5"])
 def test_fleet_bad_mttr_rejected_naming_the_file(tmp_path, mttr):
     path = tmp_path / "fleet.csv"
     path.write_text(
@@ -553,6 +553,8 @@ def test_load_fuel_params_bad_shapes(tmp_path):
         '{"fuels": {"CCGT": {"availability": NaN, "mttr_hours": 50}}}',
         '{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": Infinity}}}',
         '{"fuels": {"CCGT": {"availability": 1.5, "mttr_hours": 50}}}',
+        '{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": 0.5}}}',
+        '{"fuels": {"CCGT": {"availability": 0.05, "mttr_hours": 10}}}',
         '{"fuels": {"CCGT": [0.9, 50]}}',
         '{"fuels": ["CCGT"]}',
         '{"fuels": "CCGT"}',

@@ -16,19 +16,46 @@ from outagekit.markov import (
     simulate_fleet,
     simulate_unit,
     simulation_metadata,
-    theoretical_unit_acf,
     transition_rates,
 )
-from outagekit.types import Fleet, Fuel, GeneratorUnit
+from outagekit.fleet import fleet_outage_pmf, pmf_stats
+from outagekit.stats import REPORT_LAGS_HOURS
+from outagekit.types import FUEL_PARAMS, Fleet, Fuel, GeneratorUnit
 
 from conftest import make_unit
 
 STATIONARITY_SEED = 6  # shipped seed for the long-run stationarity checks
 
 
-def sample_acf1(values: np.ndarray) -> float:
+def sample_acf(values: np.ndarray, lag: int) -> float:
     xc = values - values.mean()
-    return float(xc[:-1] @ xc[1:] / (xc @ xc))
+    return float(xc[:-lag] @ xc[lag:] / (xc @ xc))
+
+
+def lowest_availability(mttr_hours: float) -> float:
+    """Smallest float availability whose failure rate is at most 1.
+
+    1/(1 + MTTR) may round either way, so step to the exact edge of
+    lambda = (1/MTTR)(1/A - 1) <= 1 in ulps.
+    """
+    def lam(a: float) -> float:
+        return (1.0 / mttr_hours) * (1.0 / a - 1.0)
+
+    a = 1.0 / (1.0 + mttr_hours)
+    while lam(a) > 1.0:
+        a = float(np.nextafter(a, 1.0))
+    while lam(float(np.nextafter(a, 0.0))) <= 1.0:
+        a = float(np.nextafter(a, 0.0))
+    return a
+
+
+@st.composite
+def in_domain_pairs(draw, max_mttr_hours: float):
+    """(availability, mttr_hours) pairs the chain accepts, edges included."""
+    mttr_hours = draw(st.one_of(st.sampled_from([1.0, 4.0]), st.floats(1.0, max_mttr_hours)))
+    lowest = lowest_availability(mttr_hours)
+    availability = draw(st.one_of(st.sampled_from([1.0, 0.5, lowest]), st.floats(lowest, 1.0)))
+    return availability, mttr_hours
 
 
 # -- transition rates --------------------------------------------------------
@@ -54,10 +81,17 @@ def test_rates_nuclear_row():
     assert r.failure_rate_lambda == pytest.approx(0.0015638, rel=1e-4)
 
 
-def test_rates_clamped_to_unit_interval():
-    r = transition_rates(0.001, 1.0)
-    assert r.repair_rate_mu == 1.0
-    assert r.failure_rate_lambda == 1.0
+def test_rates_reject_pairs_the_chain_cannot_hold():
+    below_lowest = float(np.nextafter(lowest_availability(4.0), 0.0))
+    just_past_edges = [(below_lowest, 4.0), (1.0, float(np.nextafter(1.0, 0.0)))]
+    for availability, mttr_hours in [(0.001, 1.0), (0.9, 0.5), *just_past_edges]:
+        with pytest.raises(InvalidInputError, match="both hourly rates are at most 1"):
+            transition_rates(availability, mttr_hours)
+
+
+def test_rates_on_the_domain_edges():
+    assert transition_rates(0.5, 1.0) == (1.0, 1.0)
+    assert transition_rates(0.2, 4.0) == (0.25, 1.0)
 
 
 def test_rates_reject_zero_availability():
@@ -68,33 +102,10 @@ def test_rates_reject_zero_availability():
 
 
 def test_all_table_rows_give_valid_probabilities():
-    from outagekit.types import FUEL_PARAMS
-
     for params in FUEL_PARAMS.values():
         r = transition_rates(params.availability, params.mttr_hours)
         assert 0.0 < r.repair_rate_mu <= 1.0
         assert 0.0 < r.failure_rate_lambda < 1.0
-
-
-# -- closed-form ACF ---------------------------------------------------------
-
-
-def test_theoretical_acf_lag_zero_is_one():
-    assert theoretical_unit_acf(transition_rates(0.9, 50.0), 0) == 1.0
-
-
-def test_theoretical_acf_lag_one():
-    acf = theoretical_unit_acf(transition_rates(0.9, 50.0), 1)
-    assert acf == pytest.approx(0.9777778, abs=1e-6)
-
-
-def test_theoretical_acf_alternating_chain():
-    assert theoretical_unit_acf(transition_rates(0.5, 1.0), 1) == -1.0
-
-
-def test_theoretical_acf_negative_lag_rejected():
-    with pytest.raises(InvalidInputError):
-        theoretical_unit_acf(transition_rates(0.9, 50.0), -1)
 
 
 # -- unit simulation ---------------------------------------------------------
@@ -130,9 +141,9 @@ CHAIN_REGIMES = [
     (0.3, 10.0),  # lambda > mu
     (0.5, 4.0),  # lambda == mu
     (1.0, 20.0),  # lambda == 0: never fails
-    (0.7, 0.5),  # mu clamped to 1
-    (0.7, 1.0),  # mu == 1 unclamped
-    (0.001, 1.0),  # both clamped to 1: strict alternation
+    (0.2, 4.0),  # lambda == 1: A == 1/(1 + MTTR)
+    (0.7, 1.0),  # mu == 1
+    (0.5, 1.0),  # mu == lambda == 1: strict alternation
 ]
 
 
@@ -147,12 +158,12 @@ def test_simulate_matches_loop_in_each_regime(availability, mttr_hours, n_hours)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    availability=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.001, 1.0)),
-    mttr_hours=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 500.0)),
+    pair=in_domain_pairs(max_mttr_hours=500.0),
     n_hours=st.one_of(st.sampled_from([1, 2]), st.integers(1, 60), st.integers(1000, 6000)),
     seed=st.integers(0, 2**63 - 1),
 )
-def test_simulate_matches_loop(availability, mttr_hours, n_hours, seed):
+def test_simulate_matches_loop(pair, n_hours, seed):
+    availability, mttr_hours = pair
     unit = make_unit(capacity_mw=77, availability=availability, mttr_hours=mttr_hours)
     got = simulate_unit(unit, n_hours, seed).values_mw
     assert got.tobytes() == _simulate_unit_loop(unit, n_hours, seed).tobytes()
@@ -165,8 +176,7 @@ def chain_on_edge_uniforms(draw):
     A generator stream almost never hits a rate exactly, so this is what
     tests every ``<`` against ``<=``.
     """
-    availability = draw(st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.001, 1.0)))
-    mttr_hours = draw(st.one_of(st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.05, 100.0)))
+    availability, mttr_hours = draw(in_domain_pairs(max_mttr_hours=100.0))
     rates = transition_rates(availability, mttr_hours)
     edges = [0.0, availability]
     for rate in (rates.failure_rate_lambda, rates.repair_rate_mu):
@@ -224,8 +234,10 @@ def test_simulate_stationary_up_fraction():
 def test_simulate_acf_matches_closed_form():
     unit = make_unit(availability=0.9, mttr_hours=50.0)
     series = simulate_unit(unit, 10**6, seed=STATIONARITY_SEED)
-    expected = theoretical_unit_acf(transition_rates(0.9, 50.0), 1)
-    assert sample_acf1(series.values_mw) == pytest.approx(expected, abs=0.02)
+    mu, lam = transition_rates(0.9, 50.0)
+    lag = 1
+    expected = (1.0 - lam - mu) ** lag
+    assert sample_acf(series.values_mw, lag) == pytest.approx(expected, abs=0.02)
 
 
 def test_simulate_rejects_empty_horizon():
@@ -268,6 +280,34 @@ def test_fleet_sim_long_run_mean():
     assert float(series.values_mw.mean()) == pytest.approx(expected, rel=0.01)
 
 
+def test_fleet_sim_long_run_matches_pmf_mean_and_exact_acf():
+    """The chain and the PMF describe the same units, edges of the domain included.
+
+    For independent stationary units with r = 1 - lambda - mu the fleet
+    series has variance-of-mean sum(c^2 A (1 - A) (1 + r) / (1 - r)) / n and
+    lag-k autocorrelation sum(c^2 A (1 - A) r^k) / sum(c^2 A (1 - A)).
+    """
+    pairs = [(p.availability, p.mttr_hours) for p in FUEL_PARAMS.values()] + [
+        (0.7, 1.0),  # MTTR == 1: mu == 1
+        (0.2, 4.0),  # A == 1/(1 + MTTR): lambda == 1
+        (0.5, 1.0),  # both edges: strict alternation
+        (1.0, 20.0),  # A == 1: never fails
+    ]
+    units = tuple(make_unit(f"u{i}", 100 + 37 * i, a, m) for i, (a, m) in enumerate(pairs))
+    fleet = Fleet(zone="T", units=units)
+    n_hours = 10**6
+    values = simulate_fleet(fleet, n_hours, seed=STATIONARITY_SEED).values_mw
+    weight = np.array([u.capacity_mw**2 * u.availability * (1.0 - u.availability) for u in units])
+    r = np.array([1.0 - sum(transition_rates(u.availability, u.mttr_hours)) for u in units])
+
+    pmf_mean, _ = pmf_stats(fleet_outage_pmf(fleet))
+    sigma = math.sqrt(float(weight @ ((1.0 + r) / (1.0 - r))) / n_hours)
+    assert abs(float(values.mean()) - pmf_mean) <= 5.0 * sigma
+    for lag in REPORT_LAGS_HOURS:
+        expected = float(weight @ r**lag) / float(weight.sum())
+        assert sample_acf(values, lag) == pytest.approx(expected, abs=0.02), lag
+
+
 def test_fleet_sim_bytes_pinned():
     """Fixed draw order and seed derivation: a change to either shows here."""
     rows = [
@@ -280,14 +320,14 @@ def test_fleet_sim_bytes_pinned():
         (Fuel.CHP, 322, 0.90, 50.0),
         (Fuel.WASTE, 359, 0.86, 40.0),
         (Fuel.CCGT, 500, 1.0, 50.0),  # never fails
-        (Fuel.OIL, 45, 0.7, 0.5),  # mu clamped to 1
+        (Fuel.OIL, 45, 0.5, 1.0),  # mu == lambda == 1
         (Fuel.COAL, 660, 0.3, 10.0),  # lambda > mu
         (Fuel.HYDRO, 250, 0.5, 4.0),  # lambda == mu
     ]
     units = tuple(GeneratorUnit(f"u{i}", *row) for i, row in enumerate(rows))
     series = simulate_fleet(Fleet(zone="PIN", units=units), 3024, seed=20240229)
     assert hashlib.sha256(series.values_mw.tobytes()).hexdigest() == (
-        "910403f09e047dd59b1475b53cd299f1ec165e18f5913861b7aa5cfb900ef9f0"
+        "4dd04177bc49758a372038e2cb57d02958c1d382acc5625e6831846f1033f78a"
     )
 
 
