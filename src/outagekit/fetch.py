@@ -74,7 +74,9 @@ class FetchClient:
         self.cache_dir = Path(cache_dir)
         self.http_get = http_get or _default_http_get
         self.sleep = sleep
-        self.retries = max(1, int(retries))
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 1:
+            raise InvalidInputError(f"retries must be an integer >= 1, got {retries!r}")
+        self.retries = retries
         self.rate_limit_s = float(rate_limit_s)
 
     # -- cache layout ---------------------------------------------------

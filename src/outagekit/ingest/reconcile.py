@@ -4,10 +4,11 @@ Reports have minute resolution, so within one hour the outage level can
 change and several reports can be simultaneously in force.  At every minute
 the smallest and largest stated reduction over the active reports is taken
 (a minute covered by no report contributes zero to both); time-averaging
-those envelopes over the hour gives the hourly minimum and maximum outage,
-and the hourly outage itself is their midpoint.  With a single
-non-conflicting report this midpoint reduces to the plain time-average of
-the stated reduction.
+those envelopes over the hour gives the hourly minimum and maximum outage
+(``o_min_mw``, ``o_max_mw``), and the hourly outage itself (``values_mw``)
+is their midpoint.  With a single non-conflicting report this midpoint
+reduces to the plain time-average of the stated reduction.  A zone's series
+sums its units' envelopes and takes the midpoint of the sums.
 
 The Forced and Planned channels reconcile only reports of their own kind.
 The Total channel pools all reports regardless of kind, so a forced and a
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..timeseries import MINUTE, HourRange
+from ..timeseries import MINUTE, HourlySeries, HourRange
 from .reports import OutageReport, ReportKind
 
 
@@ -42,38 +42,22 @@ class Channel(Enum):
 
 
 @dataclass(frozen=True)
-class HourlyOutageSeries:
-    """Hourly reconciled outages for one subject (unit or zone) and channel."""
+class HourlyOutageSeries(HourlySeries):
+    """Hourly reconciled outages: ``values_mw`` is the midpoint of the
+    ``o_min_mw`` and ``o_max_mw`` envelopes."""
 
-    subject: str
-    channel: Channel
-    start: datetime
     o_min_mw: np.ndarray
-    o_mean_mw: np.ndarray
     o_max_mw: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = []
-        for name in ("o_min_mw", "o_mean_mw", "o_max_mw"):
+        super().__post_init__()
+        for name in ("o_min_mw", "o_max_mw"):
             a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.shape != self.values_mw.shape:
+                raise InvalidInputError(
+                    f"{name} has shape {a.shape}, values_mw has {self.values_mw.shape}"
+                )
             object.__setattr__(self, name, a)
-            arrays.append(a)
-        if len({a.size for a in arrays}) != 1 or arrays[0].ndim != 1 or arrays[0].size == 0:
-            raise InvalidInputError("series arrays must be equal-length, non-empty, 1-D")
-        object.__setattr__(self, "start", HourRange(self.start, arrays[0].size).start)
-
-    @property
-    def range(self) -> HourRange:
-        return HourRange(self.start, self.n_hours)
-
-    @property
-    def n_hours(self) -> int:
-        return int(self.o_mean_mw.size)
-
-    @property
-    def values_mw(self) -> np.ndarray:
-        """The reconciled hourly outage: the midpoint of the envelopes."""
-        return self.o_mean_mw
 
 
 def _clipped_minutes(
@@ -145,9 +129,7 @@ def _minute_envelope(
     return lo, hi
 
 
-def _reconcile(
-    reports: Sequence[OutageReport], period: HourRange
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reconcile(reports: Sequence[OutageReport], period: HourRange) -> HourlyOutageSeries:
     """Hourly minimum, midpoint and maximum outage over the period.
 
     Only the hours some report touches go through the minute grid; the
@@ -161,15 +143,11 @@ def _reconcile(
         lo, hi = _minute_envelope(packed, hours.size * 60)
         o_min[hours] = lo.reshape(hours.size, 60).mean(axis=1)
         o_max[hours] = hi.reshape(hours.size, 60).mean(axis=1)
-    o_mean = (o_min + o_max) / 2.0
-    return o_min, o_mean, o_max
+    return HourlyOutageSeries(period.start, (o_min + o_max) / 2.0, o_min, o_max)
 
 
 def unit_series(
-    reports: Sequence[OutageReport],
-    period: HourRange,
-    *,
-    subject: str | None = None,
+    reports: Sequence[OutageReport], period: HourRange
 ) -> dict[Channel, HourlyOutageSeries]:
     """Forced, Planned and Total hourly series for one unit.
 
@@ -179,59 +157,39 @@ def unit_series(
     unit_ids = {r.unit_id for r in reports}
     if len(unit_ids) > 1:
         raise InvalidInputError(f"reports span several units: {sorted(unit_ids)}")
-    if subject is None:
-        subject = unit_ids.pop() if unit_ids else ""
-
     by_channel = {
         Channel.FORCED: [r for r in reports if r.kind is ReportKind.FORCED],
         Channel.PLANNED: [r for r in reports if r.kind is ReportKind.PLANNED],
         Channel.TOTAL: list(reports),
     }
-    out: dict[Channel, HourlyOutageSeries] = {}
-    for channel, rs in by_channel.items():
-        o_min, o_mean, o_max = _reconcile(rs, period)
-        out[channel] = HourlyOutageSeries(
-            subject=subject,
-            channel=channel,
-            start=period.start,
-            o_min_mw=o_min,
-            o_mean_mw=o_mean,
-            o_max_mw=o_max,
-        )
-    return out
+    return {channel: _reconcile(rs, period) for channel, rs in by_channel.items()}
 
 
 def zone_aggregate(
-    unit_series_list: Sequence[HourlyOutageSeries], *, zone: str
-) -> HourlyOutageSeries:
-    """Hour-wise sum of per-unit series of one channel into a zone series.
+    by_unit: Mapping[str, Mapping[Channel, HourlyOutageSeries]], period: HourRange
+) -> dict[Channel, HourlyOutageSeries]:
+    """Hour-wise sum of ``{unit_id: unit_series(...)}`` into the zone's channels.
 
-    All inputs must share the same period and channel.  Units are summed in
-    sorted-subject order and the midpoint is recomputed from the summed
-    envelopes, so aggregation is independent of input order and keeps
-    ``o_mean == (o_min + o_max) / 2`` exact.
+    Every unit series must cover ``period``.  Per channel, the envelopes are
+    summed from zeros in sorted unit-id order and the midpoint is recomputed
+    from the sums, so aggregation is independent of input order and keeps
+    ``values_mw == (o_min_mw + o_max_mw) / 2`` exact.  No units gives
+    all-zero series.
     """
-    if not unit_series_list:
-        raise InvalidInputError("no unit series to aggregate")
-    first = unit_series_list[0]
-    channels = {s.channel for s in unit_series_list}
-    if len(channels) != 1:
-        raise InvalidInputError(f"mixed channels in aggregation: {sorted(c.value for c in channels)}")
-    for s in unit_series_list:
-        if s.start != first.start or s.n_hours != first.n_hours:
-            raise InvalidInputError(
-                f"series for {s.subject} has a different period than {first.subject}"
-            )
-    o_min = np.zeros(first.n_hours)
-    o_max = np.zeros(first.n_hours)
-    for s in sorted(unit_series_list, key=lambda s: s.subject):
-        o_min += s.o_min_mw
-        o_max += s.o_max_mw
-    return HourlyOutageSeries(
-        subject=zone,
-        channel=first.channel,
-        start=first.start,
-        o_min_mw=o_min,
-        o_mean_mw=(o_min + o_max) / 2.0,
-        o_max_mw=o_max,
-    )
+    for unit_id, series in by_unit.items():
+        for s in series.values():
+            if s.range != period:
+                raise InvalidInputError(
+                    f"series for unit {unit_id} covers {s.n_hours} h from "
+                    f"{s.start.isoformat()}, not the period {period.n_hours} h from "
+                    f"{period.start.isoformat()}"
+                )
+    out: dict[Channel, HourlyOutageSeries] = {}
+    for channel in Channel:
+        o_min = np.zeros(period.n_hours)
+        o_max = np.zeros(period.n_hours)
+        for unit_id in sorted(by_unit):
+            o_min += by_unit[unit_id][channel].o_min_mw
+            o_max += by_unit[unit_id][channel].o_max_mw
+        out[channel] = HourlyOutageSeries(period.start, (o_min + o_max) / 2.0, o_min, o_max)
+    return out

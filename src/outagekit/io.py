@@ -137,17 +137,17 @@ def write_zone_series(
     cols: list[np.ndarray] = []
     for channel in Channel:
         s = by_channel[channel]
-        cols.extend((s.o_min_mw, s.o_mean_mw, s.o_max_mw))
+        cols.extend((s.o_min_mw, s.values_mw, s.o_max_mw))
     start = ranges.pop().start
     _write_rows(ZONE_SERIES_HEADER, ",".join(["%.3f"] * len(cols)), cols, path, start=start)
 
 
-def read_zone_series(path: Path | str, *, zone: str = "") -> dict[Channel, HourlyOutageSeries]:
+def read_zone_series(path: Path | str) -> dict[Channel, HourlyOutageSeries]:
     # min, mean and max of each channel, in the order write_zone_series uses
     start, columns = _read_hourly(path, *ZONE_SERIES_HEADER.split(",")[1:])
     return {
-        channel: HourlyOutageSeries(zone, channel, start, *columns[3 * k : 3 * k + 3])
-        for k, channel in enumerate(Channel)
+        channel: HourlyOutageSeries(start, mid, lo, hi)
+        for channel, (lo, mid, hi) in zip(Channel, zip(*[iter(columns)] * 3))
     }
 
 

@@ -104,6 +104,8 @@ class PipelineConfig:
             raise InvalidInputError("histogram_bin_mw must be >= 1")
         if self.timeseries_draws < 1:
             raise InvalidInputError("timeseries_draws must be >= 1")
+        if self.retries < 1:
+            raise InvalidInputError(f"retries must be >= 1, got {self.retries}")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
@@ -187,23 +189,18 @@ class PipelineConfig:
         )
 
     def public_dict(self) -> dict:
-        """Config as JSON-ready data with the secret removed."""
+        """The run parameters as JSON-ready data.
+
+        Paths, fetch settings and the token are left out, so the same config
+        run from another directory hashes the same.
+        """
         return {
             "zones": list(self.zones),
             "seasons": list(self.seasons),
             "period": None
             if self.period is None
             else {"start": format_utc(self.period.start), "hours": self.period.n_hours},
-            "cache_dir": str(self.cache_dir),
-            "output_dir": str(self.output_dir),
-            "registry_path": None if self.registry_path is None else str(self.registry_path),
-            "model_params_path": None
-            if self.model_params_path is None
-            else str(self.model_params_path),
-            "demand_path": None if self.demand_path is None else str(self.demand_path),
             "seed": self.seed,
-            "rate_limit_s": self.rate_limit_s,
-            "retries": self.retries,
             "zone_eic": dict(sorted(self.zone_eic.items())),
             "histogram_bin_mw": self.histogram_bin_mw,
             "timeseries_draws": self.timeseries_draws,
@@ -339,18 +336,6 @@ def _parse_zone_period(
     return reports
 
 
-def _zero_series(zone: str, channel: Channel, rng: HourRange) -> HourlyOutageSeries:
-    zeros = np.zeros(rng.n_hours, dtype=np.float64)
-    return HourlyOutageSeries(
-        subject=zone,
-        channel=channel,
-        start=rng.start,
-        o_min_mw=zeros,
-        o_mean_mw=zeros.copy(),
-        o_max_mw=zeros.copy(),
-    )
-
-
 def stage_ingest(config: PipelineConfig) -> list[Path]:
     """Parse cached documents into reconciled per-zone hourly series CSVs."""
     client = _client(config)
@@ -362,17 +347,9 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
             by_unit: dict[str, list] = {}
             for r in reports:
                 by_unit.setdefault(r.unit_id, []).append(r)
-            per_channel: dict[Channel, list[HourlyOutageSeries]] = {c: [] for c in Channel}
-            for unit_id in sorted(by_unit):
-                series = unit_series(by_unit[unit_id], ev.range)
-                for channel, s in series.items():
-                    per_channel[channel].append(s)
-            zone_series = {
-                channel: zone_aggregate(series_list, zone=zone)
-                if series_list
-                else _zero_series(zone, channel, ev.range)
-                for channel, series_list in per_channel.items()
-            }
+            zone_series = zone_aggregate(
+                {u: unit_series(rs, ev.range) for u, rs in by_unit.items()}, ev.range
+            )
             target = series_path(config, zone, ev.slug)
             okio.write_zone_series(zone_series, target)
             written.append(target)
@@ -452,7 +429,7 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
 
 
 def _pooled_stats(
-    per_ev: Sequence[tuple[HourlySeries | HourlyOutageSeries, WinterWindow | None]],
+    per_ev: Sequence[tuple[HourlySeries, WinterWindow | None]],
 ) -> tuple[float, float, dict[int, float], int]:
     """Pooled mean/IQR and window-averaged ACF over (series, window) pairs.
 
@@ -488,9 +465,7 @@ def stage_stats(config: PipelineConfig) -> Path:
     for zone_idx, zone in enumerate(config.zones):
         empirical: dict[str, dict[Channel, HourlyOutageSeries]] = {}
         for ev in evaluations(config):
-            empirical[ev.slug] = okio.read_zone_series(
-                series_path(config, zone, ev.slug), zone=zone
-            )
+            empirical[ev.slug] = okio.read_zone_series(series_path(config, zone, ev.slug))
         for channel in Channel:
             per_ev = []
             recon_errors: list[float] = []
@@ -647,7 +622,7 @@ def _empirical_window_values(
     """
     chunks: list[list[np.ndarray]] = [[] for _ in channels]
     for ev in evaluations(config):
-        by_channel = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)
+        by_channel = okio.read_zone_series(series_path(config, zone, ev.slug))
         for parts, channel in zip(chunks, channels):
             parts.append(window_values(by_channel[channel], ev.window))
     return [np.concatenate(parts) for parts in chunks]
@@ -686,9 +661,7 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
     demand = weekly_profile(okio.read_demand(config.demand_path)) if config.demand_path else None
     written = []
     for zone in config.zones:
-        series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[
-            Channel.TOTAL
-        ]
+        series = okio.read_zone_series(series_path(config, zone, ev.slug))[Channel.TOTAL]
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
         okio.write_seasonal(weekly_profile(series), demand, target)
         written.append(target)
@@ -700,9 +673,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     for zone_idx, zone in enumerate(config.zones):
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         for ev_idx, ev in enumerate(evaluations(config)):
-            series = okio.read_zone_series(series_path(config, zone, ev.slug), zone=zone)[
-                Channel.TOTAL
-            ]
+            series = okio.read_zone_series(series_path(config, zone, ev.slug))[Channel.TOTAL]
             sims = [
                 simulate_fleet(
                     fleet,
@@ -713,7 +684,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
                 for k in range(config.timeseries_draws)
             ]
             target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
-            okio.write_timeseries_plot(series.o_mean_mw, sims, ev.range.start, target)
+            okio.write_timeseries_plot(series.values_mw, sims, ev.range.start, target)
             written.append(target)
     return written
 

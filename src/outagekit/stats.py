@@ -2,7 +2,10 @@
 reconciliation error, lagged autocorrelation and weekly seasonality.
 
 Each statistic takes one series and at most one window (``None`` meaning
-the whole series).  Pooling over the windows of several evaluations is done
+the whole series).  Every series is an ``HourlySeries`` and the statistics
+read its ``values_mw``; for a reconciled ``HourlyOutageSeries`` that is the
+midpoint of its envelopes, and only the reconciliation error also reads the
+lower envelope.  Pooling over the windows of several evaluations is done
 once, in ``pipeline._pooled_stats``.
 
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
@@ -106,9 +109,7 @@ def season_label_to_year(label: str) -> int:
     return year
 
 
-def window_values(
-    series: HourlySeries | HourlyOutageSeries, window: WinterWindow | None
-) -> np.ndarray:
+def window_values(series: HourlySeries, window: WinterWindow | None) -> np.ndarray:
     """Hourly values (MW) of a series inside a window.
 
     ``window=None`` selects the whole series.
@@ -138,7 +139,7 @@ def reconciliation_error(
     zero exactly when no hour has conflicting reports.
     """
     idx = slice(None) if window is None else window.indices_in(series.range)
-    mean_vals = series.o_mean_mw[idx]
+    mean_vals = series.values_mw[idx]
     min_vals = series.o_min_mw[idx]
     denom = float(np.abs(mean_vals).sum())
     if denom == 0.0:
@@ -147,7 +148,7 @@ def reconciliation_error(
 
 
 def autocorrelation(
-    series: HourlySeries | HourlyOutageSeries,
+    series: HourlySeries,
     window: WinterWindow | None,
     lags: Sequence[int] = REPORT_LAGS_HOURS,
 ) -> dict[int, float]:
@@ -177,7 +178,7 @@ def autocorrelation(
     return out
 
 
-def weekly_profile(series: HourlySeries | HourlyOutageSeries) -> np.ndarray:
+def weekly_profile(series: HourlySeries) -> np.ndarray:
     """Normalized mean weekly level over the year (52 values, mean 1).
 
     Hours are pooled by ISO week number across all covered years (week 53

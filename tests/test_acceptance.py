@@ -129,7 +129,7 @@ def test_subhourly_reconciliation_reference_hours():
             make_report("b", start_h=0.2, end_h=1.0, unavailable_mw=200.0),
         ]
         t = unit_series(step, HourRange(T0, 1))[Channel.TOTAL]
-        assert (t.o_min_mw[0], t.o_mean_mw[0], t.o_max_mw[0]) == (170.0, 170.0, 170.0)
+        assert (t.o_min_mw[0], t.values_mw[0], t.o_max_mw[0]) == (170.0, 170.0, 170.0)
 
         overlapping = [
             make_report("f", unavailable_mw=400.0, kind=ReportKind.FORCED),
@@ -138,7 +138,7 @@ def test_subhourly_reconciliation_reference_hours():
         total = unit_series(overlapping, HourRange(T0, 1))[Channel.TOTAL]
         assert (
             total.o_min_mw[0],
-            total.o_mean_mw[0],
+            total.values_mw[0],
             total.o_max_mw[0],
         ) == (400.0, 400.0, 400.0)
 
@@ -171,7 +171,7 @@ def test_reconciliation_error_reference_values():
         series = unit_series(conflicting, period)[Channel.TOTAL]
         assert (
             series.o_min_mw[0],
-            series.o_mean_mw[0],
+            series.values_mw[0],
             series.o_max_mw[0],
         ) == (100.0, 200.0, 300.0)
         assert reconciliation_error(series) == 0.5

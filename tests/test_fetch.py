@@ -267,6 +267,12 @@ def test_server_errors_retried_with_backoff(tmp_path):
     assert c.test_sleeps == [1.0, 2.0]  # exponential backoff between attempts
 
 
+@pytest.mark.parametrize("retries", [0, -1, 1.5, True])
+def test_client_rejects_retries_below_one_or_not_an_integer(tmp_path, retries):
+    with pytest.raises(InvalidInputError, match="retries"):
+        client(tmp_path, lambda *a, **k: None, retries=retries)
+
+
 def test_retries_exhausted(tmp_path):
     transport = FakeTransport([(500, b"")] * 2)
     c = client(tmp_path, transport, retries=2)

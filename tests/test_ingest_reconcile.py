@@ -15,7 +15,7 @@ from outagekit.ingest import (
     unit_series,
     zone_aggregate,
 )
-from outagekit.timeseries import MINUTE, HourRange
+from outagekit.timeseries import MINUTE, HourlySeries, HourRange
 
 from conftest import T0, make_report
 
@@ -23,7 +23,7 @@ from conftest import T0, make_report
 def triples(series: HourlyOutageSeries) -> list[tuple[float, float, float]]:
     return [
         (float(a), float(b), float(c))
-        for a, b, c in zip(series.o_min_mw, series.o_mean_mw, series.o_max_mw)
+        for a, b, c in zip(series.o_min_mw, series.values_mw, series.o_max_mw)
     ]
 
 
@@ -137,13 +137,6 @@ def test_unit_series_rejects_mixed_units():
         unit_series(reports, HourRange(T0, 1))
 
 
-def test_unit_series_subject_defaults_to_unit_id():
-    series = unit_series([make_report(unit_id="plant-7")], HourRange(T0, 1))
-    assert series[Channel.TOTAL].subject == "plant-7"
-    named = unit_series([], HourRange(T0, 1), subject="empty")
-    assert named[Channel.FORCED].subject == "empty"
-
-
 # -- brute-force oracle ------------------------------------------------------
 
 
@@ -249,7 +242,7 @@ def assert_matches_full_grid(reports, period: HourRange) -> None:
     for channel, s in series.items():
         kind = _KIND_OF.get(channel)
         selected = [r for r in reports if kind is None or r.kind is kind]
-        for got, want in zip((s.o_min_mw, s.o_mean_mw, s.o_max_mw),
+        for got, want in zip((s.o_min_mw, s.values_mw, s.o_max_mw),
                              full_grid_reconcile(selected, period)):
             assert got.tobytes() == want.tobytes(), channel
 
@@ -314,60 +307,70 @@ def test_touched_hours_edge_cases(bounds_h):
 # -- zone aggregation --------------------------------------------------------
 
 
-def _series(subject: str, lo, hi, channel=Channel.TOTAL) -> HourlyOutageSeries:
+def _unit(lo, hi) -> dict[Channel, HourlyOutageSeries]:
+    """One unit's series: the same envelopes in every channel."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    return HourlyOutageSeries(
-        subject=subject,
-        channel=channel,
-        start=T0,
-        o_min_mw=lo,
-        o_mean_mw=(lo + hi) / 2,
-        o_max_mw=hi,
-    )
+    return {c: HourlyOutageSeries(T0, (lo + hi) / 2, lo, hi) for c in Channel}
+
+
+def test_outage_series_is_an_hourly_series():
+    assert issubclass(HourlyOutageSeries, HourlySeries)
+    s = _unit([1, 2], [3, 4])[Channel.TOTAL]
+    assert s.range == HourRange(T0, 2)
+    assert s.values_mw.tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("envelope", ["o_min_mw", "o_max_mw"])
+@pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_outage_series_rejects_envelope_of_another_shape(envelope, bad):
+    arrays = {"o_min_mw": [1.0, 2.0], "o_max_mw": [3.0, 4.0], envelope: bad}
+    with pytest.raises(InvalidInputError, match=envelope):
+        HourlyOutageSeries(T0, [2.0, 3.0], **arrays)
 
 
 def test_zone_aggregate_single_series_identity():
-    s = _series("u1", [10, 20], [30, 40])
-    agg = zone_aggregate([s], zone="ZZ")
-    assert agg.subject == "ZZ"
-    assert triples(agg) == triples(s)
+    s = _unit([10, 20], [30, 40])
+    agg = zone_aggregate({"u1": s}, HourRange(T0, 2))
+    for c in Channel:
+        assert triples(agg[c]) == triples(s[c])
 
 
 def test_zone_aggregate_sums_envelopes():
     agg = zone_aggregate(
-        [_series("u1", [10, 0], [30, 0]), _series("u2", [5, 5], [5, 15])], zone="ZZ"
+        {"u1": _unit([10, 0], [30, 0]), "u2": _unit([5, 5], [5, 15])}, HourRange(T0, 2)
     )
-    assert triples(agg) == [(15.0, 25.0, 35.0), (5.0, 10.0, 15.0)]
+    for c in Channel:
+        assert triples(agg[c]) == [(15.0, 25.0, 35.0), (5.0, 10.0, 15.0)]
 
 
 def test_zone_aggregate_order_invariant():
-    parts = [_series("b", [1], [2]), _series("a", [3], [4]), _series("c", [5], [6])]
-    fwd = zone_aggregate(parts, zone="Z")
-    rev = zone_aggregate(list(reversed(parts)), zone="Z")
-    assert triples(fwd) == triples(rev)
+    parts = [("b", _unit([1], [2])), ("a", _unit([3], [4])), ("c", _unit([5], [6]))]
+    fwd = zone_aggregate(dict(parts), HourRange(T0, 1))
+    rev = zone_aggregate(dict(reversed(parts)), HourRange(T0, 1))
+    for c in Channel:
+        assert triples(fwd[c]) == triples(rev[c])
 
 
 def test_zone_aggregate_midpoint_recomputed():
-    agg = zone_aggregate([_series("u1", [0], [10]), _series("u2", [0], [20])], zone="Z")
-    assert agg.o_mean_mw[0] == (agg.o_min_mw[0] + agg.o_max_mw[0]) / 2
+    agg = zone_aggregate({"u1": _unit([0], [10]), "u2": _unit([0], [20])}, HourRange(T0, 1))
+    for s in agg.values():
+        assert s.values_mw[0] == (s.o_min_mw[0] + s.o_max_mw[0]) / 2
 
 
-def test_zone_aggregate_rejects_empty():
-    with pytest.raises(InvalidInputError):
-        zone_aggregate([], zone="Z")
-
-
-def test_zone_aggregate_rejects_mixed_channels():
-    with pytest.raises(InvalidInputError, match="channel"):
-        zone_aggregate(
-            [_series("u1", [1], [2], Channel.FORCED), _series("u2", [1], [2])], zone="Z"
-        )
+def test_zone_aggregate_of_no_units_is_zero():
+    agg = zone_aggregate({}, HourRange(T0, 3))
+    assert set(agg) == set(Channel)
+    for s in agg.values():
+        assert s.range == HourRange(T0, 3)
+        assert triples(s) == [(0.0, 0.0, 0.0)] * 3
 
 
 def test_zone_aggregate_rejects_mismatched_periods():
     with pytest.raises(InvalidInputError, match="period"):
-        zone_aggregate([_series("u1", [1], [2]), _series("u2", [1, 1], [2, 2])], zone="Z")
+        zone_aggregate({"u1": _unit([1], [2]), "u2": _unit([1, 1], [2, 2])}, HourRange(T0, 1))
+    with pytest.raises(InvalidInputError, match="period"):
+        zone_aggregate({"u1": _unit([1], [2])}, HourRange(T0 + timedelta(hours=1), 1))
 
 
 def test_zone_aggregate_consistent_with_pooled_units():
@@ -375,7 +378,5 @@ def test_zone_aggregate_consistent_with_pooled_units():
     r1 = [make_report("a", unit_id="u1", unavailable_mw=100.0, end_h=2)]
     r2 = [make_report("b", unit_id="u2", unavailable_mw=50.0, start_h=1, end_h=2)]
     period = HourRange(T0, 2)
-    s1 = unit_series(r1, period)[Channel.TOTAL]
-    s2 = unit_series(r2, period)[Channel.TOTAL]
-    agg = zone_aggregate([s1, s2], zone="Z")
-    assert triples(agg) == [(100.0, 100.0, 100.0), (150.0, 150.0, 150.0)]
+    agg = zone_aggregate({"u1": unit_series(r1, period), "u2": unit_series(r2, period)}, period)
+    assert triples(agg[Channel.TOTAL]) == [(100.0, 100.0, 100.0), (150.0, 150.0, 150.0)]

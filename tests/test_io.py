@@ -203,8 +203,7 @@ def _zone_channels(n: int = 4) -> dict[Channel, HourlyOutageSeries]:
         lo = np.round(rng.uniform(0, 100, size=n), 3)
         hi = lo + np.round(rng.uniform(0, 50, size=n), 3)
         out[channel] = HourlyOutageSeries(
-            subject="AA", channel=channel, start=T0,
-            o_min_mw=lo, o_mean_mw=(lo + hi) / 2, o_max_mw=hi,
+            start=T0, values_mw=(lo + hi) / 2, o_min_mw=lo, o_max_mw=hi
         )
     return out
 
@@ -213,12 +212,11 @@ def test_zone_series_round_trip(tmp_path):
     channels = _zone_channels()
     path = tmp_path / "series.csv"
     write_zone_series(channels, path)
-    back = read_zone_series(path, zone="AA")
+    back = read_zone_series(path)
     for channel in Channel:
         np.testing.assert_allclose(
-            back[channel].o_mean_mw, channels[channel].o_mean_mw, atol=5e-4
+            back[channel].values_mw, channels[channel].values_mw, atol=5e-4
         )
-        assert back[channel].subject == "AA"
         assert back[channel].start == T0
 
 
@@ -237,7 +235,7 @@ def test_zone_series_header_and_formatting(tmp_path):
 def _zone_series_lines_per_cell(by_channel: dict[Channel, HourlyOutageSeries]) -> list[str]:
     """The zone-series writer's lines built one NumPy scalar and one timestamp at a time."""
     cols = [col for c in Channel for col in (
-        by_channel[c].o_min_mw, by_channel[c].o_mean_mw, by_channel[c].o_max_mw
+        by_channel[c].o_min_mw, by_channel[c].values_mw, by_channel[c].o_max_mw
     )]
     lines = [ZONE_SERIES_HEADER]
     for i, hour in enumerate(by_channel[Channel.TOTAL].range.hours()):
@@ -264,7 +262,8 @@ def test_zone_series_bytes_match_per_cell_formatting(tmp_path):
             col = np.round(rng.uniform(-5, 2e6, n), int(rng.integers(2, 6)))
             col[: len(special)] = np.roll(special, 3 * k + j)
             cols.append(col)
-        channels[channel] = HourlyOutageSeries("AA", channel, start, *cols)
+        lo, mid, hi = cols
+        channels[channel] = HourlyOutageSeries(start, mid, lo, hi)
     path = tmp_path / "series.csv"
     write_zone_series(channels, path)
     expected = "".join(f"{line}\n" for line in _zone_series_lines_per_cell(channels))
@@ -280,12 +279,12 @@ def test_series_starting_before_year_1000_round_trip(tmp_path):
     back, _ = read_sim_series(sim_path)
     assert back.start == start
     np.testing.assert_array_equal(back.values_mw, values)
-    channels = {c: HourlyOutageSeries("AA", c, start, values, values, values) for c in Channel}
+    channels = {c: HourlyOutageSeries(start, values, values, values) for c in Channel}
     zone_path = tmp_path / "series.csv"
     write_zone_series(channels, zone_path)
-    back_channels = read_zone_series(zone_path, zone="AA")
+    back_channels = read_zone_series(zone_path)
     assert all(s.start == start for s in back_channels.values())
-    np.testing.assert_array_equal(back_channels[Channel.TOTAL].o_mean_mw, values)
+    np.testing.assert_array_equal(back_channels[Channel.TOTAL].values_mw, values)
     assert "\n0999-12-31T22:00:00Z," in sim_path.read_text()
 
 
@@ -300,9 +299,8 @@ def test_zone_series_requires_aligned_periods(tmp_path):
     channels = _zone_channels()
     short = channels[Channel.TOTAL]
     channels[Channel.TOTAL] = HourlyOutageSeries(
-        subject="AA", channel=Channel.TOTAL, start=short.start,
-        o_min_mw=short.o_min_mw[:-1], o_mean_mw=short.o_mean_mw[:-1],
-        o_max_mw=short.o_max_mw[:-1],
+        start=short.start, values_mw=short.values_mw[:-1],
+        o_min_mw=short.o_min_mw[:-1], o_max_mw=short.o_max_mw[:-1],
     )
     with pytest.raises(InvalidInputError, match="different periods"):
         write_zone_series(channels, tmp_path / "series.csv")

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import shutil
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -129,6 +130,8 @@ def test_config_rejects_bad_period(tmp_path):
         ("zone_eic", [["GB", "10YGB----------A"]]),
         ("zone_eic", {"GB": 5}),
         ("zone_eic", None),
+        ("retries", 0),
+        ("retries", -1),
     ],
 )
 def test_config_rejects_wrong_types(tmp_path, key, value):
@@ -156,7 +159,7 @@ def test_config_rejects_wrong_types(tmp_path, key, value):
                 "histogram_bin_mw": 250,
                 "timeseries_draws": 4,
             },
-            "a30b151c3c239cf2ba9b3ca3adb521ffe666b4e4edaf37988a17e6813c1434f9",
+            "410fe58f98b27e7e8f278c7e9dce93aabfbc641a15da66d9f7efe6b15a52a2b5",
         ),
         (
             {
@@ -166,9 +169,10 @@ def test_config_rejects_wrong_types(tmp_path, key, value):
                 "output_dir": "/data/out",
                 "rate_limit_s": 1.5,
             },
-            "db2055fda4f93d46046ab322b73112720b52cf0352e09a39bdeaedb64266f9b2",
+            "a763d1f93730d64f2bbada087278317be2f43f24e29591d6e761c3e7f86f6dec",
         ),
     ],
+    ids=["period", "seasons"],
 )
 def test_config_hash_of_valid_configs_is_stable(tmp_path, raw, digest):
     path = tmp_path / "config.json"
@@ -283,6 +287,16 @@ def test_rerun_is_byte_identical(full_run):
     run_pipeline(config)
     after = {p.name: p.read_bytes() for p in config.output_dir.iterdir() if p.is_file()}
     assert before == after
+
+
+def test_manifest_is_byte_identical_across_directories(corpus, tmp_path):
+    # the same config file, cache and seed, copied to two places
+    manifests = []
+    for name in ("first", "second"):
+        root = tmp_path / name
+        shutil.copytree(corpus["root"], root, ignore=shutil.ignore_patterns("out*"))
+        manifests.append(run_pipeline(PipelineConfig.from_file(root / "config.json")).read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_series_has_full_period(full_run):

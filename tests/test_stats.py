@@ -7,7 +7,7 @@ import pytest
 
 from outagekit import pipeline
 from outagekit.errors import InvalidInputError, StatsError
-from outagekit.ingest import Channel, HourlyOutageSeries
+from outagekit.ingest import HourlyOutageSeries
 from outagekit.pipeline import _pooled_stats
 from outagekit.stats import (
     REPORT_LAGS_HOURS,
@@ -36,10 +36,7 @@ def outage_series(start: datetime, mean_vals, min_vals=None, max_vals=None):
     mean_vals = np.asarray(mean_vals, dtype=float)
     lo = mean_vals if min_vals is None else np.asarray(min_vals, dtype=float)
     hi = mean_vals if max_vals is None else np.asarray(max_vals, dtype=float)
-    return HourlyOutageSeries(
-        subject="Z", channel=Channel.TOTAL, start=start,
-        o_min_mw=lo, o_mean_mw=mean_vals, o_max_mw=hi,
-    )
+    return HourlyOutageSeries(start=start, values_mw=mean_vals, o_min_mw=lo, o_max_mw=hi)
 
 
 # -- winter windows ----------------------------------------------------------
@@ -395,6 +392,15 @@ def test_weekly_profile_with_demand_returns_pair():
     op, dp = weekly_profile(outage), weekly_profile(demand)
     np.testing.assert_allclose(op, 1.0)
     np.testing.assert_allclose(dp, 1.0)
+
+
+def test_autocorrelation_and_weekly_profile_read_outage_series_midpoint():
+    # a reconciled series is an HourlySeries whose values are the midpoint
+    values = np.random.default_rng(5).uniform(10, 500, size=8760)
+    plain = hs(YEAR_START, values)
+    reconciled = outage_series(YEAR_START, values, values - 5.0, values + 5.0)
+    assert autocorrelation(reconciled, None) == autocorrelation(plain, None)
+    np.testing.assert_array_equal(weekly_profile(reconciled), weekly_profile(plain))
 
 
 # -- stats bundle ------------------------------------------------------------
