@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Each subcommand runs one pipeline stage against a JSON config file; ``run``
-chains them all and writes the manifest.  Errors map to distinct exit codes
+Each stage subcommand runs one pipeline stage against a JSON config file;
+the subcommands and their help lines come from ``pipeline.STAGES``.  ``run``
+chains the stages and writes the manifest.  Errors map to distinct exit codes
 so shell scripts can react to the failure class:
 
 ====  ==========================================
@@ -24,9 +25,11 @@ command lines leak into shell history and process listings.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import sys
-from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterable
 
 import click
 
@@ -34,29 +37,16 @@ from .errors import (
     AuthError,
     FetchError,
     InvalidInputError,
-    MissingPoolError,
     OutageKitError,
     ParseError,
     StatsError,
     UsageError,
 )
-from .pipeline import (
-    PLOT_KINDS,
-    PipelineConfig,
-    emit_plot_data,
-    run_pipeline,
-    stage_fetch,
-    stage_fleet,
-    stage_ingest,
-    stage_model,
-    stage_simulate,
-    stage_stats,
-)
+from .pipeline import PLOT_KINDS, STAGES, PipelineConfig, emit_plot_data, run_pipeline
 
 _EXIT_CODES: tuple[tuple[type, int], ...] = (
     (UsageError, 2),
     (InvalidInputError, 2),
-    (MissingPoolError, 2),
     (AuthError, 3),
     (FetchError, 4),
     (ParseError, 5),
@@ -71,56 +61,52 @@ def _exit_code(exc: OutageKitError) -> int:
     return 1
 
 
-@contextmanager
-def _exit_on_error():
-    try:
-        yield
-    except OutageKitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
-    except FileNotFoundError as exc:
-        missing = exc.filename or str(exc)
-        click.echo(
-            f"error: missing input file {missing}; run the earlier pipeline stages first",
-            err=True,
-        )
-        sys.exit(2)
+def _with_config(body: Callable[..., Iterable[object]]):
+    """Turn ``body(config, **options)`` into a command callback.
 
+    The callback takes the common options, loads the config with their
+    overrides, runs ``body`` under the exit-code mapping and echoes each line
+    it returns.
+    """
 
-def _load_config(config_path: str, zones: tuple[str, ...], seasons: tuple[str, ...], seed: int | None) -> PipelineConfig:
-    config = PipelineConfig.from_file(config_path)
-    overrides = {}
-    if zones:
-        overrides["zones"] = zones
-    if seasons:
-        overrides["seasons"] = seasons
-        overrides["period"] = None
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    @click.option(
+        "--config",
+        "config_path",
+        required=True,
+        type=click.Path(exists=True, dir_okay=False),
+        help="JSON pipeline configuration.",
+    )
+    @click.option("--zone", "zones", multiple=True, help="Restrict to zone(s).")
+    @click.option(
+        "--season", "seasons", multiple=True, help="Restrict to season label(s), e.g. 16/17."
+    )
+    @click.option("--seed", type=int, default=None, help="Override the config seed.")
+    @functools.wraps(body)
+    def callback(config_path, zones, seasons, seed, **options) -> None:
+        overrides = {}
+        if zones:
+            overrides["zones"] = zones
+        if seasons:
+            overrides.update(seasons=seasons, period=None)
+        if seed is not None:
+            overrides["seed"] = seed
+        try:
+            config = dataclasses.replace(PipelineConfig.from_file(config_path), **overrides)
+            lines = body(config, **options)
+        except OutageKitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_exit_code(exc))
+        except FileNotFoundError as exc:
+            missing = exc.filename or str(exc)
+            click.echo(
+                f"error: missing input file {missing}; run the earlier pipeline stages first",
+                err=True,
+            )
+            sys.exit(2)
+        for line in lines:
+            click.echo(str(line))
 
-
-def _common_options(fn):
-    for option in reversed(
-        (
-            click.option(
-                "--config",
-                "config_path",
-                required=True,
-                type=click.Path(exists=True, dir_okay=False),
-                help="JSON pipeline configuration.",
-            ),
-            click.option("--zone", "zones", multiple=True, help="Restrict to zone(s)."),
-            click.option(
-                "--season", "seasons", multiple=True, help="Restrict to season label(s), e.g. 16/17."
-            ),
-            click.option("--seed", type=int, default=None, help="Override the config seed."),
-        )
-    ):
-        fn = option(fn)
-    return fn
+    return callback
 
 
 @click.group()
@@ -135,63 +121,19 @@ def cli(verbose: bool) -> None:
     )
 
 
-@cli.command()
-@_common_options
-def fetch(config_path, zones, seasons, seed) -> None:
-    """Download the unavailability documents missing from the cache."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        n = stage_fetch(config)
-    click.echo(f"{n} zone-day documents in cache")
+# fetch returns a count, not paths, so it has its own body; every later stage
+# echoes the paths it wrote
+_fetch, *_path_stages = STAGES
 
 
-@cli.command()
-@_common_options
-def ingest(config_path, zones, seasons, seed) -> None:
-    """Parse cached documents into reconciled hourly series CSVs."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        for path in stage_ingest(config):
-            click.echo(str(path))
+@cli.command(_fetch.name, help=_fetch.help)
+@_with_config
+def fetch(config: PipelineConfig) -> list[str]:
+    return [f"{_fetch.run(config)} zone-day documents in cache"]
 
 
-@cli.command()
-@_common_options
-def fleet(config_path, zones, seasons, seed) -> None:
-    """Synthesize per-zone fleets from the unit registry."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        for path in stage_fleet(config):
-            click.echo(str(path))
-
-
-@cli.command()
-@_common_options
-def model(config_path, zones, seasons, seed) -> None:
-    """Convolve fleets into capacity-outage distributions."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        for path in stage_model(config):
-            click.echo(str(path))
-
-
-@cli.command()
-@_common_options
-def simulate(config_path, zones, seasons, seed) -> None:
-    """Simulate hourly fleet outages with the two-state chain."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        for path in stage_simulate(config):
-            click.echo(str(path))
-
-
-@cli.command()
-@_common_options
-def stats(config_path, zones, seasons, seed) -> None:
-    """Compute the empirical-vs-model comparison statistics CSV."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        click.echo(str(stage_stats(config)))
+for _stage in _path_stages:
+    cli.command(_stage.name, help=_stage.help)(_with_config(_stage.run))
 
 
 @cli.command("plot-data")
@@ -200,23 +142,17 @@ def stats(config_path, zones, seasons, seed) -> None:
     required=True,
     help=f"One of: {', '.join(PLOT_KINDS)}.",
 )
-@_common_options
-def plot_data(kind, config_path, zones, seasons, seed) -> None:
+@_with_config
+def plot_data(config: PipelineConfig, kind: str) -> list[Path]:
     """Export plot-ready CSVs from existing pipeline artifacts."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        for path in emit_plot_data(config, kind):
-            click.echo(str(path))
+    return emit_plot_data(config, kind)
 
 
 @cli.command()
-@_common_options
-def run(config_path, zones, seasons, seed) -> None:
+@_with_config
+def run(config: PipelineConfig) -> list[Path]:
     """Run the full pipeline and write the artifact manifest."""
-    with _exit_on_error():
-        config = _load_config(config_path, zones, seasons, seed)
-        manifest = run_pipeline(config)
-    click.echo(str(manifest))
+    return [run_pipeline(config)]
 
 
 main = cli

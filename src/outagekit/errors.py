@@ -12,7 +12,7 @@ class InvalidInputError(OutageKitError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class MissingPoolError(OutageKitError, KeyError):
+class MissingPoolError(InvalidInputError):
     """A fuel has a positive capacity target but no size pool to draw from."""
 
 

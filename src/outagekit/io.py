@@ -39,7 +39,7 @@ from .errors import InvalidInputError
 from .fleet import CapacityOutagePMF
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS, SummaryStats
-from .timeseries import HOUR, HourlySeries, parse_utc
+from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
 from .types import Fleet, Fuel, FuelParams, GeneratorUnit
 
 ZONE_SERIES_HEADER = (
@@ -143,12 +143,24 @@ def write_zone_series(
 
 
 def read_zone_series(path: Path | str) -> dict[Channel, HourlyOutageSeries]:
+    """Read the three channels of a zone series CSV.
+
+    Every hour must hold min <= mean <= max in each channel, as
+    reconciliation produces it; a NaN fails the check.
+    """
     # min, mean and max of each channel, in the order write_zone_series uses
     start, columns = _read_hourly(path, *ZONE_SERIES_HEADER.split(",")[1:])
-    return {
-        channel: HourlyOutageSeries(start, mid, lo, hi)
-        for channel, (lo, mid, hi) in zip(Channel, zip(*[iter(columns)] * 3))
-    }
+    by_channel = {}
+    for channel, (lo, mid, hi) in zip(Channel, zip(*[iter(columns)] * 3)):
+        s = HourlyOutageSeries(start, mid, lo, hi)
+        bad = np.flatnonzero(~((s.o_min_mw <= s.values_mw) & (s.values_mw <= s.o_max_mw)))
+        if bad.size:
+            raise InvalidInputError(
+                f"{path}: {channel.value}: min <= mean <= max fails at "
+                f"{format_utc(start + int(bad[0]) * HOUR)}"
+            )
+        by_channel[channel] = s
+    return by_channel
 
 
 def write_sim_series(

@@ -169,7 +169,10 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"{path}: zone_eic must map zones to EIC strings, got {zone_eic!r}"
             )
-        token = raw.get("api_token") or os.environ.get(TOKEN_ENV_VAR, "")
+        token = raw.get("api_token", "")
+        if not isinstance(token, str):
+            # the value is a secret, so the message leaves it out
+            raise InvalidInputError(f"{path}: api_token must be a string")
         return cls(
             zones=strings("zones"),
             seasons=strings("seasons"),
@@ -179,7 +182,7 @@ class PipelineConfig:
             registry_path=resolve("registry_path"),
             model_params_path=resolve("model_params_path"),
             demand_path=resolve("demand_path"),
-            api_token=token,
+            api_token=token or os.environ.get(TOKEN_ENV_VAR, ""),
             seed=integer("seed", 0),
             rate_limit_s=float(rate_limit_s),
             retries=integer("retries", 3),
@@ -453,7 +456,15 @@ def _pooled_stats(
     return mean, iqr, acf, len(per_ev) - len(acfs)
 
 
-def stage_stats(config: PipelineConfig) -> Path:
+def _stats_row(
+    zone: str, channel: Channel, source: str, mean: float, iqr: float,
+    acf: dict[int, float], recon_error: float | None = None,
+) -> okio.StatsRow:
+    stats = SummaryStats(mean_mw=mean, iqr_mw=iqr, recon_error=recon_error, acf=acf)
+    return okio.StatsRow(zone=zone, channel=channel.value, source=source, stats=stats)
+
+
+def stage_stats(config: PipelineConfig) -> list[Path]:
     """Comparison statistics CSV: empirical channels vs model vs simulation.
 
     Mean and IQR pool the hourly samples of all evaluation windows; the
@@ -462,7 +473,7 @@ def stage_stats(config: PipelineConfig) -> Path:
     Total channel, which is what the availability parameters describe.
     """
     rows: list[okio.StatsRow] = []
-    for zone_idx, zone in enumerate(config.zones):
+    for zone in config.zones:
         empirical: dict[str, dict[Channel, HourlyOutageSeries]] = {}
         for ev in evaluations(config):
             empirical[ev.slug] = okio.read_zone_series(series_path(config, zone, ev.slug))
@@ -486,31 +497,10 @@ def stage_stats(config: PipelineConfig) -> Path:
                 flat,
                 len(per_ev) - len(recon_errors),
             )
-            rows.append(
-                okio.StatsRow(
-                    zone=zone,
-                    channel=channel.value,
-                    source="empirical",
-                    stats=SummaryStats(
-                        mean_mw=mean,
-                        iqr_mw=iqr,
-                        recon_error=max(recon_errors) if recon_errors else None,
-                        acf=acf,
-                    ),
-                )
-            )
-        pmf = okio.read_pmf(pmf_path(config, zone))
-        model_mean, model_iqr = pmf_stats(pmf)
-        rows.append(
-            okio.StatsRow(
-                zone=zone,
-                channel=Channel.TOTAL.value,
-                source="model",
-                stats=SummaryStats(
-                    mean_mw=model_mean, iqr_mw=model_iqr, recon_error=None, acf={}
-                ),
-            )
-        )
+            recon_error = max(recon_errors) if recon_errors else None
+            rows.append(_stats_row(zone, channel, "empirical", mean, iqr, acf, recon_error))
+        model_mean, model_iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
+        rows.append(_stats_row(zone, Channel.TOTAL, "model", model_mean, model_iqr, {}))
         sim_pairs = [
             (okio.read_sim_series(sim_path(config, zone, ev.slug))[0], ev.window)
             for ev in evaluations(config)
@@ -523,19 +513,10 @@ def stage_stats(config: PipelineConfig) -> Path:
             len(sim_pairs),
             flat,
         )
-        rows.append(
-            okio.StatsRow(
-                zone=zone,
-                channel=Channel.TOTAL.value,
-                source="simulated",
-                stats=SummaryStats(
-                    mean_mw=sim_mean, iqr_mw=sim_iqr, recon_error=None, acf=sim_acf
-                ),
-            )
-        )
+        rows.append(_stats_row(zone, Channel.TOTAL, "simulated", sim_mean, sim_iqr, sim_acf))
     target = stats_path(config)
     okio.write_stats_csv(rows, target)
-    return target
+    return [target]
 
 
 def _sha256_file(path: Path) -> str:
@@ -568,24 +549,33 @@ def write_manifest(config: PipelineConfig, fuel_params_version: str) -> Path:
     return target
 
 
-_STAGES: tuple[tuple[str, Callable[[PipelineConfig], object]], ...] = (
-    ("fetch", stage_fetch),
-    ("ingest", stage_ingest),
-    ("fleet", stage_fleet),
-    ("model", stage_model),
-    ("simulate", stage_simulate),
-    ("stats", stage_stats),
+class Stage(NamedTuple):
+    """One pipeline stage: its CLI subcommand, the help line and its function."""
+
+    name: str
+    help: str
+    run: Callable[[PipelineConfig], object]
+
+
+#: The pipeline's stages in run order; the CLI has one subcommand per row.
+STAGES: tuple[Stage, ...] = (
+    Stage("fetch", "Download the unavailability documents missing from the cache.", stage_fetch),
+    Stage("ingest", "Parse cached documents into reconciled hourly series CSVs.", stage_ingest),
+    Stage("fleet", "Synthesize per-zone fleets from the unit registry.", stage_fleet),
+    Stage("model", "Convolve fleets into capacity-outage distributions.", stage_model),
+    Stage("simulate", "Simulate hourly fleet outages with the two-state chain.", stage_simulate),
+    Stage("stats", "Compute the empirical-vs-model comparison statistics CSV.", stage_stats),
 )
 
 
 def run_pipeline(config: PipelineConfig) -> Path:
     """Run every stage in order and write the manifest; returns its path."""
-    for name, stage in _STAGES:
-        logger.info("stage %s", name)
+    for stage in STAGES:
+        logger.info("stage %s", stage.name)
         try:
-            stage(config)
+            stage.run(config)
         except OutageKitError as exc:
-            raise type(exc)(f"{name} stage: {exc}") from exc
+            raise type(exc)(f"{stage.name} stage: {exc}") from exc
     _, version = _load_params(config)
     return write_manifest(config, version)
 

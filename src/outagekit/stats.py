@@ -6,7 +6,7 @@ the whole series).  Every series is an ``HourlySeries`` and the statistics
 read its ``values_mw``; for a reconciled ``HourlyOutageSeries`` that is the
 midpoint of its envelopes, and only the reconciliation error also reads the
 lower envelope.  Pooling over the windows of several evaluations is done
-once, in ``pipeline._pooled_stats``.
+once, by the pipeline's statistics stage.
 
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
 hourly sample, which is the convention for continuous samples; discrete

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import struct
 import zipfile
 from datetime import datetime, timedelta, timezone
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from outagekit.cli import main
 from outagekit.fetch import FetchClient
+from outagekit.pipeline import STAGES
 
 
 @pytest.fixture()
@@ -34,12 +36,28 @@ def write_config(corpus, tmp_path: Path, **overrides) -> Path:
 # -- interface shape ---------------------------------------------------------
 
 
+COMMAND_HELP = {
+    "fetch": "Download the unavailability documents missing from the cache.",
+    "fleet": "Synthesize per-zone fleets from the unit registry.",
+    "ingest": "Parse cached documents into reconciled hourly series CSVs.",
+    "model": "Convolve fleets into capacity-outage distributions.",
+    "plot-data": "Export plot-ready CSVs from existing pipeline artifacts.",
+    "run": "Run the full pipeline and write the artifact manifest.",
+    "simulate": "Simulate hourly fleet outages with the two-state chain.",
+    "stats": "Compute the empirical-vs-model comparison statistics CSV.",
+}
+
+
 def test_help_lists_subcommands(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
-    for command in ("fetch", "ingest", "fleet", "model", "simulate", "stats",
-                    "plot-data", "run"):
-        assert command in result.output
+    listed = result.output.split("Commands:\n", 1)[1].splitlines()
+    assert dict(line.split(None, 1) for line in listed) == COMMAND_HELP
+    for command, help_line in COMMAND_HELP.items():
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert f"\n\n  {help_line}\n\nOptions:\n" in result.output
+    assert {s.name: s.help for s in STAGES}.items() <= COMMAND_HELP.items()
 
 
 def test_version(runner):
@@ -93,22 +111,38 @@ def test_run_never_echoes_the_token(runner, corpus, tmp_path):
         assert b"super-secret-token" not in artifact.read_bytes()
 
 
-def test_verbose_flag_accepted(runner, corpus, tmp_path):
+def test_verbose_flag_accepted(runner, corpus, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="outagekit.pipeline")
     config_path = write_config(corpus, tmp_path)
     result = runner.invoke(main, ["-v", "run", "--config", str(config_path)])
     assert result.exit_code == 0
+    # run_pipeline runs the stages in STAGES order
+    ran = [r.args[0] for r in caplog.records if r.msg == "stage %s"]
+    assert ran == [s.name for s in STAGES]
+    assert ran == ["fetch", "ingest", "fleet", "model", "simulate", "stats"]
 
 
 # -- stage commands ----------------------------------------------------------
 
 
-def test_ingest_prints_series_paths(runner, corpus, tmp_path):
+def test_stage_commands_print_what_they_write(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
-    result = runner.invoke(main, ["ingest", "--config", str(config_path)])
+    result = runner.invoke(main, ["fetch", "--config", str(config_path)])
     assert result.exit_code == 0
-    printed = [Path(line) for line in result.output.splitlines()]
-    assert [p.name for p in printed] == ["series_AA_period.csv", "series_BB_period.csv"]
-    assert all(p.exists() for p in printed)
+    assert result.output == "56 zone-day documents in cache\n"  # 2 zones, 14 days, 2 types
+    out = tmp_path / "out"
+    # simulate prints its series, not their sidecars
+    for command, names in [
+        ("ingest", ["series_AA_period.csv", "series_BB_period.csv"]),
+        ("fleet", ["fleet_AA.csv", "fleet_BB.csv"]),
+        ("model", ["pmf_AA.csv", "pmf_BB.csv"]),
+        ("simulate", ["sim_AA_period.csv", "sim_BB_period.csv"]),
+        ("stats", ["stats.csv"]),
+    ]:
+        result = runner.invoke(main, [command, "--config", str(config_path)])
+        assert result.exit_code == 0, command
+        assert result.output == "".join(f"{out / name}\n" for name in names), command
+        assert all((out / name).exists() for name in names), command
 
 
 def test_zone_restriction(runner, corpus, tmp_path):
@@ -172,6 +206,12 @@ def test_invalid_config_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     assert "error:" in result.stderr
     assert "bogus" in result.stderr
+    # a token that is not a string is rejected without echoing the secret
+    for token in (12345, ["s3cret"], {"key": "s3cret"}, None, True):
+        bad.write_text(json.dumps({"zones": ["AA"], "seasons": ["16/17"], "api_token": token}))
+        result = runner.invoke(main, ["ingest", "--config", str(bad)])
+        assert result.exit_code == 2, token
+        assert result.stderr == f"error: {bad}: api_token must be a string\n", token
 
 
 def test_malformed_artifact_exits_2(runner, corpus, tmp_path):

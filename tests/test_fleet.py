@@ -238,8 +238,11 @@ def test_synthesize_truncates_final_unit():
 
 
 def test_synthesize_missing_pool():
-    with pytest.raises(MissingPoolError):
+    with pytest.raises(MissingPoolError) as info:
         synthesize_fleet({Fuel.NUCLEAR: 1000}, {}, FUEL_PARAMS, seed=0)
+    # an InvalidInputError (exit 2) whose message prints unquoted
+    assert isinstance(info.value, InvalidInputError)
+    assert str(info.value) == f"fuel {Fuel.NUCLEAR.value} has target 1000 MW but no size pool"
 
 
 def test_synthesize_missing_params():

@@ -306,6 +306,26 @@ def test_zone_series_requires_aligned_periods(tmp_path):
         write_zone_series(channels, tmp_path / "series.csv")
 
 
+@pytest.mark.parametrize("cells", [("9.000", "1.000", "2.000"), ("0.000", "3.000", "2.000"),
+                                   ("1.000", "0.500", "2.000"), ("0.000", "nan", "2.000")])
+@pytest.mark.parametrize("channel", list(Channel))
+def test_zone_series_rejects_envelopes_out_of_order(tmp_path, channel, cells):
+    good = ["0.000", "1.000", "2.000"] * len(Channel)
+    bad = list(good)
+    k = 3 * list(Channel).index(channel)
+    bad[k : k + 3] = cells
+    path = tmp_path / "series.csv"
+    path.write_text(
+        f"{ZONE_SERIES_HEADER}\n2030-01-07T00:00:00Z,{','.join(good)}\n"
+        f"2030-01-07T01:00:00Z,{','.join(bad)}\n"
+    )
+    with pytest.raises(
+        InvalidInputError,
+        match=rf"series\.csv: {channel.value}: min <= mean <= max fails at 2030-01-07T01:00:00Z",
+    ):
+        read_zone_series(path)
+
+
 def test_zone_series_empty_file_rejected(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text(ZONE_SERIES_HEADER + "\n")

@@ -21,6 +21,7 @@ from outagekit.io import (
     read_fleet,
     read_pmf,
     read_sim_series,
+    read_zone_series,
 )
 from outagekit.markov import derive_seed
 from outagekit.pipeline import (
@@ -307,6 +308,15 @@ def test_series_has_full_period(full_run):
     assert "2030-01-20T23:00:00Z" in rows
 
 
+def test_series_envelopes_read_back_in_order(full_run):
+    # read_zone_series rejects an hour whose min <= mean <= max fails; the
+    # bundled series read, and their envelopes are spread somewhere
+    config = full_run["config"]
+    for zone in config.zones:
+        by_channel = read_zone_series(series_path(config, zone, "period"))
+        assert any((s.o_min_mw < s.o_max_mw).any() for s in by_channel.values())
+
+
 def test_series_sub_hourly_step_reconciles_to_170(full_run):
     rows = rows_by_timestamp(series_path(full_run["config"], "AA", "period"))
     rec = rows["2030-01-12T00:00:00Z"]
@@ -459,7 +469,7 @@ def test_stats_stage_rebuilds_identically_from_artifacts(full_run):
     target = stats_path(config)
     before = target.read_bytes()
     target.unlink()
-    stage_stats(config)
+    assert stage_stats(config) == [target]
     assert target.read_bytes() == before
 
 
