@@ -96,7 +96,7 @@ def synthesize_fleet(
 
     Returns
     -------
-    Fleet with unit ids ``{zone}-{fuel}-{index}``.
+    Fleet with unit ids from ``unit_id``.
     """
     rng = np.random.default_rng(seed)
     units: list[GeneratorUnit] = []
@@ -121,7 +121,7 @@ def synthesize_fleet(
             size = min(size, remaining)  # truncate the final unit
             units.append(
                 GeneratorUnit(
-                    id=f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}",
+                    id=unit_id(zone, fuel, index),
                     fuel=fuel,
                     capacity_mw=size,
                     availability=p.availability,
@@ -131,6 +131,14 @@ def synthesize_fleet(
             remaining -= size
             index += 1
     return Fleet(zone=zone, units=tuple(units))
+
+
+def unit_id(zone: str, fuel: Fuel, index: int) -> str:
+    """Id of the ``index``-th unit of ``fuel``: ``{zone}-{fuel}-{index:03d}``.
+
+    Without a zone the id is ``{fuel}-{index:03d}``.
+    """
+    return f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
 
 
 def _canonical_unit_order(units: Sequence[GeneratorUnit]) -> list[GeneratorUnit]:

@@ -36,7 +36,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, S
 import numpy as np
 
 from .errors import InvalidInputError
-from .fleet import CapacityOutagePMF
+from .fleet import CapacityOutagePMF, unit_id
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS, SummaryStats
 from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
@@ -94,11 +94,11 @@ def read_fleet(path: Path | str, *, zone: str) -> Fleet:
     for fuel, capacity_mw, availability, mttr_hours in zip(*columns[1:]):
         index = counters.get(fuel, 0)
         counters[fuel] = index + 1
-        unit_id = f"{zone}-{fuel.value}-{index:03d}" if zone else f"{fuel.value}-{index:03d}"
+        uid = unit_id(zone, fuel, index)
         try:
-            units.append(GeneratorUnit(unit_id, fuel, capacity_mw, availability, mttr_hours))
+            units.append(GeneratorUnit(uid, fuel, capacity_mw, availability, mttr_hours))
         except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: unit {unit_id}: {exc}") from exc
+            raise InvalidInputError(f"{path}: unit {uid}: {exc}") from exc
     return Fleet(zone=zone, units=tuple(units))
 
 
@@ -258,8 +258,9 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
         {"version": "...", "fuels": {"CCGT": {"availability": 0.9,
                                               "mttr_hours": 50}, ...}}
 
-    Returns the table and its version string.  Fuels missing from the file
-    are absent from the table (callers decide whether that is an error).
+    Returns the table and its version string (``"unversioned"`` when the
+    key is absent).  Fuels missing from the file are absent from the table
+    (callers decide whether that is an error).
     Both values must be finite JSON numbers; numeric strings are rejected,
     not coerced.  Any malformed file raises ``InvalidInputError`` naming it.
     """
@@ -288,7 +289,10 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
             raise InvalidInputError(f"{path}: fuel {name}: {exc}") from exc
     if not table:
         raise InvalidInputError(f"{path}: no fuels defined")
-    return table, str(raw.get("version", "unversioned"))
+    version = raw.get("version", "unversioned")
+    if not isinstance(version, str):
+        raise InvalidInputError(f"{path}: version must be a string, got {version!r}")
+    return table, version
 
 
 def _is_finite_number(value: object) -> bool:

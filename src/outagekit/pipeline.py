@@ -63,8 +63,44 @@ _STREAM_PLOT = 103
 
 
 def _is_int(value: object) -> bool:
-    """True for a JSON integer; bools and floats do not count."""
+    """True for an integer; bools and floats do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+
+
+def _is(*kinds: type) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, kinds)
+
+
+def _int_at_least(low: int) -> tuple[Callable[[object], bool], str]:
+    return (lambda value: _is_int(value) and value >= low), f"an integer >= {low}"
+
+
+_DIR_FIELDS = ("cache_dir", "output_dir")
+_FILE_FIELDS = ("registry_path", "model_params_path", "demand_path")
+_PERIOD_JSON = "{'start': <iso utc>, 'hours': <int>}"
+
+# One (test, expected) rule per PipelineConfig field.
+_FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
+    **dict.fromkeys(("zones", "seasons"), (_strings, "a tuple of strings (a list in JSON)")),
+    "period": (_is(HourRange, type(None)), f"an HourRange ({_PERIOD_JSON} in JSON) or null"),
+    **dict.fromkeys(_DIR_FIELDS, (_is(Path), "a path")),
+    **dict.fromkeys(_FILE_FIELDS, (_is(Path, type(None)), "a path or null")),
+    "api_token": (_is(str), "a string"),
+    "seed": _int_at_least(0),
+    **dict.fromkeys(("retries", "histogram_bin_mw", "timeseries_draws"), _int_at_least(1)),
+    "rate_limit_s": (
+        lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v >= 0,
+        "a finite number >= 0",
+    ),
+    "zone_eic": (
+        lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in (*v, *v.values())),
+        "a map of zone codes to EIC strings",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +111,11 @@ class PipelineConfig:
     ``period`` overrides them with one explicit hourly range, which is how
     small bundled corpora are processed.  ``api_token`` is excluded from the
     config hash and the manifest so the secret never reaches an artifact.
+
+    ``__post_init__`` is the one validator: it checks every field by type
+    and range, and the fields against each other, whether the config comes
+    from ``from_file``, ``dataclasses.replace`` or a direct call, and raises
+    ``InvalidInputError`` naming the field.
     """
 
     zones: tuple[str, ...]
@@ -94,22 +135,36 @@ class PipelineConfig:
     timeseries_draws: int = 3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            test, expected = _FIELD_RULES[f.name]
+            value = getattr(self, f.name)
+            if not test(value):
+                # the token is a secret, so its message leaves the value out
+                got = "" if f.name == "api_token" else f", got {value!r}"
+                raise InvalidInputError(f"{f.name} must be {expected}{got}")
         if not self.zones:
             raise InvalidInputError("config needs at least one zone")
-        if len(set(self.zones)) != len(self.zones):
-            raise InvalidInputError("duplicate zones in config")
+        for name in ("zones", "seasons"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise InvalidInputError(f"duplicate {name} in config")
+        for label in self.seasons:
+            try:
+                season_label_to_year(label)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"seasons: {exc}") from None
         if not self.seasons and self.period is None:
             raise InvalidInputError("config needs seasons or an explicit period")
-        if self.histogram_bin_mw < 1:
-            raise InvalidInputError("histogram_bin_mw must be >= 1")
-        if self.timeseries_draws < 1:
-            raise InvalidInputError("timeseries_draws must be >= 1")
-        if self.retries < 1:
-            raise InvalidInputError(f"retries must be >= 1, got {self.retries}")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "PipelineConfig":
-        """Load a JSON config; relative paths resolve against the file."""
+        """Load a JSON config; relative paths resolve against the file.
+
+        Reading only turns JSON into field values: lists become tuples, path
+        strings (and the ``cache``/``out`` defaults) resolve against the
+        file's directory, ``period`` becomes an ``HourRange`` and an empty
+        ``api_token`` falls back to ``ENTSOE_API_TOKEN``.  The checks are
+        ``__post_init__``'s; their errors are prefixed with the path.
+        """
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -120,76 +175,29 @@ class PipelineConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidInputError(f"{path}: unknown config keys {unknown}")
+        # an absent zones key reads as no zones, which the validator rejects
+        values = {"zones": ()}
+        values.update((k, tuple(v) if isinstance(v, list) else v) for k, v in raw.items())
         # Resolve against the config file so the run is independent of the
         # working directory and the config hash is stable however the config
         # path was spelled.
         base = path.resolve().parent
-
-        def resolve(key: str, default: str | None = None) -> Path | None:
-            value = raw.get(key, default)
-            if value is None:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        def strings(key: str) -> tuple[str, ...]:
-            value = raw.get(key, [])
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise InvalidInputError(f"{path}: {key} must be a list of strings, got {value!r}")
-            return tuple(value)
-
-        def integer(key: str, default: int) -> int:
-            value = raw.get(key, default)
-            if not _is_int(value):
-                raise InvalidInputError(f"{path}: {key} must be an integer, got {value!r}")
-            return value
-
-        period = None
-        if raw.get("period") is not None:
-            p = raw["period"]
-            if not (
-                isinstance(p, dict) and isinstance(p.get("start"), str) and _is_int(p.get("hours"))
-            ):
-                raise InvalidInputError(
-                    f"{path}: period must be {{'start': <iso utc>, 'hours': <int>}}"
-                )
-            period = HourRange(parse_utc(p["start"]), p["hours"])
-        rate_limit_s = raw.get("rate_limit_s", 0.5)
-        if not (
-            isinstance(rate_limit_s, (int, float))
-            and not isinstance(rate_limit_s, bool)
-            and math.isfinite(rate_limit_s)
-            and rate_limit_s >= 0
-        ):
-            raise InvalidInputError(
-                f"{path}: rate_limit_s must be a finite number >= 0, got {rate_limit_s!r}"
-            )
-        zone_eic = raw.get("zone_eic", {})
-        if not (isinstance(zone_eic, dict) and all(isinstance(v, str) for v in zone_eic.values())):
-            raise InvalidInputError(
-                f"{path}: zone_eic must map zones to EIC strings, got {zone_eic!r}"
-            )
-        token = raw.get("api_token", "")
-        if not isinstance(token, str):
-            # the value is a secret, so the message leaves it out
-            raise InvalidInputError(f"{path}: api_token must be a string")
-        return cls(
-            zones=strings("zones"),
-            seasons=strings("seasons"),
-            period=period,
-            cache_dir=resolve("cache_dir", "cache"),
-            output_dir=resolve("output_dir", "out"),
-            registry_path=resolve("registry_path"),
-            model_params_path=resolve("model_params_path"),
-            demand_path=resolve("demand_path"),
-            api_token=token or os.environ.get(TOKEN_ENV_VAR, ""),
-            seed=integer("seed", 0),
-            rate_limit_s=float(rate_limit_s),
-            retries=integer("retries", 3),
-            zone_eic=zone_eic,
-            histogram_bin_mw=integer("histogram_bin_mw", 500),
-            timeseries_draws=integer("timeseries_draws", 3),
-        )
+        for key in (*_DIR_FIELDS, *_FILE_FIELDS):
+            value = values.get(key, getattr(cls, key))
+            if isinstance(value, (str, Path)):
+                values[key] = base / value
+        if values.get("api_token", "") == "":
+            values["api_token"] = os.environ.get(TOKEN_ENV_VAR, "")
+        period = values.get("period")
+        if isinstance(period, dict):
+            try:
+                values["period"] = HourRange(parse_utc(period.get("start")), period.get("hours"))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{path}: period must be {_PERIOD_JSON}: {exc}") from None
+        try:
+            return cls(**values)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
 
     def public_dict(self) -> dict:
         """The run parameters as JSON-ready data.

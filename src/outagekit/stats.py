@@ -31,8 +31,6 @@ REPORT_LAGS_HOURS = (1, 6, 24, 168)
 
 HOURS_PER_WEEK = 168
 WEEKS_IN_WINDOW = 20
-EXCLUDED_WEEKS = 2
-RETAINED_HOURS = (WEEKS_IN_WINDOW - EXCLUDED_WEEKS) * HOURS_PER_WEEK  # 3024
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ def season_label_to_year(label: str) -> int:
     """Winter start year for a season label such as '16/17'."""
     try:
         first, second = label.split("/")
-        if len(first) != 2 or len(second) != 2:
+        if len(first) != 2 or len(second) != 2 or not (first + second).isdigit():
             raise ValueError
         year = 2000 + int(first)
         if int(second) != (year + 1) % 100:

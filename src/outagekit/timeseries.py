@@ -39,12 +39,10 @@ def format_utc(ts: datetime) -> str:
 
 def parse_utc(text: str) -> datetime:
     """Parse an ISO-8601 timestamp (Z or explicit offset; date-only allowed)."""
-    raw = text.strip()
-    if raw.endswith("Z"):
-        raw = raw[:-1] + "+00:00"
     try:
-        ts = datetime.fromisoformat(raw)
-    except ValueError as exc:
+        raw = text.strip()  # AttributeError: not a string
+        ts = datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith("Z") else raw)
+    except (AttributeError, ValueError) as exc:
         raise InvalidInputError(f"cannot parse timestamp {text!r}") from exc
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -60,8 +58,8 @@ class HourRange:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", ensure_hour_aligned(self.start))
-        if self.n_hours < 1:
-            raise InvalidInputError(f"n_hours must be >= 1, got {self.n_hours}")
+        if isinstance(self.n_hours, bool) or not isinstance(self.n_hours, int) or self.n_hours < 1:
+            raise InvalidInputError(f"n_hours must be an integer >= 1, got {self.n_hours!r}")
 
     @property
     def end(self) -> datetime:

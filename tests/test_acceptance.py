@@ -28,7 +28,7 @@ from outagekit.ingest.reconcile import Channel, unit_series
 from outagekit.ingest.reports import ReportKind, filter_reports
 from outagekit.markov import simulate_unit, transition_rates
 from outagekit.pipeline import run_pipeline
-from outagekit.stats import RETAINED_HOURS, reconciliation_error, winter_window
+from outagekit.stats import reconciliation_error, winter_window
 from outagekit.timeseries import HourRange
 from outagekit.types import FUEL_PARAMS
 
@@ -191,7 +191,6 @@ def test_winter_windows_have_exactly_3024_hours():
         "every winter window 2000-2040 has exactly 3024 hours; the 16/17 "
         "window starts 2016-11-06"
     ):
-        assert RETAINED_HOURS == 3024
         for year in range(2000, 2041):
             window = winter_window(year)
             assert window.n_hours == 3024, year

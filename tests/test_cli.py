@@ -214,6 +214,27 @@ def test_invalid_config_exits_2(runner, tmp_path):
         assert result.stderr == f"error: {bad}: api_token must be a string\n", token
 
 
+@pytest.mark.parametrize(
+    "overrides, args, key",
+    [
+        ({"cache_dir": 5}, [], "cache_dir"),
+        ({"registry_path": ["a"]}, [], "registry_path"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-3"], "seed"),
+        ({}, ["--season", "16/17", "--season", "16/17"], "seasons"),
+    ],
+)
+def test_bad_config_value_exits_2_before_any_stage(
+    runner, corpus, tmp_path, overrides, args, key
+):
+    config_path = write_config(corpus, tmp_path, **overrides)
+    result = runner.invoke(main, ["fleet", "--config", str(config_path), *args])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert key in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_artifact_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0

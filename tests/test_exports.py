@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import outagekit
 import outagekit.ingest
+from outagekit.pipeline import PipelineConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", [outagekit, outagekit.ingest], ids=lambda m: m.__name__)
@@ -16,7 +20,7 @@ def test_every_export_resolves(module):
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
@@ -25,3 +29,10 @@ def test_readme_library_example_runs():
     assert namespace["rates"].failure_rate_lambda == pytest.approx(1 / 450)
     assert namespace["mean_mw"] == pytest.approx(400 * 0.10 + 600 * 0.19)
     assert namespace["series"].values_mw.size == 8760
+
+
+def test_readme_config_table_lists_every_field():
+    section = README.read_text().split("## Configuration reference", 1)[1]
+    table = section.split("| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [row.split("|")[1].strip().strip("`") for row in table.splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(PipelineConfig)]

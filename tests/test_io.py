@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from outagekit.errors import InvalidInputError
-from outagekit.fleet import CapacityOutagePMF, fleet_outage_pmf
+from outagekit.fleet import CapacityOutagePMF, fleet_outage_pmf, synthesize_fleet, unit_id
 from outagekit.ingest import Channel, HourlyOutageSeries
 from outagekit.io import (
     RegistryRow,
@@ -36,7 +36,7 @@ from outagekit.io import (
 )
 from outagekit.stats import SummaryStats
 from outagekit.timeseries import HourlySeries, HourRange, format_utc
-from outagekit.types import FUEL_PARAMS, Fleet, Fuel
+from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelSizePool
 
 from conftest import T0, make_unit, write_registry
 
@@ -147,6 +147,25 @@ def test_fleet_of_another_zone_rejected_at_its_first_row(tmp_path):
         InvalidInputError, match=r"fleet\.csv:2: zone: zone 'BB' differs from the expected zone 'AA'"
     ):
         read_fleet(path, zone="AA")
+
+
+@pytest.mark.parametrize("zone", ["AA", ""])
+def test_synthesized_ids_and_pmf_survive_the_fleet_file(tmp_path, zone):
+    pools = {
+        Fuel.CCGT: FuelSizePool(fuel=Fuel.CCGT, sizes_mw=(400, 250)),
+        Fuel.NUCLEAR: FuelSizePool(fuel=Fuel.NUCLEAR, sizes_mw=(900,)),
+    }
+    targets = {Fuel.CCGT: 2_000, Fuel.NUCLEAR: 1_800}
+    fleet = synthesize_fleet(targets, pools, FUEL_PARAMS, seed=3, zone=zone)
+    write_fleet(fleet, tmp_path / "fleet.csv")
+    back = read_fleet(tmp_path / "fleet.csv", zone=zone)
+    assert back == fleet
+    assert back.units[0].id == unit_id(zone, Fuel.CCGT, 0)
+    assert back.units[-1].id == (f"{zone}-" if zone else "") + "Nuclear-001"
+    # the ids order the convolution, so the PMF bytes match too
+    write_pmf(fleet_outage_pmf(fleet), tmp_path / "a.csv")
+    write_pmf(fleet_outage_pmf(back), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_fleet_empty_rejected(tmp_path):
@@ -585,6 +604,17 @@ def test_load_fuel_params_rejects_malformed_file_naming_it(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InvalidInputError, match="params.json"):
         load_fuel_params(path)
+
+
+@pytest.mark.parametrize("version", [None, 5, ["x"]])
+def test_load_fuel_params_rejects_non_string_version(tmp_path, version):
+    path = tmp_path / "params.json"
+    fuels = {"CCGT": {"availability": 0.9, "mttr_hours": 50}}
+    path.write_text(json.dumps({"version": version, "fuels": fuels}))
+    with pytest.raises(InvalidInputError, match="params.json: version must be a string"):
+        load_fuel_params(path)
+    path.write_text(json.dumps({"fuels": fuels}))
+    assert load_fuel_params(path)[1] == "unversioned"
 
 
 def test_load_fuel_params_rejects_undecodable_bytes(tmp_path):

@@ -209,6 +209,46 @@ def test_config_hash_independent_of_spelling(corpus, monkeypatch):
     assert direct.sha256() == relative.sha256()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("zones", "DE"),
+        ("seasons", "16/17"),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("histogram_bin_mw", 2.5),
+        ("retries", 2.5),
+        ("api_token", None),
+        ("cache_dir", "x"),
+        ("seasons", ("16/17", "16/17")),
+        ("seasons", ("16-17",)),
+    ],
+)
+def test_config_validated_however_built(key, value):
+    valid = PipelineConfig(zones=("AA",), seasons=("16/17",))
+    with pytest.raises(InvalidInputError, match=key):
+        PipelineConfig(**{"zones": ("AA",), "seasons": ("16/17",), key: value})
+    with pytest.raises(InvalidInputError, match=key):
+        dataclasses.replace(valid, **{key: value})
+
+
+def test_config_file_without_zones_is_invalid(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seasons": ["16/17"]}))
+    with pytest.raises(InvalidInputError, match="at least one zone"):
+        PipelineConfig.from_file(path)
+
+
+def test_config_default_dirs_resolve_against_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "conf" / "config.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"zones": ["AA"], "seasons": ["16/17"]}))
+    monkeypatch.chdir(tmp_path)
+    config = PipelineConfig.from_file(Path("conf/config.json"))
+    assert config.cache_dir == path.parent.resolve() / "cache"
+    assert config.output_dir == path.parent.resolve() / "out"
+
+
 def test_config_validates_plot_settings():
     with pytest.raises(InvalidInputError, match="histogram_bin_mw"):
         PipelineConfig(zones=("A",), seasons=("16/17",), histogram_bin_mw=0)

@@ -11,7 +11,6 @@ from outagekit.ingest import HourlyOutageSeries
 from outagekit.pipeline import _pooled_stats
 from outagekit.stats import (
     REPORT_LAGS_HOURS,
-    RETAINED_HOURS,
     SummaryStats,
     WinterWindow,
     autocorrelation,
@@ -69,7 +68,6 @@ def window_hours(w: WinterWindow) -> list[datetime]:
 
 
 def test_window_has_retained_hours():
-    assert RETAINED_HOURS == 3024
     w = winter_window(2016)
     assert w.n_hours == 3024
     assert w.label == "16/17"
@@ -156,6 +154,13 @@ def test_season_label_round_trip():
 def test_season_label_rejects_bad_forms():
     for label in ("16/18", "16", "xx/yy", "2016/17", ""):
         with pytest.raises(InvalidInputError):
+            season_label_to_year(label)
+
+
+def test_season_label_rejects_signs_and_spaces():
+    # int() would read these as years 1999 and 2001
+    for label in ("-1/00", "+1/02", " 1/02"):
+        with pytest.raises(InvalidInputError, match="bad season label"):
             season_label_to_year(label)
 
 
