@@ -54,7 +54,6 @@ from .markov import (
 )
 from .pipeline import PipelineConfig, emit_plot_data, run_pipeline
 from .stats import (
-    SummaryStats,
     WinterWindow,
     autocorrelation,
     reconciliation_error,
@@ -98,7 +97,6 @@ __all__ = [
     "ReportKind",
     "ReportStatus",
     "StatsError",
-    "SummaryStats",
     "TransitionRates",
     "UsageError",
     "WinterWindow",

@@ -8,7 +8,10 @@ Two input shapes are accepted, auto-detected from the payload bytes:
   a ZIP).  Each availability period point becomes one report; the platform
   states *available* capacity, so the reduction is nominal minus available.
 * A normalized JSON-lines mirror with one report object per line, fields
-  matching OutageReport verbatim.
+  matching OutageReport verbatim.  Each field must have its JSON type
+  (strings, an integer revision, finite MW numbers); none is coerced.
+
+A nominal power or point quantity that is not finite is a parse error.
 
 Business types map A53 to planned and A54 to forced; records with any other
 business type are skipped with a warning.  Parsing never filters: withdrawn
@@ -26,6 +29,7 @@ import io
 import json
 import logging
 import lzma
+import math
 import struct
 import zipfile
 import zlib
@@ -306,7 +310,7 @@ def _parse_timeseries(
     if nominal_text is None:
         raise ParseError(f"{where}: no nominalP")
     try:
-        nominal = float(nominal_text)
+        nominal = _finite(nominal_text)
     except ValueError as exc:
         raise ParseError(f"{where}: bad nominalP {nominal_text!r}") from exc
 
@@ -372,7 +376,7 @@ def _expand_period(
         if pos_text is None or qty_text is None:
             raise ParseError(f"{where}: point missing position/quantity")
         try:
-            points.append((int(pos_text), float(qty_text)))
+            points.append((int(pos_text), _finite(qty_text)))
         except ValueError as exc:
             raise ParseError(f"{where}: bad point {pos_text!r}/{qty_text!r}") from exc
     if not points:
@@ -391,6 +395,14 @@ def _expand_period(
         if seg_end > seg_start:
             out.append((seg_start, seg_end, qty))
     return out
+
+
+def _finite(text: str) -> float:
+    """``float(text)``, refusing nan and infinities with ``ValueError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {text!r}")
+    return value
 
 
 # -- JSON lines --------------------------------------------------------------
@@ -413,25 +425,43 @@ def _parse_jsonl(raw: bytes) -> list[OutageReport]:
             raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
         try:
             reports.append(_report_from_json(obj))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     return reports
 
 
 def _report_from_json(obj: dict) -> OutageReport:
-    fuel = _FUEL_BY_VALUE.get(str(obj["fuel"]))
+    """One report from its JSON object; each field must already have its JSON type."""
+    fuel = _FUEL_BY_VALUE.get(_text(obj, "fuel"))
     if fuel is None:
         raise ValueError(f"unknown fuel {obj['fuel']!r}")
+    revision = obj["revision"]
+    if isinstance(revision, bool) or not isinstance(revision, int):
+        raise TypeError(f"revision must be an integer, got {revision!r}")
     return OutageReport(
-        report_id=str(obj["report_id"]),
-        revision=int(obj["revision"]),
-        unit_id=str(obj["unit_id"]),
-        zone=str(obj["zone"]),
+        report_id=_text(obj, "report_id"),
+        revision=revision,
+        unit_id=_text(obj, "unit_id"),
+        zone=_text(obj, "zone"),
         fuel=fuel,
-        nominal_mw=float(obj["nominal_mw"]),
-        start=parse_utc(str(obj["start"])),
-        end=parse_utc(str(obj["end"])),
-        unavailable_mw=float(obj["unavailable_mw"]),
-        kind=ReportKind(str(obj["kind"])),
-        status=ReportStatus(str(obj["status"])),
+        nominal_mw=_megawatts(obj, "nominal_mw"),
+        start=parse_utc(_text(obj, "start")),
+        end=parse_utc(_text(obj, "end")),
+        unavailable_mw=_megawatts(obj, "unavailable_mw"),
+        kind=ReportKind(_text(obj, "kind")),
+        status=ReportStatus(_text(obj, "status")),
     )
+
+
+def _text(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _megawatts(obj: dict, key: str) -> float:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"{key} must be a finite number, got {value!r}")
+    return float(value)

@@ -29,6 +29,7 @@ import math
 import os
 import uuid
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .fleet import CapacityOutagePMF, unit_id
 from .ingest.reconcile import Channel, HourlyOutageSeries
-from .stats import REPORT_LAGS_HOURS, SummaryStats
+from .stats import REPORT_LAGS_HOURS
 from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
 from .types import Fleet, Fuel, FuelParams, GeneratorUnit
 
@@ -215,13 +216,27 @@ def write_timeseries_plot(
     _write_rows(header, "%.3f" + ",%.0f" * len(sims), [empirical_mw, *sims], path, start=start)
 
 
-class StatsRow(NamedTuple):
-    """One statistics CSV row: a (zone, channel, source) combination."""
+@dataclass(frozen=True)
+class StatsRow:
+    """One statistics CSV row: the statistics of a (zone, channel, source) series.
+
+    ``recon_error`` is None, and ``acf`` lacks a lag, where it is undefined or
+    does not apply: a model PMF has no reconciliation envelope and no time axis.
+    """
 
     zone: str
     channel: str
     source: str  # "empirical", "model" or "simulated"
-    stats: SummaryStats
+    mean_mw: float
+    iqr_mw: float
+    recon_error: float | None = None
+    acf: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.iqr_mw < 0.0:
+            raise InvalidInputError(f"IQR must be >= 0, got {self.iqr_mw}")
+        if self.recon_error is not None and self.recon_error < 0.0:
+            raise InvalidInputError(f"reconciliation error must be >= 0, got {self.recon_error}")
 
 
 def stats_header() -> str:
@@ -232,13 +247,8 @@ def stats_header() -> str:
 def write_stats_csv(rows: Sequence[StatsRow], path: Path | str) -> None:
     lines = [stats_header()]
     for row in rows:
-        s = row.stats
-        acf = ",".join(_format_stat(s.acf.get(lag)) for lag in REPORT_LAGS_HOURS)
-        lines.append(
-            f"{row.zone},{row.channel},{row.source},"
-            f"{_format_stat(s.mean_mw)},{_format_stat(s.iqr_mw)},"
-            f"{_format_stat(s.recon_error)},{acf}"
-        )
+        numbers = (row.mean_mw, row.iqr_mw, row.recon_error, *map(row.acf.get, REPORT_LAGS_HOURS))
+        lines.append(",".join((row.zone, row.channel, row.source, *map(_format_stat, numbers))))
     write_lines(lines, path)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .timeseries import HourlySeries, format_utc
-from .types import Fleet, GeneratorUnit, _check_reliability
+from .types import Fleet, FuelParams, GeneratorUnit
 
 RNG_NAME = "numpy.random.default_rng (PCG64)"
 
@@ -62,7 +62,7 @@ def transition_rates(availability: float, mttr_hours: float) -> TransitionRates:
     A pair outside the chain's domain (see the module docstring) raises
     ``InvalidInputError``; any other gives 0 < mu <= 1 and 0 <= lambda <= 1.
     """
-    _check_reliability(availability, mttr_hours)
+    FuelParams(availability, mttr_hours)  # raises outside the domain
     mu = 1.0 / mttr_hours
     lam = mu * (1.0 / availability - 1.0)
     return TransitionRates(repair_rate_mu=mu, failure_rate_lambda=lam)

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
@@ -37,7 +38,6 @@ from .ingest import (
 from .markov import RNG_NAME, derive_seed, simulate_fleet, simulation_metadata
 from .stats import (
     REPORT_LAGS_HOURS,
-    SummaryStats,
     WinterWindow,
     autocorrelation,
     reconciliation_error,
@@ -439,89 +439,70 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
     return written
 
 
-def _pooled_stats(
+def _empirical_series(
+    config: PipelineConfig, zone: str
+) -> list[dict[Channel, HourlyOutageSeries]]:
+    """The zone's series by channel for each evaluation, in ``evaluations`` order."""
+    return [okio.read_zone_series(series_path(config, zone, ev.slug)) for ev in evaluations(config)]
+
+
+def _windowed_row(
+    zone: str,
+    channel: str,
+    source: str,
     per_ev: Sequence[tuple[HourlySeries, WinterWindow | None]],
-) -> tuple[float, float, dict[int, float], int]:
-    """Pooled mean/IQR and window-averaged ACF over (series, window) pairs.
-
-    Each window's ACF is computed on its own, so values are never correlated
-    across a window seam, and the per-window ACFs are averaged with equal
-    weight.  The last element counts the windows left out of the ACF because
-    they have zero variance (e.g. an all-zero channel).
-    """
-    samples = []
-    acfs: list[dict[int, float]] = []
-    for series, window in per_ev:
-        samples.append(window_values(series, window))
-        try:
-            acfs.append(autocorrelation(series, window, REPORT_LAGS_HOURS))
-        except StatsError:
-            pass
-    mean, iqr = sample_stats(np.concatenate(samples))
-    acf: dict[int, float] = {}
-    if acfs:
-        acf = {lag: float(np.mean([a[lag] for a in acfs])) for lag in REPORT_LAGS_HOURS}
-    return mean, iqr, acf, len(per_ev) - len(acfs)
-
-
-def _stats_row(
-    zone: str, channel: Channel, source: str, mean: float, iqr: float,
-    acf: dict[int, float], recon_error: float | None = None,
 ) -> okio.StatsRow:
-    stats = SummaryStats(mean_mw=mean, iqr_mw=iqr, recon_error=recon_error, acf=acf)
-    return okio.StatsRow(zone=zone, channel=channel.value, source=source, stats=stats)
+    """One ``stats.csv`` row from a series and its window per evaluation.
+
+    Mean and IQR pool the windows' hours.  The ACF of each window is its own,
+    never across a seam, and the windows are averaged with equal weight.
+    Reconciled series also get the worst reconciliation error.  Windows where
+    a statistic is undefined and lags not shorter than the window are left
+    out, and logged.
+    """
+    samples = [window_values(series, window) for series, window in per_ev]
+    hours = min(x.size for x in samples)
+    lags = [lag for lag in REPORT_LAGS_HOURS if lag < hours]
+    reconciled = all(isinstance(series, HourlyOutageSeries) for series, _ in per_ev)
+    acfs: list[dict[int, float]] = []
+    errors: list[float] = []
+    for series, window in per_ev:
+        with suppress(StatsError):  # zero variance; a one-hour window has no lag
+            if lags:
+                acfs.append(autocorrelation(series, window, lags))
+        with suppress(StatsError):  # zero outage mass
+            if reconciled:
+                errors.append(reconciliation_error(series, window))
+    skips = f"of {len(per_ev)} windows, {len(per_ev) - len(acfs)} zero-variance skipped in the ACF"
+    if reconciled:
+        skips += f", {len(per_ev) - len(errors)} zero-mass skipped in the reconciliation error"
+    if acfs and len(lags) < len(REPORT_LAGS_HOURS):
+        dropped = ", ".join(str(lag) for lag in REPORT_LAGS_HOURS if lag >= hours)
+        skips += f"; lags {dropped} h left out, not shorter than the {hours}-hour window"
+    logger.info("stats %s %s %s: %s", zone, channel, source, skips)
+    mean, iqr = sample_stats(np.concatenate(samples))
+    acf = {lag: float(np.mean([a[lag] for a in acfs])) for lag in lags if acfs}
+    return okio.StatsRow(zone, channel, source, mean, iqr, max(errors, default=None), acf)
 
 
 def stage_stats(config: PipelineConfig) -> list[Path]:
     """Comparison statistics CSV: empirical channels vs model vs simulation.
 
-    Mean and IQR pool the hourly samples of all evaluation windows; the
-    reconciliation error is the worst (maximum) across windows; the ACF is
-    the unweighted mean across windows.  Model and simulated rows carry the
-    Total channel, which is what the availability parameters describe.
+    Model and simulated rows carry the Total channel, which is what the
+    availability parameters describe.
     """
     rows: list[okio.StatsRow] = []
+    evs = evaluations(config)
+    windows = [ev.window for ev in evs]
     for zone in config.zones:
-        empirical: dict[str, dict[Channel, HourlyOutageSeries]] = {}
-        for ev in evaluations(config):
-            empirical[ev.slug] = okio.read_zone_series(series_path(config, zone, ev.slug))
+        empirical = _empirical_series(config, zone)
         for channel in Channel:
-            per_ev = []
-            recon_errors: list[float] = []
-            for ev in evaluations(config):
-                s = empirical[ev.slug][channel]
-                per_ev.append((s, ev.window))
-                try:
-                    recon_errors.append(reconciliation_error(s, ev.window))
-                except StatsError:
-                    pass  # channel has no outage mass in this window
-            mean, iqr, acf, flat = _pooled_stats(per_ev)
-            logger.info(
-                "stats %s %s empirical: of %d windows, %d zero-variance skipped in the ACF, "
-                "%d zero-mass skipped in the reconciliation error",
-                zone,
-                channel.value,
-                len(per_ev),
-                flat,
-                len(per_ev) - len(recon_errors),
-            )
-            recon_error = max(recon_errors) if recon_errors else None
-            rows.append(_stats_row(zone, channel, "empirical", mean, iqr, acf, recon_error))
-        model_mean, model_iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
-        rows.append(_stats_row(zone, Channel.TOTAL, "model", model_mean, model_iqr, {}))
-        sim_pairs = [
-            (okio.read_sim_series(sim_path(config, zone, ev.slug))[0], ev.window)
-            for ev in evaluations(config)
-        ]
-        sim_mean, sim_iqr, sim_acf, flat = _pooled_stats(sim_pairs)
-        logger.info(
-            "stats %s %s simulated: of %d windows, %d zero-variance skipped in the ACF",
-            zone,
-            Channel.TOTAL.value,
-            len(sim_pairs),
-            flat,
-        )
-        rows.append(_stats_row(zone, Channel.TOTAL, "simulated", sim_mean, sim_iqr, sim_acf))
+            per_ev = [(series[channel], w) for series, w in zip(empirical, windows)]
+            rows.append(_windowed_row(zone, channel.value, "empirical", per_ev))
+        mean, iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
+        rows.append(okio.StatsRow(zone, "Total", "model", mean, iqr))
+        sims = [okio.read_sim_series(sim_path(config, zone, ev.slug))[0] for ev in evs]
+        rows.append(_windowed_row(zone, "Total", "simulated", list(zip(sims, windows))))
     target = stats_path(config)
     okio.write_stats_csv(rows, target)
     return [target]
@@ -611,26 +592,16 @@ def emit_plot_data(config: PipelineConfig, kind: str) -> list[Path]:
     return emitted
 
 
-def _empirical_window_values(
-    config: PipelineConfig, zone: str, channels: Sequence[Channel]
-) -> list[np.ndarray]:
-    """Windowed hourly values of each channel, pooled over all evaluations.
-
-    Each series CSV is read once for all the requested channels.
-    """
-    chunks: list[list[np.ndarray]] = [[] for _ in channels]
-    for ev in evaluations(config):
-        by_channel = okio.read_zone_series(series_path(config, zone, ev.slug))
-        for parts, channel in zip(chunks, channels):
-            parts.append(window_values(by_channel[channel], ev.window))
-    return [np.concatenate(parts) for parts in chunks]
-
-
 def _emit_histograms(config: PipelineConfig) -> list[Path]:
     written = []
     width = config.histogram_bin_mw
+    windows = [ev.window for ev in evaluations(config)]
     for zone in config.zones:
-        totals, forced = _empirical_window_values(config, zone, (Channel.TOTAL, Channel.FORCED))
+        per_ev = [
+            [window_values(by_channel[channel], w) for channel in (Channel.TOTAL, Channel.FORCED)]
+            for by_channel, w in zip(_empirical_series(config, zone), windows)
+        ]
+        totals, forced = (np.concatenate(parts) for parts in zip(*per_ev))
         pmf = okio.read_pmf(pmf_path(config, zone))
         top = max(float(totals.max()), float(forced.max()), float(pmf.max_outage_mw))
         n_bins = max(1, int(np.floor(top / width)) + 1)
@@ -648,18 +619,16 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
 
 
 def _emit_seasonal(config: PipelineConfig) -> list[Path]:
-    evs = evaluations(config)
-    year_long = [ev for ev in evs if ev.range.n_hours >= 8760]
-    if not year_long:
+    # winter windows span 20 weeks: only a period, the one evaluation then, spans a year
+    if config.period is None or config.period.n_hours < 8760:
         raise UsageError(
             "seasonal plot data needs an evaluation period of at least one full "
             "year; configure 'period' accordingly"
         )
-    ev = year_long[0]
     demand = weekly_profile(okio.read_demand(config.demand_path)) if config.demand_path else None
     written = []
     for zone in config.zones:
-        series = okio.read_zone_series(series_path(config, zone, ev.slug))[Channel.TOTAL]
+        (series,) = [by_channel[Channel.TOTAL] for by_channel in _empirical_series(config, zone)]
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
         okio.write_seasonal(weekly_profile(series), demand, target)
         written.append(target)
@@ -670,8 +639,8 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
     for zone_idx, zone in enumerate(config.zones):
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
-        for ev_idx, ev in enumerate(evaluations(config)):
-            series = okio.read_zone_series(series_path(config, zone, ev.slug))[Channel.TOTAL]
+        totals = [by_channel[Channel.TOTAL] for by_channel in _empirical_series(config, zone)]
+        for ev_idx, (ev, series) in enumerate(zip(evaluations(config), totals)):
             sims = [
                 simulate_fleet(
                     fleet,

@@ -5,8 +5,9 @@ Each statistic takes one series and at most one window (``None`` meaning
 the whole series).  Every series is an ``HourlySeries`` and the statistics
 read its ``values_mw``; for a reconciled ``HourlyOutageSeries`` that is the
 midpoint of its envelopes, and only the reconciliation error also reads the
-lower envelope.  Pooling over the windows of several evaluations is done
-once, by the pipeline's statistics stage.
+lower envelope.  The pipeline builds each row of ``stats.csv`` in one place,
+``pipeline._windowed_row``, which pools these statistics over the windows
+of several evaluations.
 
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
 hourly sample, which is the convention for continuous samples; discrete
@@ -201,24 +202,3 @@ def weekly_profile(series: HourlySeries) -> np.ndarray:
     if overall == 0.0:
         raise StatsError("weekly profile undefined: series is identically zero")
     return means / overall
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Bundle of the comparison statistics for one series.
-
-    ``recon_error`` and ``acf`` are None/empty where they do not apply: a
-    time-collapsed model PMF has no reconciliation envelope and no time
-    axis, and an identically-zero channel has no defined autocorrelation.
-    """
-
-    mean_mw: float
-    iqr_mw: float
-    recon_error: float | None
-    acf: dict[int, float]
-
-    def __post_init__(self) -> None:
-        if self.iqr_mw < 0.0:
-            raise InvalidInputError(f"IQR must be >= 0, got {self.iqr_mw}")
-        if self.recon_error is not None and self.recon_error < 0.0:
-            raise InvalidInputError(f"reconciliation error must be >= 0, got {self.recon_error}")

@@ -38,6 +38,10 @@ class Renewable(Enum):
     OTHER_RENEWABLE = "OtherRenewable"
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_reliability(availability: float, mttr_hours: float) -> None:
     """Reject an (availability, MTTR) pair the hourly two-state chain cannot hold.
 
@@ -46,11 +50,12 @@ def _check_reliability(availability: float, mttr_hours: float) -> None:
     probabilities, so both must be at most 1: MTTR >= 1 h and
     A >= 1/(1 + MTTR).  lambda is computed with the float expression
     ``markov.transition_rates`` uses, so no accepted pair gives lambda > 1.
-    The comparisons are false for NaN, so NaN is rejected too.
+    The comparisons are false for NaN, so NaN is rejected too, and so is a
+    value that is not an int or float, or is a bool.
     """
-    if not 0.0 < availability <= 1.0:
+    if not (_is_number(availability) and 0.0 < availability <= 1.0):
         raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
-    if not 0.0 < mttr_hours < math.inf:
+    if not (_is_number(mttr_hours) and 0.0 < mttr_hours < math.inf):
         raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours}")
     if mttr_hours < 1.0 or (1.0 / mttr_hours) * (1.0 / availability - 1.0) > 1.0:
         raise InvalidInputError(
@@ -103,10 +108,9 @@ class GeneratorUnit:
     mttr_hours: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.capacity_mw, int) or self.capacity_mw < 1:
-            raise InvalidInputError(
-                f"capacity_mw must be a positive integer, got {self.capacity_mw!r}"
-            )
+        capacity = self.capacity_mw
+        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+            raise InvalidInputError(f"capacity_mw must be a positive integer, got {capacity!r}")
         _check_reliability(self.availability, self.mttr_hours)
 
 

@@ -122,6 +122,40 @@ def test_verbose_flag_accepted(runner, corpus, tmp_path, caplog):
     assert ran == ["fetch", "ingest", "fleet", "model", "simulate", "stats"]
 
 
+def _stats_csv(out: Path) -> dict[tuple[str, str, str], dict[str, str]]:
+    header, *lines = (out / "stats.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    return {(row["zone"], row["channel"], row["source"]): row for row in rows}
+
+
+def test_week_long_run_leaves_the_week_lag_blank(runner, corpus, tmp_path, caplog):
+    # a lag as long as the window is undefined, like a zero-variance ACF
+    caplog.set_level(logging.INFO, logger="outagekit.pipeline")
+    period = {"start": "2030-01-07T00:00:00Z", "hours": 168}
+    config_path = write_config(corpus, tmp_path, period=period)
+    result = runner.invoke(main, ["-v", "run", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    rows = _stats_csv(tmp_path / "out")
+    assert all(row["acf_168h"] == "" for row in rows.values())
+    assert rows[("AA", "Total", "empirical")]["acf_24h"] != ""
+    assert rows[("AA", "Total", "simulated")]["acf_24h"] != ""
+    assert (
+        "stats AA Total simulated: of 1 windows, 0 zero-variance skipped in the ACF; "
+        "lags 168 h left out, not shorter than the 168-hour window"
+    ) in caplog.messages
+
+
+def test_one_hour_run_has_no_acf(runner, corpus, tmp_path):
+    period = {"start": "2030-01-07T00:00:00Z", "hours": 1}
+    config_path = write_config(corpus, tmp_path, period=period)
+    result = runner.invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output + str(result.exception)
+    rows = _stats_csv(tmp_path / "out")
+    assert len(rows) == 10
+    for row in rows.values():
+        assert [row[f"acf_{lag}h"] for lag in (1, 6, 24, 168)] == ["", "", "", ""]
+
+
 # -- stage commands ----------------------------------------------------------
 
 

@@ -262,7 +262,7 @@ def test_synthesize_many_seeds_always_hit_target():
         assert capacity_by_fuel(fleet) == targets
 
 
-@pytest.mark.parametrize("mttr_hours", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mttr_hours", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "50"])
 def test_mttr_must_be_finite_and_positive(mttr_hours):
     with pytest.raises(InvalidInputError, match="mttr_hours must be finite and > 0"):
         FuelParams(availability=0.9, mttr_hours=mttr_hours)
@@ -270,12 +270,18 @@ def test_mttr_must_be_finite_and_positive(mttr_hours):
         make_unit(mttr_hours=mttr_hours)
 
 
-@pytest.mark.parametrize("availability", [0.0, -0.1, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("availability", [0.0, -0.1, 1.5, math.nan, math.inf, True, "0.9"])
 def test_availability_must_be_in_unit_interval(availability):
     with pytest.raises(InvalidInputError, match="availability must be in"):
         FuelParams(availability=availability, mttr_hours=50.0)
     with pytest.raises(InvalidInputError, match="availability must be in"):
         make_unit(availability=availability)
+
+
+@pytest.mark.parametrize("capacity_mw", [0, -5, 1.5, True, "100"])
+def test_capacity_must_be_a_positive_integer(capacity_mw):
+    with pytest.raises(InvalidInputError, match="capacity_mw must be a positive integer"):
+        make_unit(capacity_mw=capacity_mw)
 
 
 @pytest.mark.parametrize("availability,mttr_hours", [(0.9, 0.5), (0.05, 10.0)])

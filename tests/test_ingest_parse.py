@@ -707,3 +707,40 @@ def test_filter_oversize_boundary_kept():
 def test_filter_keeps_full_outages():
     r = make_report("a", nominal_mw=400.0, unavailable_mw=400.0)
     assert filter_reports([r]) == [r]
+
+
+# -- reports rejected by type and value --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("report_id", 7),
+        ("unit_id", 12),
+        ("zone", 5),
+        ("revision", 1.9),
+        ("revision", "2"),
+        ("revision", True),
+        ("nominal_mw", "400"),
+        ("nominal_mw", True),
+        ("nominal_mw", float("nan")),
+        ("unavailable_mw", "150"),
+        ("unavailable_mw", float("inf")),
+    ],
+)
+def test_parse_jsonl_rejects_a_field_of_the_wrong_type(field, value):
+    raw = json.dumps(_jsonl_row(**{field: value})).encode()
+    with pytest.raises(ParseError, match=f"line 1: {field} must be"):
+        parse(raw)
+
+
+@pytest.mark.parametrize("text", ["NaN", "inf", "-Infinity"])
+@pytest.mark.parametrize("where", ["nominalP", "quantity"])
+def test_parse_rejects_non_finite_power(where, text):
+    nominal, quantity = (text, 150) if where == "nominalP" else (400, text)
+    doc = _document("D1", 1, [
+        _timeseries("1", "A54", "AA", "B04", "U1", nominal,
+                    ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), "PT60M", [(1, quantity)]),
+    ])
+    with pytest.raises(ParseError, match=f"document D1 TimeSeries 1: bad .*{text}"):
+        parse(doc)

@@ -34,7 +34,6 @@ from outagekit.io import (
     write_timeseries_plot,
     write_zone_series,
 )
-from outagekit.stats import SummaryStats
 from outagekit.timeseries import HourlySeries, HourRange, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelSizePool
 
@@ -506,11 +505,9 @@ def test_writer_bytes_match_per_cell_formatting(tmp_path, name):
 
 def test_stats_csv_layout(tmp_path):
     rows = [
-        StatsRow("AA", "Total", "empirical",
-                 SummaryStats(120.5, 80.0, 0.0123456789,
-                              {1: 0.97, 6: 0.9, 24: 0.75, 168: 0.5})),
-        StatsRow("AA", "Total", "model",
-                 SummaryStats(119.0, 100.0, None, {})),
+        StatsRow("AA", "Total", "empirical", 120.5, 80.0, 0.0123456789,
+                 {1: 0.97, 6: 0.9, 24: 0.75, 168: 0.5}),
+        StatsRow("AA", "Total", "model", 119.0, 100.0),
     ]
     path = tmp_path / "stats.csv"
     write_stats_csv(rows, path)
@@ -525,8 +522,7 @@ def test_stats_csv_layout(tmp_path):
 
 
 def test_stats_csv_rounds_to_six_decimals(tmp_path):
-    rows = [StatsRow("Z", "Total", "empirical",
-                     SummaryStats(1 / 3, 2 / 3, None, {1: 1 / 7}))]
+    rows = [StatsRow("Z", "Total", "empirical", 1 / 3, 2 / 3, None, {1: 1 / 7})]
     path = tmp_path / "stats.csv"
     write_stats_csv(rows, path)
     line = path.read_text().splitlines()[1]

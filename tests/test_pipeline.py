@@ -720,3 +720,30 @@ def test_plot_seasonal_on_year_long_series(tmp_path):
 def test_plot_unknown_kind(full_run):
     with pytest.raises(UsageError, match="histogram"):
         emit_plot_data(full_run["config"], "violin")
+
+
+# -- compare-side bytes --------------------------------------------------------
+
+#: SHA-256 of the compare-side files of the bundled corpus.  A change that
+#: alters any of them on purpose updates this pin and says why.
+COMPARE_SHA256 = {
+    "plot_histogram_AA.csv": "e574540227353cd08f81ae9561a56d965196d0f5b894975a341ff6698bc9be13",
+    "plot_histogram_BB.csv": "139f3e43a6bd3a0ce6ad02a3484d4f0948a742e3a244e703a7a897138348a643",
+    "plot_timeseries_AA_period.csv": "47d9442153113f2b970582ea1ac2154939c0232988014c7242e063df36be473a",
+    "plot_timeseries_BB_period.csv": "c64f6215ff965c670e41f9aee43d355a0481f1bb3b37db0356c1219f1f6e4f23",
+    "stats.csv": "dbdb1ffba78489bc3cf9c66e48299542e6b11391768c1e35e0332e1416e09f99",
+}
+
+
+def test_compare_side_bytes_are_pinned(full_run, tmp_path):
+    # plot files go to a copy, so the shared run directory keeps its artifact set
+    config = dataclasses.replace(full_run["config"], output_dir=tmp_path / "out")
+    shutil.copytree(full_run["config"].output_dir, config.output_dir)
+    for kind in ("histogram", "timeseries"):
+        emit_plot_data(config, kind)
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(config.output_dir.iterdir())
+        if p.name == "stats.csv" or p.name.startswith(("plot_histogram_", "plot_timeseries_"))
+    }
+    assert got == COMPARE_SHA256

@@ -8,10 +8,10 @@ import pytest
 from outagekit import pipeline
 from outagekit.errors import InvalidInputError, StatsError
 from outagekit.ingest import HourlyOutageSeries
-from outagekit.pipeline import _pooled_stats
+from outagekit.io import StatsRow
+from outagekit.pipeline import _windowed_row
 from outagekit.stats import (
     REPORT_LAGS_HOURS,
-    SummaryStats,
     WinterWindow,
     autocorrelation,
     first_sunday_of_november,
@@ -290,7 +290,7 @@ def test_acf_lag_bounds():
         acf(np.array([1.0]), [0])
 
 
-# Window averaging lives in pipeline._pooled_stats, which evaluates the report
+# Window averaging lives in pipeline._windowed_row, which evaluates the report
 # lags; these one-week windows are too short for the 168 h lag, so the tests
 # pool at short lags instead.
 
@@ -301,7 +301,7 @@ def test_autocorrelation_averages_per_window(monkeypatch):
     series = hs(T0, rng.normal(size=4 * 168))
     w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
     w2 = WinterWindow(label="w2", start=T0, weeks=(2,))
-    _, _, got, _ = _pooled_stats([(series, w1), (series, w2)])
+    got = _windowed_row("Z", "Total", "empirical", [(series, w1), (series, w2)]).acf
     a1 = acf(series.values_mw[0:168], (0, 1, 2))
     a2 = acf(series.values_mw[336:504], (0, 1, 2))
     for lag in (0, 1, 2):
@@ -317,7 +317,7 @@ def test_autocorrelation_does_not_cross_window_seams(monkeypatch):
     series = hs(T0, values)
     w1 = WinterWindow(label="w1", start=T0, weeks=(0,))
     w2 = WinterWindow(label="w2", start=T0, weeks=(1,))
-    _, _, split, _ = _pooled_stats([(series, w1), (series, w2)])
+    split = _windowed_row("Z", "Total", "empirical", [(series, w1), (series, w2)]).acf
     pooled = acf(values, (1,))
     assert pooled[1] > 0.8  # dominated by the level shift
     assert abs(split[1]) < 0.8
@@ -412,8 +412,8 @@ def test_autocorrelation_and_weekly_profile_read_outage_series_midpoint():
 
 
 def test_summary_stats_validation():
-    SummaryStats(mean_mw=10.0, iqr_mw=0.0, recon_error=None, acf={})
+    StatsRow("Z", "Total", "model", mean_mw=10.0, iqr_mw=0.0, recon_error=None, acf={})
     with pytest.raises(InvalidInputError):
-        SummaryStats(mean_mw=10.0, iqr_mw=-1.0, recon_error=None, acf={})
+        StatsRow("Z", "Total", "model", mean_mw=10.0, iqr_mw=-1.0, recon_error=None, acf={})
     with pytest.raises(InvalidInputError):
-        SummaryStats(mean_mw=10.0, iqr_mw=0.0, recon_error=-0.1, acf={})
+        StatsRow("Z", "Total", "model", mean_mw=10.0, iqr_mw=0.0, recon_error=-0.1, acf={})
