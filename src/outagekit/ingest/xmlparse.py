@@ -11,7 +11,10 @@ Two input shapes are accepted, auto-detected from the payload bytes:
   matching OutageReport verbatim.  Each field must have its JSON type
   (strings, an integer revision, finite MW numbers); none is coerced.
 
-A nominal power or point quantity that is not finite is a parse error.
+Every number in an XML document goes through ``_xml_number``, which refuses
+what Python's ``int`` and ``float`` accept beyond plain XML numbers (digit
+group underscores, non-ASCII digits); a nominal power or point quantity
+that is not finite is a parse error too.
 
 Business types map A53 to planned and A54 to forced; records with any other
 business type are skipped with a warning.  Parsing never filters: withdrawn
@@ -35,6 +38,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import Callable, TypeVar
 from xml.etree import ElementTree
 
 from ..errors import ParseError
@@ -97,6 +101,8 @@ _BAD_MEMBER_ERRORS = (
 _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
 
 _UTF8_NAME_FLAG = 0x800
+
+_N = TypeVar("_N", int, float)
 
 
 def parse_document(
@@ -226,18 +232,21 @@ def _child_text(elem: ElementTree.Element, name: str) -> str | None:
 
 
 def _parse_resolution(text: str) -> timedelta:
-    """ISO-8601 duration to timedelta; supports the platform's PT/P forms."""
+    """ISO-8601 duration to timedelta; supports the platform's PT/P forms.
+
+    Raises ``ValueError`` for any other duration.
+    """
     t = text.strip().upper()
     try:
         if t.startswith("PT") and t.endswith("M"):
-            return timedelta(minutes=int(t[2:-1]))
+            return timedelta(minutes=_xml_number(t[2:-1], int))
         if t.startswith("PT") and t.endswith("H"):
-            return timedelta(hours=int(t[2:-1]))
+            return timedelta(hours=_xml_number(t[2:-1], int))
         if t.startswith("P") and t.endswith("D"):
-            return timedelta(days=int(t[1:-1]))
+            return timedelta(days=_xml_number(t[1:-1], int))
     except ValueError:
         pass
-    raise ParseError(f"unsupported resolution {text!r}")
+    raise ValueError(f"unsupported resolution {text!r}")
 
 
 def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
@@ -253,7 +262,7 @@ def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport
         raise ParseError("document has no mRID")
     rev_text = _child_text(root, "revisionNumber")
     try:
-        revision = int(rev_text) if rev_text is not None else 1
+        revision = _xml_number(rev_text, int) if rev_text is not None else 1
     except ValueError as exc:
         raise ParseError(f"document {doc_id}: bad revisionNumber {rev_text!r}") from exc
 
@@ -365,7 +374,10 @@ def _expand_period(
         raise ParseError(f"{where}: empty period {start_text}..{end_text}")
 
     res_text = _child_text(period, "resolution")
-    resolution = _parse_resolution(res_text) if res_text else (end - start)
+    try:
+        resolution = _parse_resolution(res_text) if res_text else (end - start)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
     points: list[tuple[int, float]] = []
     for point in period:
@@ -376,7 +388,7 @@ def _expand_period(
         if pos_text is None or qty_text is None:
             raise ParseError(f"{where}: point missing position/quantity")
         try:
-            points.append((int(pos_text), _finite(qty_text)))
+            points.append((_xml_number(pos_text, int), _finite(qty_text)))
         except ValueError as exc:
             raise ParseError(f"{where}: bad point {pos_text!r}/{qty_text!r}") from exc
     if not points:
@@ -397,9 +409,20 @@ def _expand_period(
     return out
 
 
+def _xml_number(text: str, convert: Callable[[str], _N]) -> _N:
+    """``convert(text)`` for ``int`` or ``float``, refusing with ``ValueError``
+    a digit-group underscore or a non-ASCII character, which both accept.
+
+    Surrounding whitespace, which XML numeric text may carry, is allowed.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return convert(text)
+
+
 def _finite(text: str) -> float:
-    """``float(text)``, refusing nan and infinities with ``ValueError``."""
-    value = float(text)
+    """``_xml_number(text, float)``, refusing nan and infinities with ``ValueError``."""
+    value = _xml_number(text, float)
     if not math.isfinite(value):
         raise ValueError(f"non-finite {text!r}")
     return value

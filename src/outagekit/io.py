@@ -6,10 +6,15 @@ stage on the same inputs reproduces the file byte for byte.
 
 This module is the only one that knows the formats:
 
-- Every CSV is read by ``_read_columns``, which finds columns by header name
-  and converts each cell as it streams the rows, keeping only the converted
-  values.  A missing column, a row with the wrong number of cells or a cell
-  its converter rejects raises ``InvalidInputError`` naming ``path:line``.
+- A PMF or hourly CSV in the exact layout ``_write_rows`` writes (the
+  writer's header, its stamps, one ``np.loadtxt`` parse of the numbers) is
+  read in bulk by ``_bulk_read``.  The bulk parse refuses anything it is not
+  sure of, and every refused file goes to ``_read_columns``.
+- ``_read_columns`` reads every other CSV, and is the fallback and the
+  oracle of the bulk parse: it finds columns by header name and converts
+  each cell as it streams the rows.  A missing column, a row with the wrong
+  number of cells or a cell its converter rejects raises
+  ``InvalidInputError`` naming ``path:line``.
 - ``_write_rows`` is the one row formatter of every array-backed CSV (the
   series, the PMF and the plot files): one ``%`` format per row, and one
   ``np.datetime_as_string`` call for all the hourly stamps.
@@ -28,11 +33,12 @@ import json
 import math
 import os
 import uuid
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,13 +46,16 @@ from .errors import InvalidInputError
 from .fleet import CapacityOutagePMF, unit_id
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS
-from .timeseries import HOUR, HourlySeries, format_utc, parse_utc
+from .timeseries import HOUR, HourlySeries, ensure_hour_aligned, format_utc, parse_utc
 from .types import Fleet, Fuel, FuelParams, GeneratorUnit
 
 ZONE_SERIES_HEADER = (
     "timestamp_utc,forced_min,forced,forced_max,"
     "planned_min,planned,planned_max,total_min,total,total_max"
 )
+PMF_HEADER = "outage_mw,probability"
+
+_T = TypeVar("_T")
 
 
 class RegistryRow(NamedTuple):
@@ -110,19 +119,34 @@ def write_pmf(pmf: CapacityOutagePMF, path: Path | str) -> None:
     back reproduces the array bit for bit.
     """
     probs = pmf.probabilities
-    _write_rows("outage_mw,probability", "%d,%r", [np.arange(probs.size), probs], path)
+    _write_rows(PMF_HEADER, "%d,%r", [np.arange(probs.size), probs], path)
 
 
 def read_pmf(path: Path | str) -> CapacityOutagePMF:
-    grid = itertools.count()
+    """Read a PMF CSV; its outage_mw column must be the grid 0, 1, 2, ..."""
+    probs = _bulk_read(path, PMF_HEADER, _loadtxt_pmf)
+    if probs is None:
+        grid = itertools.count()
 
-    def next_grid_point(text: str) -> None:
-        # Checked, not kept: the row position is the outage.
-        if int(text) != next(grid):
-            raise ValueError("PMF grid must be contiguous from 0")
+        def next_grid_point(text: str) -> None:
+            # Checked, not kept: the row position is the outage.
+            if int(text) != next(grid):
+                raise ValueError("PMF grid must be contiguous from 0")
 
-    _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
-    return CapacityOutagePMF(probabilities=np.asarray(probs, dtype=np.float64))
+        _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
+    try:
+        return CapacityOutagePMF(probabilities=np.asarray(probs, dtype=np.float64))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def _loadtxt_pmf(fh: IO[str]) -> np.ndarray:
+    rows = np.loadtxt(
+        fh, delimiter=",", comments=None, dtype=[("o", "i8"), ("p", "f8")], ndmin=1
+    )
+    if not np.array_equal(rows["o"], np.arange(rows.size)):
+        raise ValueError("PMF grid is not contiguous from 0")
+    return rows["p"].copy()
 
 
 def write_zone_series(
@@ -369,12 +393,20 @@ def _write_rows(
     cells; with ``start``, each row begins with its hour's UTC stamp."""
     cells = [col.tolist() for col in columns]
     if start is not None:
-        # format_utc's layout in one NumPy call, but with four-digit years before 1000
-        first = np.datetime64(start.replace(tzinfo=None), "h")
-        hours = first + np.arange(len(cells[0]))
-        cells.insert(0, np.datetime_as_string(hours, unit="s").tolist())
-        fmt = "%sZ," + fmt
+        cells.insert(0, _hour_stamps(start, len(cells[0])))
+        fmt = "%s," + fmt
     write_lines(itertools.chain([header], (fmt % row for row in zip(*cells))), path)
+
+
+def _hour_stamps(start: datetime, n_hours: int) -> list[str]:
+    """The stamps of ``n_hours`` UTC hours from ``start``, as the hourly CSVs hold them.
+
+    This is format_utc's layout in one NumPy call, but with four-digit years
+    before 1000.
+    """
+    first = np.datetime64(start.replace(tzinfo=None), "h")
+    stamps = np.datetime_as_string(first + np.arange(n_hours), unit="s").tolist()
+    return [f"{stamp}Z" for stamp in stamps]
 
 
 def write_json(obj: object, path: Path | str) -> None:
@@ -423,14 +455,67 @@ def _read_columns(
     return columns
 
 
-def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[list[float]]]:
+def _bulk_read(path: Path | str, header: str, parse: Callable[[IO[str]], _T]) -> _T | None:
+    """``parse`` of the rows of a CSV whose first line is ``header``, or None.
+
+    None means the file must go to ``_read_columns``: its header differs,
+    or ``parse`` refused it by raising ``ValueError``.  ``parse`` runs with
+    warnings turned into refusals, so that a file without rows, or a
+    conversion that an older NumPy only deprecates, is refused too.
+
+    ``parse`` must refuse every file ``_read_columns`` rejects or reads
+    differently, and never coerce: ``np.loadtxt`` gets no comment character
+    and no ``usecols`` (which would stop it checking each row's width), and
+    no cell goes through a fixed-width string dtype, which truncates.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            if fh.readline() != f"{header}\n":
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return parse(fh)
+        except (ValueError, Warning):
+            return None
+
+
+def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarray]]:
     """Start hour and float columns of a CSV with one row per consecutive UTC hour."""
-    stamps, *values = _read_columns(
-        path, {"timestamp_utc": _hourly_stamps(), **dict.fromkeys(columns, float)}
-    )
-    if not stamps:
-        raise InvalidInputError(f"{path}: series has no rows")
-    return stamps[0], values
+    header = ",".join(["timestamp_utc", *columns])
+    read = _bulk_read(path, header, lambda fh: _loadtxt_hourly(fh, len(columns)))
+    if read is None:
+        stamps, *values = _read_columns(
+            path, {"timestamp_utc": _hourly_stamps(), **dict.fromkeys(columns, float)}
+        )
+        if not stamps:
+            raise InvalidInputError(f"{path}: series has no rows")
+        read = stamps[0], [np.asarray(v, dtype=np.float64) for v in values]
+    try:
+        ensure_hour_aligned(read[0])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+    return read
+
+
+def _loadtxt_hourly(fh: IO[str], n_columns: int) -> tuple[datetime, list[np.ndarray]]:
+    """Start hour and float columns of rows that begin with the writer's stamps."""
+    stamps: list[str] = []
+
+    def numbers() -> Iterator[str]:
+        for line in fh:
+            stamp, _, rest = line.partition(",")
+            stamps.append(stamp)
+            yield rest
+
+    rows = np.loadtxt(numbers(), delimiter=",", comments=None, ndmin=2)
+    # loadtxt skips a line whose numbers are blank, so count the rows too
+    if rows.shape != (len(stamps), n_columns):
+        raise ValueError("rows differ from the header")
+    start = parse_utc(stamps[0])
+    parse_utc(stamps[-1])  # the writer's layout runs past year 9999, parse_utc does not
+    if stamps != _hour_stamps(start, len(stamps)):
+        raise ValueError("stamps differ from the writer's")
+    return start, list(np.ascontiguousarray(rows.T))
 
 
 def _hourly_stamps() -> Callable[[str], datetime]:

@@ -734,6 +734,40 @@ def test_parse_jsonl_rejects_a_field_of_the_wrong_type(field, value):
         parse(raw)
 
 
+def _one_point_document(revision="1", nominal="400", resolution="PT60M", point=("1", "150")):
+    return _document("D1", revision, [
+        _timeseries("1", "A54", "AA", "B04", "U1", nominal,
+                    ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), resolution, [point]),
+    ])
+
+
+# int() and float() accept digit-group underscores; XML numbers do not
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(revision="1_2"),
+        dict(nominal="4_00"),
+        dict(point=("1", "1_50")),
+        dict(point=("1_0", "150")),
+        dict(resolution="PT1_5M"),
+    ],
+    ids=["revisionNumber", "nominalP", "quantity", "position", "resolution"],
+)
+def test_parse_rejects_digit_group_underscores(fields):
+    (text,) = [v for v in [*fields.values(), *fields.get("point", ())] if "_" in v]
+    with pytest.raises(ParseError, match=rf"document D1\b.*{text}"):
+        parse(_one_point_document(**fields))
+
+
+def test_parse_accepts_whitespace_around_numbers():
+    doc = _one_point_document(
+        revision=" 2\n", nominal="\t400 ", resolution=" PT60M ", point=(" 1 ", " 150.5\n")
+    )
+    (r,) = parse(doc)
+    assert (r.revision, r.nominal_mw, r.unavailable_mw) == (2, 400.0, 249.5)
+    assert (r.end - r.start).total_seconds() == 6 * 3600
+
+
 @pytest.mark.parametrize("text", ["NaN", "inf", "-Infinity"])
 @pytest.mark.parametrize("where", ["nominalP", "quantity"])
 def test_parse_rejects_non_finite_power(where, text):

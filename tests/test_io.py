@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from outagekit import io
 from outagekit.errors import InvalidInputError
 from outagekit.fleet import CapacityOutagePMF, fleet_outage_pmf, synthesize_fleet, unit_id
 from outagekit.ingest import Channel, HourlyOutageSeries
 from outagekit.io import (
+    PMF_HEADER,
     RegistryRow,
     StatsRow,
     ZONE_SERIES_HEADER,
@@ -211,6 +217,22 @@ def test_pmf_rejects_non_finite_probability(tmp_path, cell):
         read_pmf(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "PMF must be a non-empty 1-D array"),
+        ("0,0.5\n1,0.4\n", "PMF mass 0.9 is not 1 within 1e-09"),
+        ("0,1.5\n1,-0.5\n", "PMF entries must be finite and non-negative"),
+    ],
+    ids=["no_rows", "mass", "negative"],
+)
+def test_pmf_errors_name_the_file(tmp_path, body, message):
+    path = tmp_path / "pmf.csv"
+    path.write_text(f"{PMF_HEADER}\n{body}")
+    with pytest.raises(InvalidInputError, match=rf"pmf\.csv: {message}"):
+        read_pmf(path)
+
+
 # -- zone series -------------------------------------------------------------
 
 
@@ -364,6 +386,15 @@ def test_sim_series_round_trip_with_sidecar(tmp_path):
     assert back.start == T0
     assert back_meta == meta
     assert sidecar_for(path).name == "sim.csv.meta.json"
+
+
+def test_sim_series_not_hour_aligned_names_the_file(tmp_path):
+    path = tmp_path / "sim.csv"
+    path.write_text("timestamp_utc,outage_mw\n2030-01-07T00:30:00Z,5.0\n2030-01-07T01:30:00Z,1.0\n")
+    with pytest.raises(
+        InvalidInputError, match=r"sim\.csv: timestamp 2030-01-07T00:30:00\+00:00 is not hour-aligned"
+    ):
+        read_sim_series(path)
 
 
 def test_sim_series_without_sidecar(tmp_path):
@@ -757,6 +788,191 @@ def test_hourly_readers_reject_non_consecutive_rows(tmp_path, kind, stamps):
     path.write_text("\n".join([header, *(ts + cells for ts in stamps)]) + "\n")
     with pytest.raises(InvalidInputError, match=rf"{kind}\.csv:4: .*not one hour after"):
         reader(path)
+
+
+# -- bulk reads and their oracle --------------------------------------------
+#
+# read_pmf and the hourly readers parse the writers' own layout in bulk and
+# hand every file the bulk parse refuses to _read_columns, the oracle.
+
+
+def _write_demand(values: np.ndarray, path) -> None:
+    # the hourly writers' layout under the demand header
+    io._write_rows("timestamp_utc,demand_mw", "%r", [values], path, start=T0)
+
+
+def _bits(value) -> list:
+    """Every value in a reader's result; arrays as dtype, shape and bytes,
+    so that NaNs and signed zeros compare by their bits."""
+    if isinstance(value, np.ndarray):
+        return [(value.dtype.str, value.shape, value.tobytes())]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, (list, tuple)):
+        return [bits for item in value for bits in _bits(item)]
+    return [value]
+
+
+def test_bulk_path_reads_the_writers_own_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    probs = rng.random(80_001)
+    pmf = CapacityOutagePMF(probs / probs.sum())
+    write_pmf(pmf, tmp_path / "pmf.csv")
+    channels = _zone_channels(24 * 9)
+    write_zone_series(channels, tmp_path / "series.csv")
+    sim = HourlySeries(T0, np.round(rng.uniform(0, 9e4, 24 * 9)))
+    write_sim_series(sim, {"seed": 1}, tmp_path / "sim.csv")
+    demand = HourlySeries(T0, rng.uniform(3e4, 8e4, 24 * 9))
+    _write_demand(demand.values_mw, tmp_path / "demand.csv")
+    # what _read_columns would return, read before it is taken away
+    expected_series = _bits(read_zone_series(tmp_path / "series.csv"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back to _read_columns")
+
+    monkeypatch.setattr(io, "_read_columns", refuse)
+    assert _bits(read_pmf(tmp_path / "pmf.csv")) == _bits(pmf)
+    assert _bits(read_zone_series(tmp_path / "series.csv")) == expected_series
+    assert _bits(read_sim_series(tmp_path / "sim.csv")) == _bits((sim, {"seed": 1}))
+    assert _bits(read_demand(tmp_path / "demand.csv")) == _bits(demand)
+
+
+CELLS = ["nan", "-nan", "inf", "-0", "1_0", "1e400", " 1.5 ", '"1.5"', "0x3", "3.0", "", "1\x00", "1#"]
+
+
+def _replace_cell(data, lines):
+    i = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[i].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    if data.draw(st.booleans()):
+        cells[j] = data.draw(st.sampled_from(CELLS))
+    else:  # the same number written another way
+        cells[j] = data.draw(st.sampled_from(["{}.0", "{}e0", "+{}", " {}", "0{}", "{}\x00"])).format(cells[j])
+    lines[i] = ",".join(cells)
+
+
+def _resize_row(data, lines):
+    i = data.draw(st.integers(1, len(lines) - 1))
+    lines[i] = lines[i].rsplit(",", 1)[0] if data.draw(st.booleans()) else f"{lines[i]},1"
+
+
+def _insert_line(data, lines):
+    text = data.draw(st.sampled_from(["", " ", "\t", "#", "# note", f"#{lines[-1]}"]))
+    lines.insert(data.draw(st.integers(1, len(lines))), text)
+
+
+def _restamp(data, lines):
+    """Change the first cell of a row: its stamp, or the PMF's grid point."""
+    i = data.draw(st.integers(1, len(lines) - 1))
+    stamp, rest = lines[i].split(",", 1)
+    how = data.draw(st.sampled_from(["offset", "suffix", "earlier", "later"]))
+    if how == "offset":
+        stamp = stamp.replace("Z", "+00:00")
+    elif how == "suffix":
+        stamp += data.draw(st.sampled_from(["0", " ", "\x00", "Z"]))
+    else:
+        j = i - 1 if how == "earlier" else i + 1
+        stamp = lines[j if 1 <= j < len(lines) else i].split(",", 1)[0]
+    lines[i] = f"{stamp},{rest}"
+
+
+def _reorder(data, lines):
+    order = data.draw(st.permutations(range(lines[0].count(",") + 1)))
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        lines[i] = ",".join(cells[k] for k in order)
+
+
+MUTATIONS = {
+    "cell": _replace_cell,
+    "row_width": _resize_row,
+    "inserted_line": _insert_line,
+    "stamp": _restamp,
+    "column_order": _reorder,
+}
+
+
+def _base_file(kind: str, values: list[float], path) -> None:
+    values = np.array(values)
+    if kind == "pmf":
+        values = np.abs(np.nan_to_num(values, nan=1.0, posinf=2.0, neginf=3.0)) + 0.5
+        write_pmf(CapacityOutagePMF(values / values.sum()), path)
+    elif kind == "zone_series":
+        channels = {c: HourlyOutageSeries(T0, values, values - 1, values + 1) for c in Channel}
+        write_zone_series(channels, path)
+    elif kind == "sim_series":
+        write_sim_series(HourlySeries(T0, values), {}, path)
+    else:
+        _write_demand(values, path)
+
+
+def _outcome(reader, path) -> tuple:
+    try:
+        return ("read", _bits(reader(path)))
+    except Exception as exc:  # the oracle's every error, whatever its type
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["pmf", "zone_series", "sim_series", "demand"]),
+    values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=6),
+    mutation=st.sampled_from(sorted(MUTATIONS)),
+    line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+    data=st.data(),
+)
+def test_bulk_path_agrees_with_the_oracle(tmp_path_factory, kind, values, mutation, line_end, data):
+    path = tmp_path_factory.mktemp("mutated") / f"{kind}.csv"
+    _base_file(kind, values, path)
+    lines = path.read_text().splitlines()
+    MUTATIONS[mutation](data, lines)
+    path.write_bytes(line_end.join(lines).encode() + line_end.encode())
+    _assert_bulk_agrees_with_oracle(READERS[kind][0], path)
+
+
+def _assert_bulk_agrees_with_oracle(reader, path) -> None:
+    got = _outcome(reader, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_bulk_read", lambda *args: None)
+        assert got == _outcome(reader, path)
+
+
+# Files that np.loadtxt, used naively, reads differently from the oracle.
+LOADTXT_TRAPS = {
+    "blank_value_cell": ("sim_series", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z,",
+                                        "2030-01-07T02:00:00Z,2.0"]),
+    "float_grid_point": ("pmf", ["0,0.5", "1.0,0.5"]),
+    "comment_in_cell": ("demand", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z,1#2"]),
+    "comment_line": ("pmf", ["0,0.5", "#", "1,0.5"]),
+    "extra_cell": ("pmf", ["0,0.5", "1,0.5,2"]),
+    "stamp_nul": ("sim_series", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z\x00,1.0"]),
+    "stamp_past_9999": ("sim_series", ["9999-12-31T23:00:00Z,1.0", "10000-01-01T00:00:00Z,1.0"]),
+    "stamp_offset": ("demand", ["2030-01-07T00:00:00+00:00,1.0", "2030-01-07T01:00:00Z,1.0"]),
+}
+
+
+@pytest.mark.parametrize("trap", LOADTXT_TRAPS)
+def test_bulk_path_agrees_with_the_oracle_on_loadtxt_traps(tmp_path, trap):
+    kind, rows = LOADTXT_TRAPS[trap]
+    reader, header, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    _assert_bulk_agrees_with_oracle(reader, path)
+
+
+@pytest.mark.parametrize("kind", ["pmf", *HOURLY_READERS])
+def test_header_only_files_are_refused_whatever_the_warning_filter(tmp_path, kind):
+    # loadtxt only warns on a file without rows; the bulk path must refuse it
+    reader, header, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(InvalidInputError, match=rf"{kind}\.csv: (series has no rows|PMF must)"):
+            reader(path)
+
 
 
 # -- atomic writes -----------------------------------------------------------
