@@ -11,10 +11,16 @@ Two input shapes are accepted, auto-detected from the payload bytes:
   matching OutageReport verbatim.  Each field must have its JSON type
   (strings, an integer revision, finite MW numbers); none is coerced.
 
-Every number in an XML document goes through ``_xml_number``, which refuses
-what Python's ``int`` and ``float`` accept beyond plain XML numbers (digit
-group underscores, non-ASCII digits); a nominal power or point quantity
-that is not finite is a parse error too.
+Right after an XML document is parsed, every tag becomes its local name,
+so the default-namespace, prefixed and namespace-free forms read alike and
+each lookup is one ``find``.  Every field then goes through one reader,
+``_field``: only an absent element takes the field's default, and any text,
+empty or not, goes through the field's converter, whose ``ValueError`` or
+``OverflowError`` becomes a ``ParseError`` naming the document and field.
+Numbers go through ``_xml_number``, which refuses what ``int`` and ``float``
+accept beyond plain XML numbers (digit group underscores, non-ASCII
+digits); powers must be finite, resolutions positive, and revisions and
+point positions at least 1, with no position repeated.
 
 Business types map A53 to planned and A54 to forced; records with any other
 business type are skipped with a warning.  Parsing never filters: withdrawn
@@ -38,7 +44,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 from xml.etree import ElementTree
 
 from ..errors import ParseError
@@ -215,70 +221,31 @@ def _member_key(raw: bytes, info: zipfile.ZipInfo) -> tuple | None:
 # -- XML ---------------------------------------------------------------------
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def _direct_child(elem: ElementTree.Element, name: str) -> ElementTree.Element | None:
-    for child in elem:
-        if _localname(child.tag) == name:
-            return child
-    return None
-
-
-def _child_text(elem: ElementTree.Element, name: str) -> str | None:
-    child = _direct_child(elem, name)
-    return None if child is None else child.text
-
-
-def _parse_resolution(text: str) -> timedelta:
-    """ISO-8601 duration to timedelta; supports the platform's PT/P forms.
-
-    Raises ``ValueError`` for any other duration.
-    """
-    t = text.strip().upper()
-    try:
-        if t.startswith("PT") and t.endswith("M"):
-            return timedelta(minutes=_xml_number(t[2:-1], int))
-        if t.startswith("PT") and t.endswith("H"):
-            return timedelta(hours=_xml_number(t[2:-1], int))
-        if t.startswith("P") and t.endswith("D"):
-            return timedelta(days=_xml_number(t[1:-1], int))
-    except ValueError:
-        pass
-    raise ValueError(f"unsupported resolution {text!r}")
-
-
 def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
     try:
         root = ElementTree.fromstring(raw)
     except ElementTree.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
-    if _localname(root.tag) != "Unavailability_MarketDocument":
-        raise ParseError(f"unexpected root element {_localname(root.tag)!r}")
+    # The platform's namespace URI changes with the document version.
+    for elem in root.iter():
+        elem.tag = elem.tag.rpartition("}")[2]
+    if root.tag != "Unavailability_MarketDocument":
+        raise ParseError(f"unexpected root element {root.tag!r}")
 
-    doc_id = _child_text(root, "mRID") or ""
-    if not doc_id:
-        raise ParseError("document has no mRID")
-    rev_text = _child_text(root, "revisionNumber")
-    try:
-        revision = _xml_number(rev_text, int) if rev_text is not None else 1
-    except ValueError as exc:
-        raise ParseError(f"document {doc_id}: bad revisionNumber {rev_text!r}") from exc
-
-    status = ReportStatus.ACTIVE
-    doc_status = _direct_child(root, "docStatus")
-    if doc_status is not None:
-        value = (_child_text(doc_status, "value") or "").strip()
-        if value in WITHDRAWN_DOC_STATUS:
-            status = ReportStatus.WITHDRAWN
-
-    reports: list[OutageReport] = []
-    for ts in root:
-        if _localname(ts.tag) != "TimeSeries":
-            continue
-        reports.extend(_parse_timeseries(ts, doc_id, revision, status, zone_eic))
-    return reports
+    doc_id = _field(root, "mRID", "document", _token)
+    where = f"document {doc_id}"
+    revision = _field(root, "revisionNumber", where, _counting_number, default=1)
+    doc_status = root.find("docStatus")
+    withdrawn = (
+        doc_status is not None
+        and _field(doc_status, "value", where, default="") in WITHDRAWN_DOC_STATUS
+    )
+    status = ReportStatus.WITHDRAWN if withdrawn else ReportStatus.ACTIVE
+    return [
+        report
+        for ts in root.findall("TimeSeries")
+        for report in _parse_timeseries(ts, doc_id, revision, status, zone_eic)
+    ]
 
 
 def _parse_timeseries(
@@ -288,65 +255,50 @@ def _parse_timeseries(
     status: ReportStatus,
     zone_eic: dict[str, str] | None,
 ) -> list[OutageReport]:
-    ts_id = (_child_text(ts, "mRID") or "1").strip()
+    ts_id = _field(ts, "mRID", f"document {doc_id}", _token, default="1")
     where = f"document {doc_id} TimeSeries {ts_id}"
 
-    business = (_child_text(ts, "businessType") or "").strip()
+    business = _field(ts, "businessType", where, default="")
     kind = BUSINESS_TYPE_MAP.get(business)
     if kind is None:
         logger.warning("%s: skipping record with unknown business type %r", where, business)
         return []
 
-    eic = (_child_text(ts, "biddingZone_Domain.mRID") or "").strip()
-    zone = zone_for_eic(eic, zone_eic) if eic else ""
-
-    psr = (_child_text(ts, "production_RegisteredResource.pSRType.psrType") or "").strip()
-    fuel = PSR_TYPE_MAP.get(psr)
-    if fuel is None:
-        raise ParseError(f"{where}: unknown psrType {psr!r}")
-
-    unit_id = (
-        _child_text(ts, "production_RegisteredResource.pSRType.powerSystemResources.mRID")
-        or _child_text(ts, "production_RegisteredResource.mRID")
-        or ""
-    ).strip()
-    if not unit_id:
-        raise ParseError(f"{where}: no resource mRID")
-
-    nominal_text = _child_text(
-        ts, "production_RegisteredResource.pSRType.powerSystemResources.nominalP"
+    zone = zone_for_eic(_field(ts, "biddingZone_Domain.mRID", where, default=""), zone_eic)
+    fuel = _field(ts, "production_RegisteredResource.pSRType.psrType", where, _psr_type)
+    # ``_token`` never gives "", so only an absent unit mRID falls back to
+    # the resource's.
+    unit_id = _field(
+        ts,
+        "production_RegisteredResource.pSRType.powerSystemResources.mRID",
+        where,
+        _token,
+        default="",
+    ) or _field(ts, "production_RegisteredResource.mRID", where, _token)
+    nominal = _field(
+        ts, "production_RegisteredResource.pSRType.powerSystemResources.nominalP", where, _finite
     )
-    if nominal_text is None:
-        raise ParseError(f"{where}: no nominalP")
-    try:
-        nominal = _finite(nominal_text)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad nominalP {nominal_text!r}") from exc
 
-    reports: list[OutageReport] = []
-    for period in ts:
-        if _localname(period.tag) != "Available_Period":
-            continue
-        for interval_start, interval_end, available in _expand_period(period, where):
-            # The document states available capacity; the outage is the
-            # reduction below nominal, floored at zero when a unit reports
-            # more available power than its registered size.
-            unavailable = max(nominal - available, 0.0)
-            reports.append(
-                OutageReport(
-                    report_id=f"{doc_id}:{ts_id}",
-                    revision=revision,
-                    unit_id=unit_id,
-                    zone=zone,
-                    fuel=fuel,
-                    nominal_mw=nominal,
-                    start=interval_start,
-                    end=interval_end,
-                    unavailable_mw=unavailable,
-                    kind=kind,
-                    status=status,
-                )
-            )
+    # The document states available capacity; the outage is the reduction
+    # below nominal, floored at zero when a unit reports more available power
+    # than its registered size.
+    reports = [
+        OutageReport(
+            report_id=f"{doc_id}:{ts_id}",
+            revision=revision,
+            unit_id=unit_id,
+            zone=zone,
+            fuel=fuel,
+            nominal_mw=nominal,
+            start=interval_start,
+            end=interval_end,
+            unavailable_mw=max(nominal - available, 0.0),
+            kind=kind,
+            status=status,
+        )
+        for period in ts.findall("Available_Period")
+        for interval_start, interval_end, available in _expand_period(period, where)
+    ]
     if not reports:
         raise ParseError(f"{where}: no Available_Period points")
     return reports
@@ -357,56 +309,100 @@ def _expand_period(
 ) -> list[tuple[datetime, datetime, float]]:
     """Expand one Available_Period into (start, end, available MW) intervals.
 
-    Points carry 1-based positions on the period's resolution grid; a point
-    stays in force until the next stated position (curve-type A03 semantics),
-    and the last point runs to the period end.
+    Points carry distinct 1-based positions on the period's resolution grid;
+    a point stays in force until the next stated position (curve-type A03
+    semantics), and the last point runs to the period end.  A point that
+    starts at or after the period end states nothing.
     """
-    interval = _direct_child(period, "timeInterval")
+    interval = period.find("timeInterval")
     if interval is None:
-        raise ParseError(f"{where}: period has no timeInterval")
-    start_text = _child_text(interval, "start")
-    end_text = _child_text(interval, "end")
-    if not start_text or not end_text:
-        raise ParseError(f"{where}: period interval missing start/end")
-    start = parse_utc(start_text)
-    end = parse_utc(end_text)
+        raise ParseError(f"{where}: no timeInterval")
+    start = _field(interval, "start", where, parse_utc)
+    end = _field(interval, "end", where, parse_utc)
     if end <= start:
-        raise ParseError(f"{where}: empty period {start_text}..{end_text}")
+        raise ParseError(f"{where}: empty period {start.isoformat()}..{end.isoformat()}")
+    resolution = _field(period, "resolution", where, _parse_resolution, default=end - start)
 
-    res_text = _child_text(period, "resolution")
+    points: dict[int, float] = {}
+    for point in period.findall("Point"):
+        position = _field(point, "position", where, _counting_number)
+        if position in points:
+            raise ParseError(f"{where}: repeated position {position}")
+        points[position] = _field(point, "quantity", where, _finite)
+    positions = sorted(points)
     try:
-        resolution = _parse_resolution(res_text) if res_text else (end - start)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        bounds = [start + (position - 1) * resolution for position in positions]
+    except OverflowError as exc:
+        raise ParseError(f"{where}: position {positions[-1]} is past the calendar's end") from exc
+    bounds.append(end)
+    return [
+        (seg_start, min(seg_end, end), points[position])
+        for position, seg_start, seg_end in zip(positions, bounds, bounds[1:])
+        if seg_start < end
+    ]
 
-    points: list[tuple[int, float]] = []
-    for point in period:
-        if _localname(point.tag) != "Point":
-            continue
-        pos_text = _child_text(point, "position")
-        qty_text = _child_text(point, "quantity")
-        if pos_text is None or qty_text is None:
-            raise ParseError(f"{where}: point missing position/quantity")
-        try:
-            points.append((_xml_number(pos_text, int), _finite(qty_text)))
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad point {pos_text!r}/{qty_text!r}") from exc
-    if not points:
-        return []
-    points.sort(key=lambda pq: pq[0])
 
-    out: list[tuple[datetime, datetime, float]] = []
-    for i, (pos, qty) in enumerate(points):
-        seg_start = start + (pos - 1) * resolution
-        if i + 1 < len(points):
-            seg_end = start + (points[i + 1][0] - 1) * resolution
-        else:
-            seg_end = end
-        seg_start = max(seg_start, start)
-        seg_end = min(seg_end, end)
-        if seg_end > seg_start:
-            out.append((seg_start, seg_end, qty))
-    return out
+def _field(
+    elem: ElementTree.Element,
+    name: str,
+    where: str,
+    convert: Callable[[str], Any] = str.strip,
+    default: Any = None,
+) -> Any:
+    """``convert`` applied to the text of ``elem``'s first child named ``name``.
+
+    Only an absent child gives ``default``, and with a None default it is a
+    ``ParseError``.  An empty child is converted like any other text, so an
+    empty number is an error, not the default.  A ``ValueError`` or
+    ``OverflowError`` from ``convert`` becomes a ``ParseError`` naming
+    ``where``, the field and its text.
+    """
+    child = elem.find(name)
+    if child is None:
+        if default is None:
+            raise ParseError(f"{where}: no {name}")
+        return default
+    text = child.text or ""
+    try:
+        return convert(text)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad {name} {text!r}") from exc
+
+
+def _token(text: str) -> str:
+    """``text`` stripped, refusing an empty one with ``ValueError``."""
+    token = text.strip()
+    if not token:
+        raise ValueError("empty text")
+    return token
+
+
+def _psr_type(text: str) -> Fuel | Renewable:
+    """The class of a platform psrType code, refusing an unknown code with ``ValueError``."""
+    fuel = PSR_TYPE_MAP.get(text.strip())
+    if fuel is None:
+        raise ValueError(f"unknown psrType {text!r}")
+    return fuel
+
+
+def _parse_resolution(text: str) -> timedelta:
+    """ISO-8601 duration to a positive timedelta; supports the platform's PT/P forms.
+
+    Raises ``ValueError`` for any other or a non-positive duration, and
+    ``OverflowError`` for one beyond ``timedelta``'s range.
+    """
+    t = text.strip().upper()
+    if t.startswith("PT") and t.endswith("M"):
+        step = timedelta(minutes=_xml_number(t[2:-1], int))
+    elif t.startswith("PT") and t.endswith("H"):
+        step = timedelta(hours=_xml_number(t[2:-1], int))
+    elif t.startswith("P") and t.endswith("D"):
+        step = timedelta(days=_xml_number(t[1:-1], int))
+    else:
+        raise ValueError(f"unsupported resolution {text!r}")
+    if step <= timedelta(0):
+        raise ValueError(f"non-positive resolution {text!r}")
+    return step
 
 
 def _xml_number(text: str, convert: Callable[[str], _N]) -> _N:
@@ -418,6 +414,15 @@ def _xml_number(text: str, convert: Callable[[str], _N]) -> _N:
     if "_" in text or not text.isascii():
         raise ValueError(f"not a plain number: {text!r}")
     return convert(text)
+
+
+def _counting_number(text: str) -> int:
+    """``_xml_number(text, int)``, refusing with ``ValueError`` a value below 1:
+    revision numbers and grid positions count from 1."""
+    value = _xml_number(text, int)
+    if value < 1:
+        raise ValueError(f"not a counting number: {text!r}")
+    return value
 
 
 def _finite(text: str) -> float:

@@ -7,6 +7,7 @@ import re
 import struct
 import zipfile
 from datetime import datetime, timezone
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -778,3 +779,104 @@ def test_parse_rejects_non_finite_power(where, text):
     ])
     with pytest.raises(ParseError, match=f"document D1 TimeSeries 1: bad .*{text}"):
         parse(doc)
+
+
+#: a valid document whose every field a hostile text may replace: two points
+#: on an hourly grid over a 6-hour period of a 400 MW unit
+GRID_DOC = _document("D1", 1, [
+    _timeseries("1", "A54", "AA", "B04", "U1", 400,
+                ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), "PT60M", [(1, 100), (2, 300)]),
+])
+
+
+def _with_text(doc: bytes, tag: str, text: str, nth: int = 0) -> bytes:
+    """``doc`` with the text of its ``nth`` element ``tag`` replaced by ``text``."""
+    name = re.escape(tag.encode())
+    m = list(re.finditer(rb"(<%s(?: [^>]*)?>)[^<]*(</%s>)" % (name, name), doc))[nth]
+    return doc[: m.end(1)] + text.encode() + doc[m.start(2) :]
+
+
+@pytest.mark.parametrize(
+    "tag, nth, text, message",
+    [
+        ("revisionNumber", 0, "", "bad revisionNumber ''"),
+        ("resolution", 0, "", "bad resolution ''"),
+        ("revisionNumber", 0, "0", "bad revisionNumber '0'"),
+        ("revisionNumber", 0, "-1", "bad revisionNumber '-1'"),
+        ("resolution", 0, "PT0M", "bad resolution 'PT0M'"),
+        ("resolution", 0, "PT-60M", "bad resolution 'PT-60M'"),
+        ("position", 0, "0", "bad position '0'"),
+        ("position", 0, "-3", "bad position '-3'"),
+        ("position", 1, "1", "repeated position 1"),
+        ("end", 0, "2030-13-07T06:00Z", "bad end '2030-13-07T06:00Z'"),
+        ("position", 1, str(10**12), "position 1000000000000 is past the calendar's end"),
+        ("resolution", 0, "PT99999999999999M", "bad resolution 'PT99999999999999M'"),
+        ("resolution", 0, "P999999999D", "position 2 is past the calendar's end"),
+    ],
+    ids=[
+        "empty_revisionNumber",
+        "empty_resolution",
+        "revision_0",
+        "revision_-1",
+        "resolution_PT0M",
+        "resolution_PT-60M",
+        "position_0",
+        "position_-3",
+        "repeated_position",
+        "bad_end_timestamp",
+        "position_overflow",
+        "resolution_overflow",
+        "grid_overflow",
+    ],
+)
+def test_parse_rejects_a_bad_field(tag, nth, text, message):
+    with pytest.raises(ParseError, match=rf"^document D1\b.*{re.escape(message)}"):
+        parse(_with_text(GRID_DOC, tag, text, nth))
+
+
+#: (tag, nth) of every field of GRID_DOC but the document's own mRID, which
+#: names the document
+GRID_FIELDS = [
+    ("revisionNumber", 0),
+    ("mRID", 1),
+    ("businessType", 0),
+    ("biddingZone_Domain.mRID", 0),
+    ("production_RegisteredResource.mRID", 0),
+    ("production_RegisteredResource.pSRType.psrType", 0),
+    ("production_RegisteredResource.pSRType.powerSystemResources.mRID", 0),
+    ("production_RegisteredResource.pSRType.powerSystemResources.nominalP", 0),
+    ("start", 0),
+    ("end", 0),
+    ("resolution", 0),
+    ("position", 0),
+    ("position", 1),
+    ("quantity", 0),
+    ("quantity", 1),
+]
+
+HOSTILE_TEXTS = [
+    "", " ", "0", "-1", "1" * 30, "1_0", "٣", "nan", "2030-13-07T06:00Z", "PT0M", "P999999999D",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(GRID_FIELDS), text=st.sampled_from(HOSTILE_TEXTS))
+def test_parse_hostile_field_gives_reports_or_a_parse_error(field, text):
+    tag, nth = field
+    try:
+        reports = parse(_with_text(GRID_DOC, tag, text, nth))
+    except ParseError as exc:
+        assert re.match(r"document D1\b", str(exc)), exc
+    else:
+        assert all(r.report_id.startswith("D1:") for r in reports)
+
+
+def test_parse_reads_every_namespace_form_alike():
+    default_ns = _one_point_document()
+    prefixed = ElementTree.tostring(ElementTree.fromstring(default_ns))
+    no_ns = re.sub(rb' xmlns="[^"]*"', b"", default_ns)
+    assert b"<ns0:TimeSeries>" in prefixed and b"xmlns" not in no_ns
+    reports = parse(default_ns)
+    assert len(reports) == 1
+    assert parse(prefixed) == reports
+    assert parse(no_ns) == reports
