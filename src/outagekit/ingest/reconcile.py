@@ -18,12 +18,14 @@ the same event and reconcile via min/max instead of summing.
 The minute grid is built only over the hours that some report covers at
 least one minute of.  Every other hour has empty envelopes, so it is zero
 without building a grid for it: a unit with one two-day outage in a winter
-costs two days of minutes, not the winter.
+costs two days of minutes, not the winter.  One bool mask over the period's
+hours marks the touched hours, and the grid lays them end to end.  Every
+hour a span covers is touched, so its hours stay consecutive on the grid
+and the whole span moves left by one whole number of hours.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -78,39 +80,6 @@ def _clipped_minutes(
     return spans
 
 
-def _pack_touched_hours(
-    spans: list[tuple[int, int, float]],
-) -> tuple[list[tuple[int, int, float]], np.ndarray]:
-    """Move the spans onto a grid of only the hours they touch.
-
-    The touched hours form maximal runs of consecutive hours; the runs are
-    laid end to end, and each span moves with its run by a whole number of
-    hours.  Returns the moved spans, in their original order, and for each
-    hour of the packed grid the period hour it stands for.  No span reaches
-    into another run and minute-of-hour positions are kept, so every packed
-    hour sees the same spans, in the same order, as on the full grid, and
-    its 60-minute mean is bit-for-bit the same.
-    """
-    runs: list[list[int]] = []
-    for h0, h1 in sorted((s // 60, -(-e // 60)) for s, e, _ in spans):
-        if runs and h0 <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], h1)
-        else:
-            runs.append([h0, h1])
-    starts: list[int] = []
-    shifts: list[int] = []
-    hours: list[int] = []
-    for h0, h1 in runs:
-        starts.append(h0)
-        shifts.append((h0 - len(hours)) * 60)
-        hours.extend(range(h0, h1))
-    moved = []
-    for s, e, mw in spans:
-        shift = shifts[bisect_right(starts, s // 60) - 1]
-        moved.append((s - shift, e - shift, mw))
-    return moved, np.array(hours)
-
-
 def _minute_envelope(
     spans: Iterable[tuple[int, int, float]], n_minutes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -133,13 +102,23 @@ def _reconcile(reports: Sequence[OutageReport], period: HourRange) -> HourlyOuta
     """Hourly minimum, midpoint and maximum outage over the period.
 
     Only the hours some report touches go through the minute grid; the
-    envelopes of every other hour are zero.
+    envelopes of every other hour are zero.  A span whose first hour ``h``
+    is grid slot ``k`` moves left by ``60 * (h - k)``.  Its later hours are
+    touched too, so they follow ``h`` on the grid without a gap: every grid
+    hour sees the same spans, in the same order and at the same minutes, as
+    on the full grid, and its 60-minute mean is bit-for-bit the same.
     """
     o_min = np.zeros(period.n_hours)
     o_max = np.zeros(period.n_hours)
     spans = _clipped_minutes(reports, period)
     if spans:
-        packed, hours = _pack_touched_hours(spans)
+        touched = np.zeros(period.n_hours, dtype=bool)
+        for s, e, _ in spans:
+            touched[s // 60 : -(-e // 60)] = True
+        hours = np.flatnonzero(touched)
+        first = np.array([s // 60 for s, _, _ in spans])
+        shifts = (60 * (first - np.searchsorted(hours, first))).tolist()
+        packed = [(s - d, e - d, mw) for (s, e, mw), d in zip(spans, shifts)]
         lo, hi = _minute_envelope(packed, hours.size * 60)
         o_min[hours] = lo.reshape(hours.size, 60).mean(axis=1)
         o_max[hours] = hi.reshape(hours.size, 60).mean(axis=1)

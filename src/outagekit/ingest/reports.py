@@ -35,7 +35,8 @@ class OutageReport:
     """One unavailability statement for one unit over one interval.
 
     ``unavailable_mw`` is the reduction below nominal capacity during
-    [start, end).  Timestamps are UTC with minute resolution.
+    [start, end).  Timestamps are UTC with minute resolution.  Revisions
+    count from 1.
     """
 
     report_id: str
@@ -51,6 +52,9 @@ class OutageReport:
     status: ReportStatus
 
     def __post_init__(self) -> None:
+        rev = self.revision
+        if isinstance(rev, bool) or not isinstance(rev, int) or rev < 1:
+            raise InvalidInputError(f"revision must be an integer >= 1, got {rev!r}")
         object.__setattr__(self, "start", ensure_utc(self.start))
         object.__setattr__(self, "end", ensure_utc(self.end))
         if self.end <= self.start:

@@ -9,7 +9,8 @@ Two input shapes are accepted, auto-detected from the payload bytes:
   states *available* capacity, so the reduction is nominal minus available.
 * A normalized JSON-lines mirror with one report object per line, fields
   matching OutageReport verbatim.  Each field must have its JSON type
-  (strings, an integer revision, finite MW numbers); none is coerced.
+  (strings, an integer revision of at least 1, finite MW numbers); none is
+  coerced.
 
 Right after an XML document is parsed, every tag becomes its local name,
 so the default-namespace, prefixed and namespace-free forms read alike and
@@ -29,7 +30,8 @@ reports come out carrying status Withdrawn and are dropped downstream.
 The platform re-serves a document on every day it overlaps, so the caller
 can pass a set of the documents already parsed and each distinct document
 is then parsed once; a re-served ZIP member is skipped before it is
-inflated.
+inflated.  Without a caller's set, a document repeated within one payload
+is still parsed once.
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ def parse_document(
     ``zone_eic`` extends the built-in EIC-to-zone table used to label
     reports with a zone code.
 
-    ``seen`` is a caller-owned set that lets each distinct document be
-    parsed once.  It holds two kinds of entries:
+    ``seen`` is the set of documents already parsed, so each distinct
+    document is parsed once.  A caller passes its own set to carry it
+    across pages; without one, a fresh set still skips a document repeated
+    within this payload.  It holds two kinds of entries:
 
     * document payloads (``bytes``): a ZIP member, bare XML document or
       JSON-lines page already in it yields no reports, and a new one is
@@ -143,6 +147,7 @@ def parse_document(
     """
     if not isinstance(raw, bytes):
         raise ParseError(f"expected bytes, got {type(raw).__name__}")
+    seen = set() if seen is None else seen
     head = raw.lstrip()[:64]
     if not head:
         return []
@@ -150,16 +155,15 @@ def parse_document(
         return _parse_zip(raw, zone_eic, seen)
     if not head.startswith((b"<", b"{")):
         raise ParseError("unrecognized payload: not ZIP, XML, or JSON-lines")
-    if seen is not None and raw in seen:
+    if raw in seen:
         return []
     reports = _parse_xml(raw, zone_eic) if head.startswith(b"<") else _parse_jsonl(raw)
-    if seen is not None:
-        seen.add(raw)
+    seen.add(raw)
     return reports
 
 
 def _parse_zip(
-    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes | tuple] | None
+    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes | tuple]
 ) -> list[OutageReport]:
     try:
         archive = zipfile.ZipFile(io.BytesIO(raw))
@@ -169,8 +173,8 @@ def _parse_zip(
     with archive:
         # A stable sort keeps same-named members in archive order.
         for info in sorted(archive.infolist(), key=lambda i: i.filename):
-            key = _member_key(raw, info) if seen is not None else None
-            if key is not None and key in seen:
+            key = _member_key(raw, info)
+            if key in seen:
                 continue
             try:
                 payload = archive.read(info)
@@ -178,13 +182,12 @@ def _parse_zip(
                 raise ParseError(
                     f"{info.filename}: unreadable ZIP member: {str(exc) or type(exc).__name__}"
                 ) from exc
-            if payload.lstrip()[:1] == b"<" and not (seen is not None and payload in seen):
+            if payload.lstrip()[:1] == b"<" and payload not in seen:
                 try:
                     reports.extend(_parse_xml(payload, zone_eic))
                 except ParseError as exc:
                     raise ParseError(f"{info.filename}: {exc}") from exc
-                if seen is not None:
-                    seen.add(payload)
+                seen.add(payload)
             if key is not None:
                 seen.add(key)
     return reports
@@ -463,12 +466,9 @@ def _report_from_json(obj: dict) -> OutageReport:
     fuel = _FUEL_BY_VALUE.get(_text(obj, "fuel"))
     if fuel is None:
         raise ValueError(f"unknown fuel {obj['fuel']!r}")
-    revision = obj["revision"]
-    if isinstance(revision, bool) or not isinstance(revision, int):
-        raise TypeError(f"revision must be an integer, got {revision!r}")
     return OutageReport(
         report_id=_text(obj, "report_id"),
-        revision=revision,
+        revision=obj["revision"],
         unit_id=_text(obj, "unit_id"),
         zone=_text(obj, "zone"),
         fuel=fuel,

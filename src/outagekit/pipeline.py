@@ -328,16 +328,23 @@ def stage_fetch(config: PipelineConfig) -> int:
 def _parse_zone_period(
     client: FetchClient, config: PipelineConfig, zone: str, ev: Evaluation
 ) -> list:
-    """Reports of every distinct document served for a zone over a period.
+    """Reports of every distinct document cached for a zone over a period.
 
-    A document re-served on a later day is parsed only the first time.
+    Only ``stage_fetch`` downloads: a zone-day missing from the cache is an
+    ``InvalidInputError``.  A document re-served on a later day is parsed
+    only the first time.
     """
-    eic = eic_for_zone(zone, config.zone_eic)
     reports = []
     seen: set[bytes | tuple] = set()
     for day in days_in(ev.range):
         for doc_type in DOC_TYPES:
-            for page, payload in enumerate(client.fetch_day(zone, day, doc_type, eic=eic)):
+            pages = client.cached_pages(zone, day, doc_type)
+            if pages is None:
+                raise InvalidInputError(
+                    f"{zone} {day} {doc_type} is not in the cache {config.cache_dir}; "
+                    "run fetch first"
+                )
+            for page, payload in enumerate(pages):
                 try:
                     reports.extend(parse_document(payload, zone_eic=config.zone_eic, seen=seen))
                 except ParseError as exc:

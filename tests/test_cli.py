@@ -446,6 +446,33 @@ def test_fetch_leaves_page_verification_to_ingest(runner, tmp_path):
     assert "cache corrupted for AA 2030-03-01 A77 page 0" in result.stderr
 
 
+def test_ingest_never_downloads_a_missing_day(runner, tmp_path, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("ingest made a network call")
+
+    monkeypatch.setenv("ENTSOE_API_TOKEN", "a-token")
+    monkeypatch.setattr("outagekit.fetch._default_http_get", unexpected)
+    cache = tmp_path / "cache"
+    client = FetchClient("", cache, rate_limit_s=0.0)
+    day = datetime(2030, 3, 1, tzinfo=timezone.utc).date()
+    client.store("AA", day, "A77", [])
+    client.store("AA", day, "A80", [])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2030-03-01T00:00:00Z", "hours": 48},
+        "cache_dir": str(cache),
+        "output_dir": str(tmp_path / "out"),
+        "zone_eic": {"AA": "10Y-TEST-AA----X"},
+        "rate_limit_s": 0.0,
+    }))
+    result = runner.invoke(main, ["ingest", "--config", str(config)])
+    assert result.exit_code == 2
+    assert "AA 2030-03-02 A77 is not in the cache" in result.stderr
+    assert "run fetch first" in result.stderr
+    assert not (tmp_path / "out" / "series_AA_period.csv").exists()
+
+
 def test_fleet_of_another_zone_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0

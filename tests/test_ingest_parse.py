@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outagekit.errors import ParseError
+from outagekit.errors import InvalidInputError, ParseError
 from outagekit.ingest import (
     OVERSIZE_FACTOR,
     OutageReport,
@@ -468,6 +468,11 @@ def test_seen_zip_members_skipped_individually():
     assert parse_document(doc_c, zone_eic=EIC, seen=seen) == []  # served bare later
 
 
+def test_document_repeated_within_a_zip_parsed_once_without_a_set():
+    doc = _doc("D1")
+    assert [r.report_id for r in parse(_zip_of([doc, doc]))] == ["D1:1"]
+
+
 def test_seen_jsonl_page_parsed_once():
     seen: set[bytes] = set()
     raw = json.dumps(_jsonl_row()).encode()
@@ -733,6 +738,20 @@ def test_parse_jsonl_rejects_a_field_of_the_wrong_type(field, value):
     raw = json.dumps(_jsonl_row(**{field: value})).encode()
     with pytest.raises(ParseError, match=f"line 1: {field} must be"):
         parse(raw)
+
+
+@pytest.mark.parametrize("revision", [0, -1])
+def test_parse_jsonl_rejects_a_revision_below_1(revision):
+    raw = json.dumps(_jsonl_row(revision=revision)).encode()
+    message = rf"^line 1: revision must be an integer >= 1, got {revision}$"
+    with pytest.raises(ParseError, match=message):
+        parse(raw)
+
+
+@pytest.mark.parametrize("revision", [0, -1, True, 1.0])
+def test_report_rejects_a_revision_that_is_not_a_count(revision):
+    with pytest.raises(InvalidInputError, match="revision must be an integer >= 1"):
+        make_report(revision=revision)
 
 
 def _one_point_document(revision="1", nominal="400", resolution="PT60M", point=("1", "150")):

@@ -634,6 +634,16 @@ def test_warm_cache_fetch_reads_no_page(corpus, monkeypatch):
     assert pipeline.stage_fetch(config) == expected * len(config.zones) * len(DOC_TYPES)
 
 
+def test_ingest_reads_only_the_cache(corpus, tmp_path, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("stage_ingest called fetch_day")
+
+    monkeypatch.setattr(FetchClient, "fetch_day", unexpected)
+    config = dataclasses.replace(corpus["config"], output_dir=tmp_path / "out")
+    written = stage_ingest(config)
+    assert len(written) == len(config.zones) * len(evaluations(config))
+
+
 # -- plot-ready exports ------------------------------------------------------
 
 
