@@ -19,9 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 from xml.etree import ElementTree
 
-import requests
-
-from .errors import AuthError, FetchError, InvalidInputError
+from .errors import AuthError, FetchError, InvalidInputError, ParseError
 from .io import write_bytes, write_json
 from .zones import eic_for_zone
 
@@ -41,6 +39,9 @@ HttpGet = Callable[[str, dict], tuple[int, bytes]]
 
 
 def _default_http_get(url: str, params: dict) -> tuple[int, bytes]:
+    # imported here so that a run served from the cache loads no network stack
+    import requests
+
     resp = requests.get(url, params=params, timeout=60)
     return resp.status_code, resp.content
 
@@ -56,7 +57,9 @@ class FetchClient:
     cache_dir : root of the on-disk cache.
     http_get, sleep : injectable transport and delay functions.
     retries : attempts per request for retryable failures (HTTP 5xx / 429 /
-        connection errors); auth failures are never retried.
+        connection errors, meaning any ``OSError`` the transport raises;
+        ``requests.RequestException`` is one); auth failures and any other
+        exception are never retried.
     rate_limit_s : polite fixed delay before every network call.
     """
 
@@ -169,7 +172,9 @@ class FetchClient:
         A day the platform reports as having no matching data is cached as
         an empty page list, so it too is served without a network call next
         time.  Paging follows the platform's fixed page size: a full page
-        triggers a request for the next offset.
+        triggers a request for the next offset.  A ZIP page that cannot be
+        opened to count its documents is a ``ParseError`` and nothing is
+        stored, so the day stays a cache miss.
         """
         if doc_type not in DOC_TYPES:
             raise InvalidInputError(f"doc_type must be one of {DOC_TYPES}, got {doc_type!r}")
@@ -190,8 +195,14 @@ class FetchClient:
             payload = self._get_page(zone, day, doc_type, domain, offset)
             if payload is None:  # no matching data
                 break
+            try:
+                n_docs = _document_count(payload)
+            except zipfile.BadZipFile as exc:
+                raise ParseError(
+                    f"{zone} {day} {doc_type} offset {offset}: unreadable ZIP page: {exc}"
+                ) from exc
             pages.append(payload)
-            if _document_count(payload) < PAGE_SIZE_DOCS:
+            if n_docs < PAGE_SIZE_DOCS:
                 break
             offset += PAGE_SIZE_DOCS
         self.store(zone, day, doc_type, pages)
@@ -215,7 +226,7 @@ class FetchClient:
                 self.sleep(self.rate_limit_s)
             try:
                 status, body = self.http_get(API_URL, params)
-            except requests.RequestException as exc:
+            except OSError as exc:
                 last_error = exc
                 logger.warning("request failed (%s), attempt %d", exc, attempt + 1)
                 self.sleep(2.0**attempt)

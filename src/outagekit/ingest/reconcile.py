@@ -8,7 +8,10 @@ those envelopes over the hour gives the hourly minimum and maximum outage
 (``o_min_mw``, ``o_max_mw``), and the hourly outage itself (``values_mw``)
 is their midpoint.  With a single non-conflicting report this midpoint
 reduces to the plain time-average of the stated reduction.  A zone's series
-sums its units' envelopes and takes the midpoint of the sums.
+sums its units' envelopes and takes the midpoint of the sums.  It adds the
+units in the order given and holds one unit's series at a time; the caller
+sorts the units (the pipeline by unit id), which fixes the float order and so
+the bytes.
 
 The Forced and Planned channels reconcile only reports of their own kind.
 The Total channel pools all reports regardless of kind, so a forced and a
@@ -145,30 +148,35 @@ def unit_series(
 
 
 def zone_aggregate(
-    by_unit: Mapping[str, Mapping[Channel, HourlyOutageSeries]], period: HourRange
+    units: Iterable[Mapping[Channel, HourlyOutageSeries]], period: HourRange
 ) -> dict[Channel, HourlyOutageSeries]:
-    """Hour-wise sum of ``{unit_id: unit_series(...)}`` into the zone's channels.
+    """Hour-wise sum of per-unit ``unit_series(...)`` results into the zone's channels.
 
-    Every unit series must cover ``period``.  Per channel, the envelopes are
-    summed from zeros in sorted unit-id order and the midpoint is recomputed
-    from the sums, so aggregation is independent of input order and keeps
+    Every unit series must cover ``period``.  Each unit's envelopes are added
+    to the channel sums, which start from zeros, as the unit arrives, and
+    the unit is then dropped: fed a generator, only one unit's series is
+    held at a time.  The sums follow the order given, so the caller sorts
+    the units (float addition is not associative).  The midpoint is
+    recomputed from the sums, which keeps
     ``values_mw == (o_min_mw + o_max_mw) / 2`` exact.  No units gives
     all-zero series.
     """
-    for unit_id, series in by_unit.items():
-        for s in series.values():
+    sums = {c: (np.zeros(period.n_hours), np.zeros(period.n_hours)) for c in Channel}
+    for series in units:
+        for channel, (o_min, o_max) in sums.items():
+            s = series[channel]
             if s.range != period:
                 raise InvalidInputError(
-                    f"series for unit {unit_id} covers {s.n_hours} h from "
+                    f"a unit series covers {s.n_hours} h from "
                     f"{s.start.isoformat()}, not the period {period.n_hours} h from "
                     f"{period.start.isoformat()}"
                 )
-    out: dict[Channel, HourlyOutageSeries] = {}
-    for channel in Channel:
-        o_min = np.zeros(period.n_hours)
-        o_max = np.zeros(period.n_hours)
-        for unit_id in sorted(by_unit):
-            o_min += by_unit[unit_id][channel].o_min_mw
-            o_max += by_unit[unit_id][channel].o_max_mw
-        out[channel] = HourlyOutageSeries(period.start, (o_min + o_max) / 2.0, o_min, o_max)
-    return out
+            o_min += s.o_min_mw
+            o_max += s.o_max_mw
+        # free this unit before the iterable builds the next (an enumerate
+        # or zip around ``units`` would hold it until then)
+        del series, s
+    return {
+        c: HourlyOutageSeries(period.start, (o_min + o_max) / 2.0, o_min, o_max)
+        for c, (o_min, o_max) in sums.items()
+    }

@@ -366,7 +366,7 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
             for r in reports:
                 by_unit.setdefault(r.unit_id, []).append(r)
             zone_series = zone_aggregate(
-                {u: unit_series(rs, ev.range) for u, rs in by_unit.items()}, ev.range
+                (unit_series(by_unit[u], ev.range) for u in sorted(by_unit)), ev.range
             )
             target = series_path(config, zone, ev.slug)
             okio.write_zone_series(zone_series, target)

@@ -5,7 +5,7 @@ import json
 import logging
 import struct
 import zipfile
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -471,6 +471,27 @@ def test_ingest_never_downloads_a_missing_day(runner, tmp_path, monkeypatch):
     assert "AA 2030-03-02 A77 is not in the cache" in result.stderr
     assert "run fetch first" in result.stderr
     assert not (tmp_path / "out" / "series_AA_period.csv").exists()
+
+
+def test_corrupt_zip_page_at_fetch_exits_5(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("ENTSOE_API_TOKEN", "a-token")
+    monkeypatch.setattr(
+        "outagekit.fetch._default_http_get", lambda url, params: (200, b"PK\x03\x04garbage")
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2030-03-01T00:00:00Z", "hours": 24},
+        "cache_dir": str(tmp_path / "cache"),
+        "output_dir": str(tmp_path / "out"),
+        "zone_eic": {"AA": "10Y-TEST-AA----X"},
+        "rate_limit_s": 0.0,
+    }))
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 5
+    assert "AA 2030-03-01 A77 offset 0: unreadable ZIP page" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not FetchClient("", tmp_path / "cache").is_cached("AA", date(2030, 3, 1), "A77")
 
 
 def test_fleet_of_another_zone_exits_2(runner, corpus, tmp_path):

@@ -4,6 +4,9 @@ import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from datetime import date
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from outagekit.errors import AuthError, FetchError, InvalidInputError
+from outagekit.errors import AuthError, FetchError, InvalidInputError, ParseError
 from outagekit.fetch import (
     API_URL,
     DOC_TYPES,
@@ -288,6 +291,55 @@ def test_connection_errors_retried(tmp_path):
     )
     c = client(tmp_path, transport, retries=2)
     assert c.fetch_day("GB", DAY, "A77") == [XML_PAGE]
+
+
+def test_any_transport_oserror_is_retried(tmp_path):
+    transport = FakeTransport([ConnectionResetError("reset by peer"), (200, XML_PAGE)])
+    c = client(tmp_path, transport, retries=2)
+    assert c.fetch_day("GB", DAY, "A77") == [XML_PAGE]
+    assert len(transport.calls) == 2
+    assert c.test_sleeps == [1.0]
+
+
+def test_transport_error_that_is_not_oserror_propagates_at_once(tmp_path):
+    transport = FakeTransport([ValueError("bad URL"), (200, XML_PAGE)])
+    c = client(tmp_path, transport, retries=3)
+    with pytest.raises(ValueError, match="bad URL"):
+        c.fetch_day("GB", DAY, "A77")
+    assert len(transport.calls) == 1
+    assert c.test_sleeps == []
+    assert not c.is_cached("GB", DAY, "A77")
+
+
+@pytest.mark.parametrize("good_pages", [0, 1])
+def test_corrupt_zip_page_is_parse_error_and_not_cached(tmp_path, good_pages):
+    transport = FakeTransport(
+        [(200, zip_page(PAGE_SIZE_DOCS))] * good_pages + [(200, b"PK\x03\x04garbage")]
+    )
+    c = client(tmp_path, transport)
+    offset = good_pages * PAGE_SIZE_DOCS
+    with pytest.raises(ParseError, match=f"GB 2030-01-07 A77 offset {offset}: unreadable ZIP"):
+        c.fetch_day("GB", DAY, "A77")
+    assert not c.is_cached("GB", DAY, "A77")
+    assert c.cached_pages("GB", DAY, "A77") is None
+    assert list((tmp_path / "cache").rglob("*.meta.json")) == []
+
+
+def test_importing_the_package_loads_no_network_stack():
+    code = (
+        "import sys\n"
+        "import outagekit.cli\n"
+        "import outagekit\n"
+        "assert 'requests' not in sys.modules, 'requests was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_non_retryable_status_fails_fast(tmp_path):

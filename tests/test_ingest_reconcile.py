@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import weakref
 from datetime import timedelta
 
 import numpy as np
@@ -331,35 +332,27 @@ def test_outage_series_rejects_envelope_of_another_shape(envelope, bad):
 
 def test_zone_aggregate_single_series_identity():
     s = _unit([10, 20], [30, 40])
-    agg = zone_aggregate({"u1": s}, HourRange(T0, 2))
+    agg = zone_aggregate([s], HourRange(T0, 2))
     for c in Channel:
         assert triples(agg[c]) == triples(s[c])
 
 
 def test_zone_aggregate_sums_envelopes():
     agg = zone_aggregate(
-        {"u1": _unit([10, 0], [30, 0]), "u2": _unit([5, 5], [5, 15])}, HourRange(T0, 2)
+        iter([_unit([10, 0], [30, 0]), _unit([5, 5], [5, 15])]), HourRange(T0, 2)
     )
     for c in Channel:
         assert triples(agg[c]) == [(15.0, 25.0, 35.0), (5.0, 10.0, 15.0)]
 
 
-def test_zone_aggregate_order_invariant():
-    parts = [("b", _unit([1], [2])), ("a", _unit([3], [4])), ("c", _unit([5], [6]))]
-    fwd = zone_aggregate(dict(parts), HourRange(T0, 1))
-    rev = zone_aggregate(dict(reversed(parts)), HourRange(T0, 1))
-    for c in Channel:
-        assert triples(fwd[c]) == triples(rev[c])
-
-
 def test_zone_aggregate_midpoint_recomputed():
-    agg = zone_aggregate({"u1": _unit([0], [10]), "u2": _unit([0], [20])}, HourRange(T0, 1))
+    agg = zone_aggregate((_unit([0], [10]), _unit([0], [20])), HourRange(T0, 1))
     for s in agg.values():
         assert s.values_mw[0] == (s.o_min_mw[0] + s.o_max_mw[0]) / 2
 
 
 def test_zone_aggregate_of_no_units_is_zero():
-    agg = zone_aggregate({}, HourRange(T0, 3))
+    agg = zone_aggregate(iter(()), HourRange(T0, 3))
     assert set(agg) == set(Channel)
     for s in agg.values():
         assert s.range == HourRange(T0, 3)
@@ -368,9 +361,9 @@ def test_zone_aggregate_of_no_units_is_zero():
 
 def test_zone_aggregate_rejects_mismatched_periods():
     with pytest.raises(InvalidInputError, match="period"):
-        zone_aggregate({"u1": _unit([1], [2]), "u2": _unit([1, 1], [2, 2])}, HourRange(T0, 1))
+        zone_aggregate(iter([_unit([1], [2]), _unit([1, 1], [2, 2])]), HourRange(T0, 1))
     with pytest.raises(InvalidInputError, match="period"):
-        zone_aggregate({"u1": _unit([1], [2])}, HourRange(T0 + timedelta(hours=1), 1))
+        zone_aggregate(iter([_unit([1], [2])]), HourRange(T0 + timedelta(hours=1), 1))
 
 
 def test_zone_aggregate_consistent_with_pooled_units():
@@ -378,5 +371,48 @@ def test_zone_aggregate_consistent_with_pooled_units():
     r1 = [make_report("a", unit_id="u1", unavailable_mw=100.0, end_h=2)]
     r2 = [make_report("b", unit_id="u2", unavailable_mw=50.0, start_h=1, end_h=2)]
     period = HourRange(T0, 2)
-    agg = zone_aggregate({"u1": unit_series(r1, period), "u2": unit_series(r2, period)}, period)
+    agg = zone_aggregate((unit_series(rs, period) for rs in (r1, r2)), period)
     assert triples(agg[Channel.TOTAL]) == [(100.0, 100.0, 100.0), (150.0, 150.0, 150.0)]
+
+
+def test_zone_aggregate_holds_one_unit_at_a_time():
+    """Fed a generator, no two units' envelope arrays are ever alive together."""
+    refs: list[weakref.ref] = []
+
+    def units():
+        for k in range(5):
+            assert all(r() is None for r in refs), f"an earlier unit is alive at unit {k}"
+            unit = {
+                c: HourlyOutageSeries(T0, [k + 0.5] * 3, [float(k)] * 3, [k + 1.0] * 3)
+                for c in Channel
+            }
+            refs.extend(weakref.ref(s.o_min_mw) for s in unit.values())
+            yield unit
+            del unit
+
+    agg = zone_aggregate(units(), HourRange(T0, 3))
+    assert len(refs) == 5 * len(Channel)
+    assert agg[Channel.TOTAL].o_min_mw.tolist() == [10.0] * 3
+
+
+def test_zone_aggregate_matches_per_channel_dict_sum_bitwise():
+    """Streaming in sorted unit order is bit-for-bit the former per-channel sum."""
+    rng = np.random.default_rng(7)
+    period = HourRange(T0, 48)
+    by_unit = {}
+    for i in rng.permutation(40):
+        lo = rng.uniform(0.0, 700.0, (len(Channel), period.n_hours))
+        hi = lo + rng.uniform(0.0, 300.0, lo.shape)
+        by_unit[f"unit-{i:02d}"] = {
+            c: HourlyOutageSeries(T0, (a + b) / 2, a, b) for c, a, b in zip(Channel, lo, hi)
+        }
+    agg = zone_aggregate((by_unit[u] for u in sorted(by_unit)), period)
+    for c in Channel:
+        o_min = np.zeros(period.n_hours)
+        o_max = np.zeros(period.n_hours)
+        for u in sorted(by_unit):
+            o_min += by_unit[u][c].o_min_mw
+            o_max += by_unit[u][c].o_max_mw
+        assert agg[c].o_min_mw.tobytes() == o_min.tobytes()
+        assert agg[c].o_max_mw.tobytes() == o_max.tobytes()
+        assert agg[c].values_mw.tobytes() == ((o_min + o_max) / 2.0).tobytes()

@@ -644,6 +644,41 @@ def test_ingest_reads_only_the_cache(corpus, tmp_path, monkeypatch):
     assert len(written) == len(config.zones) * len(evaluations(config))
 
 
+@pytest.mark.parametrize("seed", [None, 1])
+def test_ingest_series_independent_of_report_order(corpus, tmp_path, monkeypatch, seed):
+    """Units reach the zone sum in unit-id order, however the reports arrive.
+
+    ``seed=None`` is the bundled corpus; seed 1 is a seeded corpus of three
+    units.  The CSVs round to 3 decimals, which can hide a change in float
+    summation order, so the order of the ``unit_series`` calls is checked
+    too.
+    """
+    if seed is None:
+        config = corpus["config"]
+    else:
+        config = PipelineConfig.from_file(build_reserved_corpus(tmp_path / "corpus", seed))
+    filter_reports, unit_series = pipeline.filter_reports, pipeline.unit_series
+    unit_order: list[str] = []
+
+    def recording_unit_series(reports, period):
+        unit_order.append(reports[0].unit_id)
+        return unit_series(reports, period)
+
+    monkeypatch.setattr(pipeline, "unit_series", recording_unit_series)
+    forward = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "fwd"))
+    forward_order = unit_order.copy()
+    unit_order.clear()
+
+    monkeypatch.setattr(pipeline, "filter_reports", lambda reports: filter_reports(reports)[::-1])
+    backward = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "rev"))
+
+    assert len(set(forward_order)) > 1
+    assert unit_order == forward_order
+    for fwd, rev in zip(forward, backward, strict=True):
+        assert fwd.name == rev.name
+        assert fwd.read_bytes() == rev.read_bytes()
+
+
 # -- plot-ready exports ------------------------------------------------------
 
 
