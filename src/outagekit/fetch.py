@@ -9,17 +9,16 @@ keeps the retry/backoff and cache logic testable offline.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import time
-import zipfile
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 from xml.etree import ElementTree
 
 from .errors import AuthError, FetchError, InvalidInputError, ParseError
+from .ingest.xmlparse import zip_member_count
 from .io import write_bytes, write_json
 from .zones import eic_for_zone
 
@@ -197,7 +196,7 @@ class FetchClient:
                 break
             try:
                 n_docs = _document_count(payload)
-            except zipfile.BadZipFile as exc:
+            except ParseError as exc:
                 raise ParseError(
                     f"{zone} {day} {doc_type} offset {offset}: unreadable ZIP page: {exc}"
                 ) from exc
@@ -256,11 +255,8 @@ def _period_param(day: date, days_ahead: int) -> str:
 
 
 def _document_count(payload: bytes) -> int:
-    """Number of documents in a page (ZIP entry count; 1 for bare XML)."""
-    if payload[:4] == b"PK\x03\x04":
-        with zipfile.ZipFile(io.BytesIO(payload)) as archive:
-            return len(archive.namelist())
-    return 1
+    """Number of documents in a page (ZIP member count; 1 for bare XML)."""
+    return zip_member_count(payload) if payload[:4] == b"PK\x03\x04" else 1
 
 
 def _no_data_reason(body: bytes) -> str | None:

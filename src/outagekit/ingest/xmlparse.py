@@ -32,6 +32,18 @@ can pass a set of the documents already parsed and each distinct document
 is then parsed once; a re-served ZIP member is skipped before it is
 inflated.  Without a caller's set, a document repeated within one payload
 is still parsed once.
+
+A ZIP page is read one of two ways.  A plain page, one as Python's
+``zipfile`` writes it without comments or extra fields, is read from its
+end record and central directory with ``struct`` (PKWARE APPNOTE 4.3.12
+and 4.3.16); each member's local header is checked against its directory
+record, its key comes from that record and its stored bytes, and only a
+member whose key is new is inflated, with raw ``zlib``, its length and CRC
+checked.  Every other page goes to ``zipfile``, and so does the rest of a
+plain page from the first member that fails a check.  ``zipfile`` thus
+reads every odd page, reports every damaged one, and serves the tests as
+the oracle.  It keys no member, so a re-served page that is not plain is
+inflated in full and skipped only by its payloads.
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Any, Callable, TypeVar
+from operator import itemgetter
+from typing import Any, Callable, Iterator, TypeVar
 from xml.etree import ElementTree
 
 from ..errors import ParseError
@@ -88,11 +101,18 @@ WITHDRAWN_DOC_STATUS = {"A09", "A13"}
 
 _ZIP_MAGIC = b"PK\x03\x04"
 
+#: What ``zipfile`` raises on a page it cannot open: a bad or missing end
+#: record or central directory (BadZipFile), a version needed above 6.3
+#: (NotImplementedError) or a name that is not UTF-8 under the UTF-8 flag
+#: (UnicodeDecodeError, a ValueError).
+_BAD_PAGE_ERRORS = (zipfile.BadZipFile, NotImplementedError, ValueError)
+
 #: What reading a damaged member raises: a bad header or CRC (BadZipFile),
 #: a bad deflate, LZMA or bzip2 stream (zlib.error, LZMAError, OSError), a
 #: stream that ends early (EOFError), an unsupported method or flag
-#: (NotImplementedError), an encrypted member (RuntimeError) or a name that
-#: is not UTF-8 (UnicodeDecodeError).
+#: (NotImplementedError), an encrypted member (RuntimeError), a local name
+#: that is not UTF-8 (UnicodeDecodeError) or a header offset before the
+#: page start (ValueError: negative seek value).
 _BAD_MEMBER_ERRORS = (
     zipfile.BadZipFile,
     zlib.error,
@@ -101,14 +121,34 @@ _BAD_MEMBER_ERRORS = (
     EOFError,
     NotImplementedError,
     RuntimeError,
-    UnicodeDecodeError,
+    ValueError,
 )
 
 #: A ZIP local file header (PKWARE APPNOTE 4.3.7): signature, flag word,
 #: name length and extra-field length, skipping the fields in between.
 _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
 
+#: A central directory file header (APPNOTE 4.3.12): signature, version
+#: needed, flag word, method, CRC, stored and uncompressed sizes, name,
+#: extra-field and comment lengths, and the local header's offset.
+_CENTRAL_HEADER = struct.Struct("<4s2xBxHH4xIIIHHH8xI")
+
+#: The end of central directory record (APPNOTE 4.3.16): signature, the two
+#: disk numbers, the two entry counts, the directory's size and offset, and
+#: the comment length.
+_END_RECORD = struct.Struct("<4s4HIIH")
+
 _UTF8_NAME_FLAG = 0x800
+
+#: Flag bits a plain member may carry: the deflate options (bits 1 and 2),
+#: a data descriptor (bit 3) and a UTF-8 name (bit 11).
+_PLAIN_FLAGS = 0x080E
+
+#: The highest version needed to extract that ``zipfile`` accepts.
+_MAX_VERSION = 63
+
+#: A 32-bit size or offset with this value is stored in a zip64 extra field.
+_ZIP64_VALUE = 0xFFFF_FFFF
 
 _N = TypeVar("_N", int, float)
 
@@ -133,11 +173,19 @@ def parse_document(
       JSON-lines page already in it yields no reports, and a new one is
       added once it has parsed;
     * ZIP member keys (``tuple``): the member's compression method, flag
-      word, CRC, uncompressed size and stored bytes.  A member whose key is
-      in the set is skipped before it is inflated.  Its key is added once
-      its payload has parsed or been skipped, so a key stands for a payload
-      already accounted for.  A document compressed differently misses the
-      key but is still skipped by its payload.
+      word, CRC, uncompressed size and stored bytes, read from a plain
+      page's central directory and the bytes its local header points to.
+      A member whose key is in the set is skipped before it is inflated.
+      Its key is added once its payload has parsed or been skipped, so a
+      key stands for a payload already accounted for.  A document
+      compressed differently misses the key but is still skipped by its
+      payload.  A page that is not plain (a method other than stored or
+      deflated, a flag bit other than the deflate options, the data
+      descriptor and the UTF-8 name, a version needed above 6.3, a
+      central extra field, a zip64 record or value, an archive comment,
+      bytes before the archive, or members that share a local header) is
+      read by ``zipfile`` and keys none of its members; each of them is
+      still skipped by its payload.
 
     Skipping is exact for ``deduplicate``, which collapses byte-identical
     reports and keeps the first occurrence of each, and every report first
@@ -165,60 +213,176 @@ def parse_document(
 def _parse_zip(
     raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes | tuple]
 ) -> list[OutageReport]:
-    try:
-        archive = zipfile.ZipFile(io.BytesIO(raw))
-    except zipfile.BadZipFile as exc:
-        raise ParseError(f"corrupt ZIP payload: {exc}") from exc
     reports: list[OutageReport] = []
-    with archive:
+    for name, payload in _zip_payloads(raw, seen):
+        if payload.lstrip()[:1] == b"<" and payload not in seen:
+            try:
+                reports.extend(_parse_xml(payload, zone_eic))
+            except ParseError as exc:
+                raise ParseError(f"{name}: {exc}") from exc
+            seen.add(payload)
+    return reports
+
+
+def _zip_payloads(raw: bytes, seen: set[bytes | tuple]) -> Iterator[tuple[str, bytes]]:
+    """(name, payload) of each member of a ZIP page, in name order, that its key does not skip.
+
+    A plain page is read from its central directory.  A member whose key is
+    in ``seen`` is skipped before it is inflated, and its key is added once
+    the caller has taken its payload.  At the first member that fails a
+    check, ``zipfile`` reads the page again from its first member; the
+    caller skips the members it has already parsed by their payloads.
+    """
+    members = _plain_members(raw)
+    if members is None:
+        yield from _zipfile_payloads(raw)
+        return
+    for name, raw_name, method, flags, crc, stored_size, size, offset, end in members:
+        start = offset + _LOCAL_HEADER.size
+        if end < start:
+            break
+        signature, local_flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, offset)
+        data_start = start + name_len + extra_len
+        if (
+            signature != _ZIP_MAGIC
+            or local_flags != flags
+            or raw[start : start + name_len] != raw_name
+            or end < data_start + stored_size
+        ):
+            break
+        stored = raw[data_start : data_start + stored_size]
+        key = (method, flags, crc, size, stored)
+        if key in seen:
+            continue
+        payload = _inflate(method, stored, size, crc)
+        if payload is None:
+            break
+        yield name, payload
+        seen.add(key)
+    else:
+        return
+    yield from _zipfile_payloads(raw)
+
+
+def _plain_members(raw: bytes) -> list[tuple] | None:
+    """The central directory of a plain ZIP page in name order, or None for any other page.
+
+    A plain page ends in an end record without a comment, holds nothing
+    before its first member, and has no zip64 record.  Each of its members
+    is stored or deflated, has a version needed of at most 6.3, only the
+    flag bits of ``_PLAIN_FLAGS``, no extra field, no zip64 value and a
+    name that decodes and holds no NUL, and no two members share a local
+    header.  ``zipfile`` opens every plain page and lists the same members
+    under the same names.  A member is ``(name, name bytes, method, flags,
+    CRC, stored size, size, local header offset, end)``, where ``end`` is
+    the next member's local header offset, or the directory's for the last
+    member: ``zipfile`` refuses stored bytes that run past it ("Overlapped
+    entries", from Python 3.11.8 and 3.12.2 on).
+    """
+    end = len(raw) - _END_RECORD.size
+    if end < 0:
+        return None
+    signature, disk, cd_disk, disk_count, count, cd_size, cd_offset, comment_len = (
+        _END_RECORD.unpack_from(raw, end)
+    )
+    if (
+        signature != b"PK\x05\x06"
+        or comment_len
+        or disk
+        or cd_disk
+        or disk_count != count
+        or cd_offset + cd_size != end
+        # zipfile looks for a zip64 locator right before the end record
+        or raw.startswith(b"PK\x06\x07", max(end - 20, 0))
+    ):
+        return None
+    members = []
+    pos = cd_offset
+    while pos < end:
+        if end < pos + _CENTRAL_HEADER.size:
+            return None
+        (
+            signature, version, flags, method, crc, stored_size, size,
+            name_len, extra_len, comment_len, offset,
+        ) = _CENTRAL_HEADER.unpack_from(raw, pos)
+        name_start = pos + _CENTRAL_HEADER.size
+        raw_name = raw[name_start : name_start + name_len]
+        pos = name_start + name_len + extra_len + comment_len
+        if (
+            signature != b"PK\x01\x02"
+            or version > _MAX_VERSION
+            or flags & ~_PLAIN_FLAGS
+            or method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+            or extra_len
+            or _ZIP64_VALUE in (stored_size, size, offset)
+            or b"\x00" in raw_name
+            or end < pos
+        ):
+            return None
+        try:
+            # An ASCII name reads alike in both encodings, and UTF-8 decodes it faster.
+            utf8 = flags & _UTF8_NAME_FLAG or raw_name.isascii()
+            name = raw_name.decode("utf-8" if utf8 else "cp437")
+        except UnicodeDecodeError:
+            return None
+        members.append((name, raw_name, method, flags, crc, stored_size, size, offset))
+    offsets = sorted({member[-1] for member in members})
+    if len(members) != count or len(offsets) != count:
+        return None
+    ends = dict(zip(offsets, offsets[1:] + [cd_offset]))
+    # A stable sort keeps same-named members in archive order.
+    return sorted([(*member, ends[member[-1]]) for member in members], key=itemgetter(0))
+
+
+def _inflate(method: int, stored: bytes, size: int, crc: int) -> bytes | None:
+    """A member's payload from its stored bytes, or None unless its length and CRC match."""
+    if method == zipfile.ZIP_DEFLATED:
+        try:
+            payload = zlib.decompressobj(-15).decompress(stored, size + 1)
+        except zlib.error:
+            return None
+    else:
+        payload = stored
+    return payload if len(payload) == size and zlib.crc32(payload) == crc else None
+
+
+def zip_member_count(raw: bytes) -> int:
+    """Number of members of a ZIP page, read the way ``parse_document`` reads it.
+
+    A page that ``parse_document`` cannot open is a ``ParseError``.
+    """
+    members = _plain_members(raw)
+    if members is not None:
+        return len(members)
+    with _open_zipfile(raw) as archive:
+        return len(archive.infolist())
+
+
+def _open_zipfile(raw: bytes) -> zipfile.ZipFile:
+    """``raw`` opened by ``zipfile``; a page it cannot open is a ``ParseError``."""
+    try:
+        return zipfile.ZipFile(io.BytesIO(raw))
+    except _BAD_PAGE_ERRORS as exc:
+        raise ParseError(f"corrupt ZIP payload: {exc}") from exc
+
+
+def _zipfile_payloads(raw: bytes) -> Iterator[tuple[str, bytes]]:
+    """(name, payload) of every member of a ZIP page in name order, read by ``zipfile``.
+
+    The reader of every page that is not plain, and the oracle of the
+    central directory path.  A page ``zipfile`` cannot open, or a member it
+    cannot read, is a ``ParseError`` naming the page or the member.
+    """
+    with _open_zipfile(raw) as archive:
         # A stable sort keeps same-named members in archive order.
         for info in sorted(archive.infolist(), key=lambda i: i.filename):
-            key = _member_key(raw, info)
-            if key in seen:
-                continue
             try:
                 payload = archive.read(info)
             except _BAD_MEMBER_ERRORS as exc:
                 raise ParseError(
                     f"{info.filename}: unreadable ZIP member: {str(exc) or type(exc).__name__}"
                 ) from exc
-            if payload.lstrip()[:1] == b"<" and payload not in seen:
-                try:
-                    reports.extend(_parse_xml(payload, zone_eic))
-                except ParseError as exc:
-                    raise ParseError(f"{info.filename}: {exc}") from exc
-                seen.add(payload)
-            if key is not None:
-                seen.add(key)
-    return reports
-
-
-def _member_key(raw: bytes, info: zipfile.ZipInfo) -> tuple | None:
-    """Key of a ZIP member's stored bytes, sliced from the page without inflating.
-
-    The stored bytes follow the local header's fixed part, name and extra
-    field, and run for ``compress_size`` bytes.  Returns None when the local
-    header is not one ``ZipFile.read`` accepts (bad signature or a name that
-    differs from the central directory's), so such a member is always read
-    and fails as it would without a key.  The flag word is part of the key,
-    so an encrypted member never matches one that was read.
-    """
-    start = info.header_offset
-    if len(raw) < start + _LOCAL_HEADER.size:
-        return None
-    signature, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, start)
-    name_start = start + _LOCAL_HEADER.size
-    data_start = name_start + name_len + extra_len
-    try:
-        name = raw[name_start : name_start + name_len].decode(
-            "utf-8" if flags & _UTF8_NAME_FLAG else "cp437"
-        )
-    except UnicodeDecodeError:
-        return None
-    if signature != _ZIP_MAGIC or name != info.orig_filename:
-        return None
-    stored = raw[data_start : data_start + info.compress_size]
-    return (info.compress_type, info.flag_bits, info.CRC, info.file_size, stored)
+            yield info.filename, payload
 
 
 # -- XML ---------------------------------------------------------------------
@@ -452,7 +616,7 @@ def _parse_jsonl(raw: bytes) -> list[OutageReport]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
         try:
             reports.append(_report_from_json(obj))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import zipfile
@@ -322,6 +323,39 @@ def test_corrupt_zip_page_is_parse_error_and_not_cached(tmp_path, good_pages):
         c.fetch_day("GB", DAY, "A77")
     assert not c.is_cached("GB", DAY, "A77")
     assert c.cached_pages("GB", DAY, "A77") is None
+    assert list((tmp_path / "cache").rglob("*.meta.json")) == []
+
+
+def _damaged_zip_page(damage: str) -> bytes:
+    """A one-member page that ``zipfile`` cannot open."""
+    page = bytearray(zip_page(1))
+    central = struct.unpack_from("<I", page, len(page) - 6)[0]
+    if damage == "version_above_6.3":
+        page[central + 6] = 0xFF  # version needed to extract: 25.5
+    else:  # the UTF-8 flag, with a name that is not UTF-8, in both headers
+        for header, flags_at in ((0, 6), (central, 8)):
+            struct.pack_into("<H", page, header + flags_at, 0x800)
+        page[30] = page[central + 46] = 0xFF
+    return bytes(page)
+
+
+#: damage -> what the ParseError says after "unreadable ZIP page: corrupt ZIP payload: "
+UNOPENABLE_PAGES = {
+    "version_above_6.3": r"zip file version 25\.5",
+    "name_not_utf8": "'utf-8' codec",
+}
+
+
+@pytest.mark.parametrize("damage", list(UNOPENABLE_PAGES))
+def test_zip_page_zipfile_cannot_open_is_parse_error_and_not_cached(tmp_path, damage):
+    message = (
+        "GB 2030-01-07 A77 offset 0: unreadable ZIP page: corrupt ZIP payload: "
+        + UNOPENABLE_PAGES[damage]
+    )
+    c = client(tmp_path, FakeTransport([(200, _damaged_zip_page(damage))]))
+    with pytest.raises(ParseError, match=message):
+        c.fetch_day("GB", DAY, "A77")
+    assert not c.is_cached("GB", DAY, "A77")
     assert list((tmp_path / "cache").rglob("*.meta.json")) == []
 
 

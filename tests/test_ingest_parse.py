@@ -6,7 +6,9 @@ import logging
 import re
 import struct
 import zipfile
+import zlib
 from datetime import datetime, timezone
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
@@ -311,13 +313,32 @@ DEFLATE_9 = (zipfile.ZIP_DEFLATED, 9)
 BZIP2 = (zipfile.ZIP_BZIP2, 9)
 
 
-def _zip_members(members: list[tuple[bytes, tuple[int, int | None]]]) -> bytes:
-    """A ZIP page of (payload, (compression method, level)) members."""
+class _Unseekable:
+    """A write-only stream, so that ``zipfile`` writes a data descriptor after each member."""
+
+    def __init__(self, buf: io.BytesIO):
+        self.write, self.flush = buf.write, buf.flush
+
+
+#: page shapes: the central directory path takes the first two, ``zipfile``
+#: reads the others
+PAGE_SHAPES = ("plain", "data_descriptors", "comment", "prepended")
+
+
+def _zip_members(
+    members: list[tuple[bytes, tuple[int, int | None]]], shape: str = "plain"
+) -> bytes:
+    """A ZIP page of (payload, (compression method, level)) members in one of ``PAGE_SHAPES``."""
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+    with zipfile.ZipFile(_Unseekable(buf) if shape == "data_descriptors" else buf, "w") as zf:
         for i, (payload, (method, level)) in enumerate(members):
             zf.writestr(f"doc_{i}.xml", payload, compress_type=method, compresslevel=level)
-    return buf.getvalue()
+        if shape == "comment":
+            zf.comment = b"served by the platform"
+    # bytes before the archive, starting with a local header signature so
+    # that the page is still taken for a ZIP page
+    prefix = b"PK\x03\x04 stray bytes" if shape == "prepended" else b""
+    return prefix + buf.getvalue()
 
 
 #: offset and format of a field in a ZIP local header; the central
@@ -375,6 +396,109 @@ def test_parse_bad_zip_member_is_a_parse_error_naming_it(case):
         parse(build())
 
 
+def _central_offset(page: bytes) -> int:
+    """Offset of the first central directory header, read from the end record."""
+    return struct.unpack_from("<I", page, len(page) - 6)[0]
+
+
+def _version_above_63() -> bytes:
+    page = bytearray(_stored_page())
+    page[_central_offset(page) + 6] = 0xFF  # version needed to extract: 25.5
+    return bytes(page)
+
+
+def _utf8_flag_with_a_name_that_is_not_utf8() -> bytes:
+    page = bytearray(_patched(_stored_page(), flags=0x800))
+    page[30] = page[_central_offset(page) + 46] = 0xFF  # first name byte of both headers
+    return bytes(page)
+
+
+def _directory_offset_too_large() -> bytes:
+    page = bytearray(_stored_page())
+    struct.pack_into("<I", page, len(page) - 6, _central_offset(page) + 5)
+    return bytes(page)
+
+
+DAMAGED_PAGES = {
+    "version_above_6.3": (_version_above_63, r"corrupt ZIP payload: zip file version 25\.5"),
+    "name_not_utf8": (
+        _utf8_flag_with_a_name_that_is_not_utf8,
+        r"corrupt ZIP payload: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "directory_offset_too_large": (
+        _directory_offset_too_large,
+        r"doc_0\.xml: unreadable ZIP member: negative seek value -5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_PAGES))
+def test_parse_damaged_zip_page_is_a_parse_error(case):
+    build, message = DAMAGED_PAGES[case]
+    with pytest.raises(ParseError, match=message):
+        parse(build())
+
+
+def test_central_directory_path_takes_only_plain_pages():
+    members = [(_doc("D1"), DEFLATE_1), (_doc("D2"), STORED)]
+    for shape in PAGE_SHAPES:
+        taken = xmlparse._plain_members(_zip_members(members, shape)) is not None
+        assert taken == (shape in ("plain", "data_descriptors")), shape
+    assert xmlparse._plain_members(_zip_members([(_doc("D1"), BZIP2)])) is None
+    assert xmlparse._plain_members(DAMAGE_PAGE) is not None
+    for build, _ in DAMAGED_PAGES.values():
+        assert xmlparse._plain_members(build()) is None
+
+
+def test_member_failing_a_check_partway_keeps_the_reports_already_parsed(monkeypatch):
+    # The second member's local header carries a deflate option bit that its
+    # central record lacks: zipfile reads it, the central directory path
+    # stops there and hands the page to zipfile.
+    page = bytearray(_zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_1)]))
+    with zipfile.ZipFile(io.BytesIO(page)) as zf:
+        struct.pack_into("<H", page, zf.infolist()[1].header_offset + 6, 0x2)
+    inflates = _counting(monkeypatch, xmlparse, "_inflate")
+    assert [r.report_id for r in parse(bytes(page))] == ["D1:1", "D2:1"]
+    assert inflates == [1]
+
+
+def _deflated(payload: bytes) -> bytes:
+    packer = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return packer.compress(payload) + packer.flush()
+
+
+def _zip_by_hand(members: list[tuple[str, bytes, int, bool]]) -> bytes:
+    """A ZIP page of (name, payload, method, data descriptor) members.
+
+    ``zipfile`` writes a data descriptor after every member of a page or
+    after none; this writer chooses per member.
+    """
+    body, directory = bytearray(), bytearray()
+    for name, payload, method, descriptor in members:
+        raw_name = name.encode("utf-8")
+        flags = (0x8 if descriptor else 0) | (0 if raw_name.isascii() else 0x800)
+        stored = _deflated(payload) if method == zipfile.ZIP_DEFLATED else payload
+        sizes = (zlib.crc32(payload), len(stored), len(payload))
+        local_sizes = (0, 0, 0) if descriptor else sizes
+        offset = len(body)
+        body += struct.pack(
+            "<4s5H3I2H", b"PK\x03\x04", 20, flags, method, 0, 0x5C21, *local_sizes,
+            len(raw_name), 0,
+        )
+        body += raw_name + stored
+        if descriptor:
+            body += struct.pack("<4s3I", b"PK\x07\x08", *sizes)
+        directory += struct.pack(
+            "<4s6H3I5H2I", b"PK\x01\x02", 20, 20, flags, method, 0, 0x5C21, *sizes,
+            len(raw_name), 0, 0, 0, 0, 0, offset,
+        )
+        directory += raw_name
+    end = struct.pack(
+        "<4s4H2IH", b"PK\x05\x06", 0, 0, len(members), len(members), len(directory), len(body), 0
+    )
+    return bytes(body + directory + end)
+
+
 def test_parse_duplicate_named_members_reads_each():
     buf = io.BytesIO()
     with pytest.warns(UserWarning, match="Duplicate name"):
@@ -420,6 +544,12 @@ def test_parse_jsonl_round_trip():
 def test_parse_jsonl_bad_line_number_in_error():
     raw = (json.dumps(_jsonl_row()) + "\n{not json\n").encode()
     with pytest.raises(ParseError, match="line 2"):
+        parse(raw)
+
+
+def test_parse_jsonl_line_that_is_not_utf8_is_a_parse_error():
+    raw = json.dumps(_jsonl_row()).encode() + b"\n" + b'{"report_id": "\xff"}'
+    with pytest.raises(ParseError, match="line 2: invalid JSON: 'utf-8' codec"):
         parse(raw)
 
 
@@ -514,22 +644,23 @@ def _counting(monkeypatch, owner: object, attr: str) -> list[int]:
 def test_seen_zip_member_skipped_before_inflating(monkeypatch):
     page = _zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_9)])
     seen: set[bytes | tuple] = set()
+    inflates = _counting(monkeypatch, xmlparse, "_inflate")
     assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 2
-    reads = _counting(monkeypatch, zipfile.ZipFile, "read")
+    assert inflates == [2]
     assert parse_document(page, zone_eic=EIC, seen=seen) == []
-    assert reads == [0]
+    assert inflates == [2]
 
 
 def test_seen_document_compressed_differently_parsed_once(monkeypatch):
     doc = _doc("D1")
     pages = [_zip_members([(doc, level)]) for level in (DEFLATE_1, DEFLATE_9, STORED)]
     parses = _counting(monkeypatch, xmlparse, "_parse_xml")
-    reads = _counting(monkeypatch, zipfile.ZipFile, "read")
+    inflates = _counting(monkeypatch, xmlparse, "_inflate")
     seen: set[bytes | tuple] = set()
     served = [parse_document(page, zone_eic=EIC, seen=seen) for page in pages]
     assert [len(reports) for reports in served] == [1, 0, 0]
     assert parses == [1]
-    assert reads == [3]  # no serving hit an earlier serving's member key
+    assert inflates == [3]  # no serving hit an earlier serving's member key
     keys = [e for e in seen if isinstance(e, tuple)]
     assert len({key[-1] for key in keys}) == 3
     assert {e for e in seen if isinstance(e, bytes)} == {doc}
@@ -602,6 +733,7 @@ MIXTURE_DOCS = [
                 max_size=4,
             ),
             st.booleans(),
+            st.sampled_from(PAGE_SHAPES),
         ),
         min_size=1,
         max_size=6,
@@ -610,16 +742,111 @@ MIXTURE_DOCS = [
 )
 def test_seen_skipping_matches_parsing_every_page(pages, data):
     raw_pages = []
-    for members, bare in pages:
+    for members, bare, shape in pages:
         if bare and len(members) == 1 and MIXTURE_DOCS[members[0][0]].startswith(b"<"):
             raw_pages.append(MIXTURE_DOCS[members[0][0]])
         else:
-            raw_pages.append(_zip_members([(MIXTURE_DOCS[i], how) for i, how in members]))
+            raw_pages.append(_zip_members([(MIXTURE_DOCS[i], how) for i, how in members], shape))
     order = data.draw(st.permutations(range(len(raw_pages))))
     seen: set[bytes | tuple] = set()
     skipping = [r for k in order for r in parse_document(raw_pages[k], zone_eic=EIC, seen=seen)]
     every_page = [r for page in raw_pages for r in parse(page)]
     assert deduplicate(skipping) == deduplicate(every_page)
+
+
+#: a plain page that mixes deflated and stored members, with and without
+#: data descriptors, and has UTF-8 names
+DAMAGE_PAGE = _zip_by_hand([
+    ("doc_0.xml", MIXTURE_DOCS[0], zipfile.ZIP_DEFLATED, False),
+    ("doc_1.xml", MIXTURE_DOCS[1], zipfile.ZIP_STORED, True),
+    ("döc_2.xml", MIXTURE_DOCS[2], zipfile.ZIP_DEFLATED, True),
+    ("doc_3.xml", MIXTURE_DOCS[3], zipfile.ZIP_STORED, False),
+    ("dóc_4.xml", MIXTURE_DOCS[4], zipfile.ZIP_DEFLATED, False),
+    ("doc_5.xml", _doc("D4"), zipfile.ZIP_DEFLATED, True),
+    ("doc_6.xml", MIXTURE_DOCS[0], zipfile.ZIP_DEFLATED, False),
+])
+
+_DIRECTORY = _central_offset(DAMAGE_PAGE)
+_END = len(DAMAGE_PAGE) - 22
+with zipfile.ZipFile(io.BytesIO(DAMAGE_PAGE)) as _zf:
+    _LOCAL_HEADERS = [
+        info.header_offset + i
+        for info in _zf.infolist()
+        for i in range(30 + len(info.filename.encode()))
+    ]
+#: where a flipped byte may fall; local headers are drawn on their own too,
+#: as they are a small part of the members
+DAMAGE_REGIONS = {
+    "members": range(_DIRECTORY),
+    "local headers": _LOCAL_HEADERS,
+    "central directory": range(_DIRECTORY, _END),
+    "end record": range(_END, len(DAMAGE_PAGE)),
+}
+
+
+def _reports_or_error(page: bytes, seen: set[bytes | tuple]) -> list[OutageReport] | str:
+    try:
+        return parse_document(page, zone_eic=EIC, seen=seen)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), after_the_intact_page=st.booleans())
+def test_damaged_page_reads_as_zipfile_alone_reads_it(data, after_the_intact_page):
+    page = bytearray(DAMAGE_PAGE)
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        region = DAMAGE_REGIONS[data.draw(st.sampled_from(sorted(DAMAGE_REGIONS)))]
+        page[data.draw(st.sampled_from(region))] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.integers(0, 3), label="truncate") == 0:
+        del page[data.draw(st.integers(4, len(page) - 1)):]
+    seen: set[bytes | tuple] = set()
+    if after_the_intact_page:
+        parse_document(DAMAGE_PAGE, zone_eic=EIC, seen=seen)
+    both_paths = _reports_or_error(bytes(page), set(seen))
+    with mock.patch.object(xmlparse, "_plain_members", lambda raw: None):
+        zipfile_alone = _reports_or_error(bytes(page), set(seen))
+    assert both_paths == zipfile_alone
+
+
+def _stored_size_raised(member: int) -> bytes:
+    """A two-member plain page whose ``member``'s stored size in the central
+    directory runs 4 bytes into the next local header or the directory."""
+    page = bytearray(_zip_by_hand([
+        ("doc_0.xml", _doc("D1"), zipfile.ZIP_DEFLATED, False),
+        ("doc_1.xml", _doc("D2"), zipfile.ZIP_DEFLATED, False),
+    ]))
+    record = [m.start() for m in re.finditer(b"PK\x01\x02", page)][member]
+    struct.pack_into("<I", page, record + 20, struct.unpack_from("<I", page, record + 20)[0] + 4)
+    return bytes(page)
+
+
+def _two_records_for_one_local_header() -> bytes:
+    page = bytearray(_zip_by_hand([("doc_0.xml", _doc("D1"), zipfile.ZIP_DEFLATED, False)] * 2))
+    second = [m.start() for m in re.finditer(b"PK\x01\x02", page)][1]
+    struct.pack_into("<I", page, second + 42, 0)  # the first member's local header offset
+    return bytes(page)
+
+
+OVERLAPPING_PAGES = {
+    "into_the_next_local_header": lambda: _stored_size_raised(0),
+    "into_the_central_directory": lambda: _stored_size_raised(1),
+    "two_records_for_one_local_header": _two_records_for_one_local_header,
+}
+
+
+@pytest.mark.parametrize("case", list(OVERLAPPING_PAGES))
+def test_overlapping_members_read_as_zipfile_alone_reads_them(monkeypatch, case):
+    """``zipfile`` refuses overlapping members from Python 3.11.8 and 3.12.2
+    on, and reads them before.  The deflate stream ends before the raised
+    size, so its length and CRC still match; the central directory path
+    must hand the page to ``zipfile`` to agree with it on every Python."""
+    page = OVERLAPPING_PAGES[case]()
+    with mock.patch.object(xmlparse, "_plain_members", lambda raw: None):
+        zipfile_alone = _reports_or_error(page, set())
+    opened = _counting(monkeypatch, xmlparse, "_open_zipfile")
+    assert _reports_or_error(page, set()) == zipfile_alone
+    assert opened == [1]
 
 
 def test_seen_unparseable_zip_member_not_recorded():
