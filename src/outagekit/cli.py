@@ -33,6 +33,7 @@ from typing import Callable, Iterable
 
 import click
 
+from . import __version__
 from .errors import (
     AuthError,
     FetchError,
@@ -110,7 +111,7 @@ def _with_config(body: Callable[..., Iterable[object]]):
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="outagekit")
+@click.version_option(version=__version__, prog_name="outagekit")
 @click.option("-v", "--verbose", is_flag=True, help="Log stage progress to stderr.")
 def cli(verbose: bool) -> None:
     """Generator-fleet unavailability: data ingestion, models and statistics."""

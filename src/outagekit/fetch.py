@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from xml.etree import ElementTree
 
 from .errors import AuthError, FetchError, InvalidInputError, ParseError
-from .ingest.xmlparse import zip_member_count
+from .ingest.xmlparse import page_document_count
 from .io import write_bytes, write_json
 from .zones import eic_for_zone
 
@@ -171,9 +171,10 @@ class FetchClient:
         A day the platform reports as having no matching data is cached as
         an empty page list, so it too is served without a network call next
         time.  Paging follows the platform's fixed page size: a full page
-        triggers a request for the next offset.  A ZIP page that cannot be
-        opened to count its documents is a ``ParseError`` and nothing is
-        stored, so the day stays a cache miss.
+        triggers a request for the next offset.  Each page is counted by
+        ``page_document_count``, which reads every member of a ZIP page as
+        ingest does: a page that ingest could not read is a ``ParseError``
+        and nothing is stored, so the day stays a cache miss.
         """
         if doc_type not in DOC_TYPES:
             raise InvalidInputError(f"doc_type must be one of {DOC_TYPES}, got {doc_type!r}")
@@ -195,7 +196,7 @@ class FetchClient:
             if payload is None:  # no matching data
                 break
             try:
-                n_docs = _document_count(payload)
+                n_docs = page_document_count(payload)
             except ParseError as exc:
                 raise ParseError(
                     f"{zone} {day} {doc_type} offset {offset}: unreadable ZIP page: {exc}"
@@ -252,11 +253,6 @@ class FetchClient:
 def _period_param(day: date, days_ahead: int) -> str:
     d = date.fromordinal(day.toordinal() + days_ahead)
     return f"{d:%Y%m%d}0000"
-
-
-def _document_count(payload: bytes) -> int:
-    """Number of documents in a page (ZIP member count; 1 for bare XML)."""
-    return zip_member_count(payload) if payload[:4] == b"PK\x03\x04" else 1
 
 
 def _no_data_reason(body: bytes) -> str | None:

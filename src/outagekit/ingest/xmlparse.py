@@ -1,16 +1,13 @@
 """Parsing of raw unavailability documents into normalized reports.
 
-Two input shapes are accepted, auto-detected from the payload bytes:
-
-* Transparency-platform unavailability market documents (document types A77
-  for production units, A80 for generation units), as a bare XML document or
-  a ZIP archive of XML documents (the API wraps multi-document responses in
-  a ZIP).  Each availability period point becomes one report; the platform
-  states *available* capacity, so the reduction is nominal minus available.
-* A normalized JSON-lines mirror with one report object per line, fields
-  matching OutageReport verbatim.  Each field must have its JSON type
-  (strings, an integer revision of at least 1, finite MW numbers); none is
-  coerced.
+A page holds transparency-platform unavailability market documents
+(document types A77 for production units, A80 for generation units), as a
+bare XML document or a ZIP archive of XML documents (the API wraps
+multi-document responses in a ZIP); the payload bytes tell which.  Each
+availability period point becomes one report; the platform states
+*available* capacity, so the reduction is nominal minus available.  This
+module alone decides what a page is: ``fetch`` stores a page only once
+``page_document_count`` has read it the way ``parse_document`` does.
 
 Right after an XML document is parsed, every tag becomes its local name,
 so the default-namespace, prefixed and namespace-free forms read alike and
@@ -49,7 +46,6 @@ inflated in full and skipped only by its payloads.
 from __future__ import annotations
 
 import io
-import json
 import logging
 import lzma
 import math
@@ -169,9 +165,9 @@ def parse_document(
     across pages; without one, a fresh set still skips a document repeated
     within this payload.  It holds two kinds of entries:
 
-    * document payloads (``bytes``): a ZIP member, bare XML document or
-      JSON-lines page already in it yields no reports, and a new one is
-      added once it has parsed;
+    * document payloads (``bytes``): a ZIP member or bare XML document
+      already in it yields no reports, and a new one is added once it has
+      parsed;
     * ZIP member keys (``tuple``): the member's compression method, flag
       word, CRC, uncompressed size and stored bytes, read from a plain
       page's central directory and the bytes its local header points to.
@@ -196,18 +192,22 @@ def parse_document(
     if not isinstance(raw, bytes):
         raise ParseError(f"expected bytes, got {type(raw).__name__}")
     seen = set() if seen is None else seen
-    head = raw.lstrip()[:64]
-    if not head:
-        return []
-    if raw[:4] == _ZIP_MAGIC:
+    if _is_zip(raw):
         return _parse_zip(raw, zone_eic, seen)
-    if not head.startswith((b"<", b"{")):
-        raise ParseError("unrecognized payload: not ZIP, XML, or JSON-lines")
-    if raw in seen:
+    if not raw.lstrip() or raw in seen:
         return []
-    reports = _parse_xml(raw, zone_eic) if head.startswith(b"<") else _parse_jsonl(raw)
+    reports = _parse_xml(raw, zone_eic)
     seen.add(raw)
     return reports
+
+
+def _is_zip(raw: bytes) -> bool:
+    """Whether a page is ZIP rather than bare XML or empty; any other page is a ``ParseError``."""
+    if raw[:4] == _ZIP_MAGIC:
+        return True
+    if raw.lstrip()[:1] not in (b"", b"<"):
+        raise ParseError("unrecognized payload: not ZIP or XML")
+    return False
 
 
 def _parse_zip(
@@ -346,14 +346,21 @@ def _inflate(method: int, stored: bytes, size: int, crc: int) -> bytes | None:
     return payload if len(payload) == size and zlib.crc32(payload) == crc else None
 
 
-def zip_member_count(raw: bytes) -> int:
-    """Number of members of a ZIP page, read the way ``parse_document`` reads it.
+def page_document_count(raw: bytes) -> int:
+    """Number of documents in a page: 1 for a bare page, the member count of a ZIP page.
 
-    A page that ``parse_document`` cannot open is a ``ParseError``.
+    A page is told apart as ``parse_document`` tells it, and every member
+    of a ZIP page is first read as ``parse_document`` reads it, so a page
+    that is neither ZIP nor XML, or a ZIP page with a header, stored bytes,
+    length or CRC that ingest would refuse, is a ``ParseError``.  XML is
+    left to ingest.  Repeated members count, as the platform counts them
+    when it pages.
     """
-    members = _plain_members(raw)
-    if members is not None:
-        return len(members)
+    if not _is_zip(raw):
+        return 1
+    for _ in _zip_payloads(raw, set()):
+        pass
+    # zipfile lists a plain page's members as _plain_members does
     with _open_zipfile(raw) as archive:
         return len(archive.infolist())
 
@@ -598,62 +605,3 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite {text!r}")
     return value
-
-
-# -- JSON lines --------------------------------------------------------------
-
-_FUEL_BY_VALUE: dict[str, Fuel | Renewable] = {
-    **{f.value: f for f in Fuel},
-    **{r.value: r for r in Renewable},
-}
-
-
-def _parse_jsonl(raw: bytes) -> list[OutageReport]:
-    reports: list[OutageReport] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            reports.append(_report_from_json(obj))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return reports
-
-
-def _report_from_json(obj: dict) -> OutageReport:
-    """One report from its JSON object; each field must already have its JSON type."""
-    fuel = _FUEL_BY_VALUE.get(_text(obj, "fuel"))
-    if fuel is None:
-        raise ValueError(f"unknown fuel {obj['fuel']!r}")
-    return OutageReport(
-        report_id=_text(obj, "report_id"),
-        revision=obj["revision"],
-        unit_id=_text(obj, "unit_id"),
-        zone=_text(obj, "zone"),
-        fuel=fuel,
-        nominal_mw=_megawatts(obj, "nominal_mw"),
-        start=parse_utc(_text(obj, "start")),
-        end=parse_utc(_text(obj, "end")),
-        unavailable_mw=_megawatts(obj, "unavailable_mw"),
-        kind=ReportKind(_text(obj, "kind")),
-        status=ReportStatus(_text(obj, "status")),
-    )
-
-
-def _text(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _megawatts(obj: dict, key: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError(f"{key} must be a finite number, got {value!r}")
-    return float(value)

@@ -1,10 +1,10 @@
 """Builds the bundled synthetic corpus: two zones, two weeks, fully offline.
 
-The corpus is a pre-populated fetch cache (platform-format XML, one ZIP
-page where several documents share a day, plus one JSON-lines mirror page),
-a unit registry and a pipeline config.  Everything is hand-written constant
-data — no RNG — so rebuilding the corpus is reproducible and the pipeline
-can run end to end without a network or an API token.
+The corpus is a pre-populated fetch cache (platform-format XML, in a ZIP
+page where several documents share a day), a unit registry and a pipeline
+config.  Everything is hand-written constant data — no RNG — so rebuilding
+the corpus is reproducible and the pipeline can run end to end without a
+network or an API token.
 
 Notable content, all exercised on purpose:
 
@@ -15,8 +15,9 @@ Notable content, all exercised on purpose:
   minutes then 200 MW for 48 minutes, whose reconciled hourly value is
   exactly 170 MW;
 * zone AA: a withdrawn document, a wind-farm document (renewable class),
-  and a JSON-lines page with one implausibly large report (450 MW on a
-  300 MW unit, dropped) and one above-nominal report (360 MW, kept);
+  and a document on unit AA-U4 with one implausibly large report (450 MW
+  on a 300 MW unit, dropped) and one above-nominal report (360 MW, kept),
+  both stated as negative available capacity;
 * zone BB, unit BB-U2: two conflicting forced reports (120 vs 60 MW), so
   the reconciliation error of BB is strictly positive;
 * zone BB: a record with an unrelated business type, skipped with a
@@ -167,6 +168,16 @@ def _documents() -> list[tuple[str, list[int], bytes]]:
         ]))
     )
 
+    # AA-U4 coal, 300 MW: available -150 MW states 450 MW (over 1.33 x 300,
+    # dropped) for six hours, then available -60 MW states 360 MW (within
+    # 133%, kept).
+    docs.append(
+        ("AA", [10], _document("AA-DOC-9", 1, [
+            _timeseries("1", "A54", "AA", "B05", "AA-U4", 300,
+                        (_ts(10, 0), _ts(10, 12)), "PT60M", [(1, -150), (7, -60)]),
+        ]))
+    )
+
     # BB-U1 forced half-day outage.
     docs.append(
         ("BB", [1], _document("BB-DOC-1", 1, [
@@ -219,34 +230,6 @@ def _documents() -> list[tuple[str, list[int], bytes]]:
     return docs
 
 
-def _jsonl_page() -> bytes:
-    """Mirror-format page: one oversize report (dropped) and one kept."""
-
-    def row(report_id: str, start: str, end: str, unavailable: float) -> str:
-        return json.dumps(
-            {
-                "report_id": report_id,
-                "revision": 1,
-                "unit_id": "AA-U4",
-                "zone": "AA",
-                "fuel": "Coal",
-                "nominal_mw": 300.0,
-                "start": start,
-                "end": end,
-                "unavailable_mw": unavailable,
-                "kind": "Forced",
-                "status": "Active",
-            },
-            sort_keys=True,
-        )
-
-    lines = [
-        row("AA-J1", _ts(10, 0), _ts(10, 6), 450.0),  # > 1.33 x 300, dropped
-        row("AA-J2", _ts(10, 6), _ts(10, 12), 360.0),  # kept: within 133%
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _zip_documents(payloads: list[bytes]) -> bytes:
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
@@ -276,10 +259,6 @@ def build_corpus(root: Path) -> Path:
                 pages = [_zip_documents(payloads)]
             else:
                 pages = payloads
-            if zone == "AA" and day_idx == 10:
-                # the mirror page is a page of its own: ZIP members are
-                # always platform XML
-                pages = pages + [_jsonl_page()]
             client.store(zone, day, "A77", pages)
             client.store(zone, day, "A80", [])  # no generation-unit documents
 

@@ -359,6 +359,35 @@ def test_zip_page_zipfile_cannot_open_is_parse_error_and_not_cached(tmp_path, da
     assert list((tmp_path / "cache").rglob("*.meta.json")) == []
 
 
+def _directory_offset_raised() -> bytes:
+    """A one-member page that ``zipfile`` lists, but whose end record puts the
+    central directory 5 bytes past the real one, so reading the member seeks
+    before the page start."""
+    page = bytearray(zip_page(1))
+    central = struct.unpack_from("<I", page, len(page) - 6)[0]
+    struct.pack_into("<I", page, len(page) - 6, central + 5)
+    return bytes(page)
+
+
+#: page -> what the ParseError says after "unreadable ZIP page: "
+PAGES_INGEST_REFUSES = {
+    "directory_offset_too_large": (
+        _directory_offset_raised(), r"doc_0\.xml: unreadable ZIP member: negative seek value -5"
+    ),
+    "not_zip_or_xml": (b'{"report_id": "R1"}\n', "unrecognized payload: not ZIP or XML"),
+}
+
+
+@pytest.mark.parametrize("case", list(PAGES_INGEST_REFUSES))
+def test_page_ingest_refuses_is_parse_error_and_not_cached(tmp_path, case):
+    page, message = PAGES_INGEST_REFUSES[case]
+    c = client(tmp_path, FakeTransport([(200, page)]))
+    with pytest.raises(ParseError, match="offset 0: unreadable ZIP page: " + message):
+        c.fetch_day("GB", DAY, "A77")
+    assert not c.is_cached("GB", DAY, "A77")
+    assert list((tmp_path / "cache").rglob("*.meta.json")) == []
+
+
 def test_importing_the_package_loads_no_network_stack():
     code = (
         "import sys\n"

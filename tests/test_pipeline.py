@@ -398,8 +398,8 @@ def test_series_withdrawn_and_renewable_excluded(full_run):
 
 def test_series_oversize_mirror_report_dropped(full_run):
     rows = rows_by_timestamp(series_path(full_run["config"], "AA", "period"))
-    # 450 MW on a 300 MW unit is implausible and dropped; only the nuclear
-    # maintenance remains in that hour
+    # AA-DOC-9 states 450 MW on a 300 MW unit, which is implausible and
+    # dropped; only the nuclear maintenance remains in that hour
     assert rows["2030-01-17T03:00:00Z"]["forced"] == "0.000"
     assert rows["2030-01-17T03:00:00Z"]["total"] == "600.000"
     # 360 MW on the same unit is within the 133% slack and kept
