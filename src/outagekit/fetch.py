@@ -172,9 +172,9 @@ class FetchClient:
         an empty page list, so it too is served without a network call next
         time.  Paging follows the platform's fixed page size: a full page
         triggers a request for the next offset.  Each page is counted by
-        ``page_document_count``, which reads every member of a ZIP page as
-        ingest does: a page that ingest could not read is a ``ParseError``
-        and nothing is stored, so the day stays a cache miss.
+        ``page_document_count``, which reads it as ingest does but checks
+        only the root of each document: a page it refuses (an HTML error
+        page, say) is a ``ParseError``, and the day stays a cache miss.
         """
         if doc_type not in DOC_TYPES:
             raise InvalidInputError(f"doc_type must be one of {DOC_TYPES}, got {doc_type!r}")
@@ -199,7 +199,7 @@ class FetchClient:
                 n_docs = page_document_count(payload)
             except ParseError as exc:
                 raise ParseError(
-                    f"{zone} {day} {doc_type} offset {offset}: unreadable ZIP page: {exc}"
+                    f"{zone} {day} {doc_type} offset {offset}: unreadable page: {exc}"
                 ) from exc
             pages.append(payload)
             if n_docs < PAGE_SIZE_DOCS:

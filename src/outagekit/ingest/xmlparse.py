@@ -30,29 +30,20 @@ is then parsed once; a re-served ZIP member is skipped before it is
 inflated.  Without a caller's set, a document repeated within one payload
 is still parsed once.
 
-A ZIP page is read one of two ways.  A plain page, one as Python's
-``zipfile`` writes it without comments or extra fields, is read from its
-end record and central directory with ``struct`` (PKWARE APPNOTE 4.3.12
-and 4.3.16); each member's local header is checked against its directory
-record, its key comes from that record and its stored bytes, and only a
-member whose key is new is inflated, with raw ``zlib``, its length and CRC
-checked.  Every other page goes to ``zipfile``, and so does the rest of a
-plain page from the first member that fails a check.  ``zipfile`` thus
-reads every odd page, reports every damaged one, and serves the tests as
-the oracle.  It keys no member, so a re-served page that is not plain is
-inflated in full and skipped only by its payloads.
+A ZIP page is read from its end record and central directory with
+``struct`` (PKWARE APPNOTE 4.3.12 and 4.3.16), in the shapes that Python's
+``zipfile`` writes.  Each member's local header is checked against its
+directory record, its key comes from that record and its stored bytes, and
+only a member whose key is new is inflated, with raw ``zlib``, its length
+and CRC checked.  Any other page is a ``ParseError`` naming the reason.
 """
 
 from __future__ import annotations
 
-import io
 import logging
-import lzma
 import math
 import struct
-import zipfile
 import zlib
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from operator import itemgetter
 from typing import Any, Callable, Iterator, TypeVar
@@ -97,29 +88,6 @@ WITHDRAWN_DOC_STATUS = {"A09", "A13"}
 
 _ZIP_MAGIC = b"PK\x03\x04"
 
-#: What ``zipfile`` raises on a page it cannot open: a bad or missing end
-#: record or central directory (BadZipFile), a version needed above 6.3
-#: (NotImplementedError) or a name that is not UTF-8 under the UTF-8 flag
-#: (UnicodeDecodeError, a ValueError).
-_BAD_PAGE_ERRORS = (zipfile.BadZipFile, NotImplementedError, ValueError)
-
-#: What reading a damaged member raises: a bad header or CRC (BadZipFile),
-#: a bad deflate, LZMA or bzip2 stream (zlib.error, LZMAError, OSError), a
-#: stream that ends early (EOFError), an unsupported method or flag
-#: (NotImplementedError), an encrypted member (RuntimeError), a local name
-#: that is not UTF-8 (UnicodeDecodeError) or a header offset before the
-#: page start (ValueError: negative seek value).
-_BAD_MEMBER_ERRORS = (
-    zipfile.BadZipFile,
-    zlib.error,
-    lzma.LZMAError,
-    OSError,
-    EOFError,
-    NotImplementedError,
-    RuntimeError,
-    ValueError,
-)
-
 #: A ZIP local file header (PKWARE APPNOTE 4.3.7): signature, flag word,
 #: name length and extra-field length, skipping the fields in between.
 _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
@@ -129,15 +97,16 @@ _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
 #: extra-field and comment lengths, and the local header's offset.
 _CENTRAL_HEADER = struct.Struct("<4s2xBxHH4xIIIHHH8xI")
 
-#: The end of central directory record (APPNOTE 4.3.16): signature, the two
-#: disk numbers, the two entry counts, the directory's size and offset, and
-#: the comment length.
-_END_RECORD = struct.Struct("<4s4HIIH")
+#: The end of central directory record (APPNOTE 4.3.16) after its
+#: signature: the two disk numbers, the two entry counts, the directory's
+#: size and offset, and the comment length.
+_END_RECORD = struct.Struct("<4x4HIIH")
 
-_UTF8_NAME_FLAG = 0x800
+#: The compression methods read (APPNOTE 4.4.5): stored and deflated.
+_STORED, _DEFLATED = 0, 8
 
-#: Flag bits a plain member may carry: the deflate options (bits 1 and 2),
-#: a data descriptor (bit 3) and a UTF-8 name (bit 11).
+#: Flag bits a member may carry: the deflate options (bits 1 and 2), a
+#: data descriptor (bit 3) and a UTF-8 name (bit 11).
 _PLAIN_FLAGS = 0x080E
 
 #: The highest version needed to extract that ``zipfile`` accepts.
@@ -169,19 +138,13 @@ def parse_document(
       already in it yields no reports, and a new one is added once it has
       parsed;
     * ZIP member keys (``tuple``): the member's compression method, flag
-      word, CRC, uncompressed size and stored bytes, read from a plain
-      page's central directory and the bytes its local header points to.
-      A member whose key is in the set is skipped before it is inflated.
+      word, CRC, uncompressed size and stored bytes, read from the page's
+      central directory and the bytes its local header points to.  A
+      member whose key is in the set is skipped before it is inflated.
       Its key is added once its payload has parsed or been skipped, so a
       key stands for a payload already accounted for.  A document
       compressed differently misses the key but is still skipped by its
-      payload.  A page that is not plain (a method other than stored or
-      deflated, a flag bit other than the deflate options, the data
-      descriptor and the UTF-8 name, a version needed above 6.3, a
-      central extra field, a zip64 record or value, an archive comment,
-      bytes before the archive, or members that share a local header) is
-      read by ``zipfile`` and keys none of its members; each of them is
-      still skipped by its payload.
+      payload.
 
     Skipping is exact for ``deduplicate``, which collapses byte-identical
     reports and keeps the first occurrence of each, and every report first
@@ -227,80 +190,67 @@ def _parse_zip(
 def _zip_payloads(raw: bytes, seen: set[bytes | tuple]) -> Iterator[tuple[str, bytes]]:
     """(name, payload) of each member of a ZIP page, in name order, that its key does not skip.
 
-    A plain page is read from its central directory.  A member whose key is
-    in ``seen`` is skipped before it is inflated, and its key is added once
-    the caller has taken its payload.  At the first member that fails a
-    check, ``zipfile`` reads the page again from its first member; the
-    caller skips the members it has already parsed by their payloads.
+    A member whose key is in ``seen`` is skipped before it is inflated, and
+    its key is added once the caller has taken its payload.  A member that
+    fails a check is a ``ParseError`` naming it.
     """
-    members = _plain_members(raw)
-    if members is None:
-        yield from _zipfile_payloads(raw)
-        return
+    members = _central_directory(raw)
     for name, raw_name, method, flags, crc, stored_size, size, offset, end in members:
         start = offset + _LOCAL_HEADER.size
-        if end < start:
-            break
         signature, local_flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, offset)
+        local_name = raw[start : start + name_len]
+        if signature != _ZIP_MAGIC or local_flags != flags or local_name != raw_name:
+            raise _bad_member(name, "local header does not match the central directory")
         data_start = start + name_len + extra_len
-        if (
-            signature != _ZIP_MAGIC
-            or local_flags != flags
-            or raw[start : start + name_len] != raw_name
-            or end < data_start + stored_size
-        ):
-            break
+        if end < data_start + stored_size:
+            raise _bad_member(name, "stored bytes run into the next header")
         stored = raw[data_start : data_start + stored_size]
         key = (method, flags, crc, size, stored)
         if key in seen:
             continue
-        payload = _inflate(method, stored, size, crc)
-        if payload is None:
-            break
-        yield name, payload
+        yield name, _inflate(name, method, stored, size, crc)
         seen.add(key)
-    else:
-        return
-    yield from _zipfile_payloads(raw)
 
 
-def _plain_members(raw: bytes) -> list[tuple] | None:
-    """The central directory of a plain ZIP page in name order, or None for any other page.
+def _central_directory(raw: bytes) -> list[tuple]:
+    """The members of a ZIP page in name order, read from its end record and central directory.
 
-    A plain page ends in an end record without a comment, holds nothing
-    before its first member, and has no zip64 record.  Each of its members
-    is stored or deflated, has a version needed of at most 6.3, only the
-    flag bits of ``_PLAIN_FLAGS``, no extra field, no zip64 value and a
-    name that decodes and holds no NUL, and no two members share a local
-    header.  ``zipfile`` opens every plain page and lists the same members
-    under the same names.  A member is ``(name, name bytes, method, flags,
-    CRC, stored size, size, local header offset, end)``, where ``end`` is
-    the next member's local header offset, or the directory's for the last
-    member: ``zipfile`` refuses stored bytes that run past it ("Overlapped
-    entries", from Python 3.11.8 and 3.12.2 on).
+    A member is ``(name, name bytes, method, flags, CRC, stored size, size,
+    local header offset, end)``, where ``end`` is the next member's local
+    header offset, or the directory's for the last member.  The end record
+    is looked for as ``zipfile`` looks for it, and its comment must end the
+    page.  Members are stored or deflated, with or without data
+    descriptors, and central extra fields are passed over.
+
+    A ``ParseError`` names the reason for a page that spans several disks,
+    is zip64, holds bytes before the archive or has a directory that does
+    not end at the end record.  It also names the member for one with a
+    version needed above 6.3, a flag bit outside ``_PLAIN_FLAGS``, another
+    method, a zip64 value, a name that does not decode or holds a NUL, or a
+    local header that overruns the directory or that another member shares.
     """
     end = len(raw) - _END_RECORD.size
-    if end < 0:
-        return None
-    signature, disk, cd_disk, disk_count, count, cd_size, cd_offset, comment_len = (
+    if not raw.startswith(b"PK\x05\x06", end):
+        end = raw.rfind(b"PK\x05\x06", max(end - (1 << 16), 0))
+    # A signature within the comment may leave too few bytes for a record.
+    if not 0 <= end <= len(raw) - _END_RECORD.size:
+        raise _bad_page("no end of central directory record")
+    disk, cd_disk, disk_count, count, cd_size, cd_offset, comment_len = (
         _END_RECORD.unpack_from(raw, end)
     )
-    if (
-        signature != b"PK\x05\x06"
-        or comment_len
-        or disk
-        or cd_disk
-        or disk_count != count
-        or cd_offset + cd_size != end
-        # zipfile looks for a zip64 locator right before the end record
-        or raw.startswith(b"PK\x06\x07", max(end - 20, 0))
-    ):
-        return None
+    if end + _END_RECORD.size + comment_len != len(raw):
+        raise _bad_page("the archive comment does not end the page")
+    if disk or cd_disk or disk_count != count:
+        raise _bad_page("the archive spans several disks")
+    # zipfile looks for a zip64 locator right before the end record.
+    if raw.startswith(b"PK\x06\x07", max(end - 20, 0)):
+        raise _bad_page("zip64 archive")
+    if cd_offset + cd_size < end:
+        raise _bad_page("bytes before the archive")
     members = []
+    offsets: set[int] = set()
     pos = cd_offset
-    while pos < end:
-        if end < pos + _CENTRAL_HEADER.size:
-            return None
+    while pos + _CENTRAL_HEADER.size <= end:
         (
             signature, version, flags, method, crc, stored_size, size,
             name_len, extra_len, comment_len, offset,
@@ -308,94 +258,90 @@ def _plain_members(raw: bytes) -> list[tuple] | None:
         name_start = pos + _CENTRAL_HEADER.size
         raw_name = raw[name_start : name_start + name_len]
         pos = name_start + name_len + extra_len + comment_len
-        if (
-            signature != b"PK\x01\x02"
-            or version > _MAX_VERSION
-            or flags & ~_PLAIN_FLAGS
-            or method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
-            or extra_len
-            or _ZIP64_VALUE in (stored_size, size, offset)
-            or b"\x00" in raw_name
-            or end < pos
-        ):
-            return None
+        if signature != b"PK\x01\x02":
+            raise _bad_page("bad central directory record")
         try:
-            # An ASCII name reads alike in both encodings, and UTF-8 decodes it faster.
-            utf8 = flags & _UTF8_NAME_FLAG or raw_name.isascii()
+            # Bit 11 marks a UTF-8 name; an ASCII name reads alike in both
+            # encodings, and UTF-8 decodes it faster.
+            utf8 = flags & 0x800 or raw_name.isascii()
             name = raw_name.decode("utf-8" if utf8 else "cp437")
-        except UnicodeDecodeError:
-            return None
+        except UnicodeDecodeError as exc:
+            raise _bad_page(f"member name {raw_name!r} does not decode") from exc
+        if "\x00" in name:
+            raise _bad_page(f"member name {name!r} holds a NUL")
+        if version > _MAX_VERSION:
+            raise _bad_member(name, f"version needed to extract {version / 10:.1f}")
+        if flags & ~_PLAIN_FLAGS:
+            raise _bad_member(name, f"unsupported flag bits {flags:#06x}")
+        if method not in (_STORED, _DEFLATED):
+            raise _bad_member(name, f"unsupported compression method {method}")
+        if _ZIP64_VALUE in (stored_size, size, offset):
+            raise _bad_member(name, "zip64 size or offset")
+        if offset + _LOCAL_HEADER.size > cd_offset:
+            raise _bad_member(name, "local header overruns the central directory")
+        if offset in offsets:
+            raise _bad_member(name, "local header shared with another member")
+        offsets.add(offset)
         members.append((name, raw_name, method, flags, crc, stored_size, size, offset))
-    offsets = sorted({member[-1] for member in members})
-    if len(members) != count or len(offsets) != count:
-        return None
-    ends = dict(zip(offsets, offsets[1:] + [cd_offset]))
+    if (pos, cd_offset + cd_size, len(members)) != (end, end, count):
+        raise _bad_page("the central directory does not end at the end record")
+    ordered = sorted(offsets)
+    ends = dict(zip(ordered, ordered[1:] + [cd_offset]))
     # A stable sort keeps same-named members in archive order.
     return sorted([(*member, ends[member[-1]]) for member in members], key=itemgetter(0))
 
 
-def _inflate(method: int, stored: bytes, size: int, crc: int) -> bytes | None:
-    """A member's payload from its stored bytes, or None unless its length and CRC match."""
-    if method == zipfile.ZIP_DEFLATED:
+def _inflate(name: str, method: int, stored: bytes, size: int, crc: int) -> bytes:
+    """A member's payload from its stored bytes; a bad stream, length or CRC is a ``ParseError``."""
+    payload = stored
+    if method == _DEFLATED:
         try:
             payload = zlib.decompressobj(-15).decompress(stored, size + 1)
-        except zlib.error:
-            return None
-    else:
-        payload = stored
-    return payload if len(payload) == size and zlib.crc32(payload) == crc else None
+        except zlib.error as exc:
+            raise _bad_member(name, f"bad deflate stream: {exc}") from exc
+    if len(payload) != size or zlib.crc32(payload) != crc:
+        raise _bad_member(name, "bad length or CRC-32")
+    return payload
+
+
+def _bad_page(reason: str) -> ParseError:
+    return ParseError(f"corrupt ZIP payload: {reason}")
+
+
+def _bad_member(name: str, reason: str) -> ParseError:
+    return ParseError(f"{name}: unreadable ZIP member: {reason}")
 
 
 def page_document_count(raw: bytes) -> int:
     """Number of documents in a page: 1 for a bare page, the member count of a ZIP page.
 
-    A page is told apart as ``parse_document`` tells it, and every member
-    of a ZIP page is first read as ``parse_document`` reads it, so a page
-    that is neither ZIP nor XML, or a ZIP page with a header, stored bytes,
-    length or CRC that ingest would refuse, is a ``ParseError``.  XML is
-    left to ingest.  Repeated members count, as the platform counts them
-    when it pages.
+    A page is read as ``parse_document`` reads it, but of each XML document
+    only the root is checked.  So a page that is neither ZIP nor XML, a ZIP
+    page that ingest refuses, or a document with another root (an HTML
+    error page, say) is a ``ParseError``.  Repeated members count, as the
+    platform counts them when it pages.
     """
     if not _is_zip(raw):
+        if raw.lstrip():
+            _document_root(raw)
         return 1
-    for _ in _zip_payloads(raw, set()):
-        pass
-    # zipfile lists a plain page's members as _plain_members does
-    with _open_zipfile(raw) as archive:
-        return len(archive.infolist())
-
-
-def _open_zipfile(raw: bytes) -> zipfile.ZipFile:
-    """``raw`` opened by ``zipfile``; a page it cannot open is a ``ParseError``."""
-    try:
-        return zipfile.ZipFile(io.BytesIO(raw))
-    except _BAD_PAGE_ERRORS as exc:
-        raise ParseError(f"corrupt ZIP payload: {exc}") from exc
-
-
-def _zipfile_payloads(raw: bytes) -> Iterator[tuple[str, bytes]]:
-    """(name, payload) of every member of a ZIP page in name order, read by ``zipfile``.
-
-    The reader of every page that is not plain, and the oracle of the
-    central directory path.  A page ``zipfile`` cannot open, or a member it
-    cannot read, is a ``ParseError`` naming the page or the member.
-    """
-    with _open_zipfile(raw) as archive:
-        # A stable sort keeps same-named members in archive order.
-        for info in sorted(archive.infolist(), key=lambda i: i.filename):
+    for name, payload in _zip_payloads(raw, set()):
+        if payload.lstrip()[:1] == b"<":
             try:
-                payload = archive.read(info)
-            except _BAD_MEMBER_ERRORS as exc:
-                raise ParseError(
-                    f"{info.filename}: unreadable ZIP member: {str(exc) or type(exc).__name__}"
-                ) from exc
-            yield info.filename, payload
+                _document_root(payload)
+            except ParseError as exc:
+                raise ParseError(f"{name}: {exc}") from exc
+    return len(_central_directory(raw))
 
 
 # -- XML ---------------------------------------------------------------------
 
 
-def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
+def _document_root(raw: bytes) -> ElementTree.Element:
+    """The root of an unavailability document, every tag made its local name.
+
+    Malformed XML, or any other root element, is a ``ParseError``.
+    """
     try:
         root = ElementTree.fromstring(raw)
     except ElementTree.ParseError as exc:
@@ -405,7 +351,11 @@ def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport
         elem.tag = elem.tag.rpartition("}")[2]
     if root.tag != "Unavailability_MarketDocument":
         raise ParseError(f"unexpected root element {root.tag!r}")
+    return root
 
+
+def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
+    root = _document_root(raw)
     doc_id = _field(root, "mRID", "document", _token)
     where = f"document {doc_id}"
     revision = _field(root, "revisionNumber", where, _counting_number, default=1)

@@ -489,7 +489,7 @@ def test_corrupt_zip_page_at_fetch_exits_5(runner, tmp_path, monkeypatch):
     }))
     result = runner.invoke(main, ["fetch", "--config", str(config)])
     assert result.exit_code == 5
-    assert "AA 2030-03-01 A77 offset 0: unreadable ZIP page" in result.stderr
+    assert "AA 2030-03-01 A77 offset 0: unreadable page: corrupt ZIP payload" in result.stderr
     assert "Traceback" not in result.stderr
     assert not FetchClient("", tmp_path / "cache").is_cached("AA", date(2030, 3, 1), "A77")
 

@@ -68,12 +68,16 @@ def client(tmp_path, transport, **kwargs) -> FetchClient:
     return c
 
 
-def zip_page(n_docs: int) -> bytes:
+def _zip_of(members: dict[str, bytes]) -> bytes:
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
-        for i in range(n_docs):
-            zf.writestr(f"doc_{i}.xml", XML_PAGE)
+        for name, payload in members.items():
+            zf.writestr(name, payload)
     return buf.getvalue()
+
+
+def zip_page(n_docs: int) -> bytes:
+    return _zip_of({f"doc_{i}.xml": XML_PAGE for i in range(n_docs)})
 
 
 # -- cache behaviour ---------------------------------------------------------
@@ -319,7 +323,8 @@ def test_corrupt_zip_page_is_parse_error_and_not_cached(tmp_path, good_pages):
     )
     c = client(tmp_path, transport)
     offset = good_pages * PAGE_SIZE_DOCS
-    with pytest.raises(ParseError, match=f"GB 2030-01-07 A77 offset {offset}: unreadable ZIP"):
+    message = f"GB 2030-01-07 A77 offset {offset}: unreadable page: corrupt ZIP"
+    with pytest.raises(ParseError, match=message):
         c.fetch_day("GB", DAY, "A77")
     assert not c.is_cached("GB", DAY, "A77")
     assert c.cached_pages("GB", DAY, "A77") is None
@@ -339,19 +344,16 @@ def _damaged_zip_page(damage: str) -> bytes:
     return bytes(page)
 
 
-#: damage -> what the ParseError says after "unreadable ZIP page: corrupt ZIP payload: "
+#: damage -> what the ParseError says after "unreadable page: "
 UNOPENABLE_PAGES = {
-    "version_above_6.3": r"zip file version 25\.5",
-    "name_not_utf8": "'utf-8' codec",
+    "version_above_6.3": r"doc_0\.xml: unreadable ZIP member: version needed to extract 25\.5",
+    "name_not_utf8": "corrupt ZIP payload: member name .* does not decode",
 }
 
 
 @pytest.mark.parametrize("damage", list(UNOPENABLE_PAGES))
 def test_zip_page_zipfile_cannot_open_is_parse_error_and_not_cached(tmp_path, damage):
-    message = (
-        "GB 2030-01-07 A77 offset 0: unreadable ZIP page: corrupt ZIP payload: "
-        + UNOPENABLE_PAGES[damage]
-    )
+    message = "GB 2030-01-07 A77 offset 0: unreadable page: " + UNOPENABLE_PAGES[damage]
     c = client(tmp_path, FakeTransport([(200, _damaged_zip_page(damage))]))
     with pytest.raises(ParseError, match=message):
         c.fetch_day("GB", DAY, "A77")
@@ -369,12 +371,20 @@ def _directory_offset_raised() -> bytes:
     return bytes(page)
 
 
-#: page -> what the ParseError says after "unreadable ZIP page: "
+HTML_PAGE = b"<html><body>Service temporarily unavailable</body></html>"
+
+#: page -> what the ParseError says after "unreadable page: "
 PAGES_INGEST_REFUSES = {
     "directory_offset_too_large": (
-        _directory_offset_raised(), r"doc_0\.xml: unreadable ZIP member: negative seek value -5"
+        _directory_offset_raised(), "corrupt ZIP payload: bad central directory record"
     ),
     "not_zip_or_xml": (b'{"report_id": "R1"}\n', "unrecognized payload: not ZIP or XML"),
+    "bare_page_not_a_document": (HTML_PAGE, "unexpected root element 'html'"),
+    "zip_member_not_a_document": (
+        _zip_of({"doc_0.xml": XML_PAGE, "doc_1.xml": HTML_PAGE}),
+        r"doc_1\.xml: unexpected root element 'html'",
+    ),
+    "malformed_bare_page": (b"<Unavailability_MarketDocument>", "malformed XML"),
 }
 
 
@@ -382,7 +392,7 @@ PAGES_INGEST_REFUSES = {
 def test_page_ingest_refuses_is_parse_error_and_not_cached(tmp_path, case):
     page, message = PAGES_INGEST_REFUSES[case]
     c = client(tmp_path, FakeTransport([(200, page)]))
-    with pytest.raises(ParseError, match="offset 0: unreadable ZIP page: " + message):
+    with pytest.raises(ParseError, match="offset 0: unreadable page: " + message):
         c.fetch_day("GB", DAY, "A77")
     assert not c.is_cached("GB", DAY, "A77")
     assert list((tmp_path / "cache").rglob("*.meta.json")) == []

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 import shutil
-import zipfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from outagekit import pipeline, run_pipeline
 from outagekit.errors import InvalidInputError, ParseError, UsageError
 from outagekit.fetch import DOC_TYPES, FetchClient
 from outagekit.fleet import pmf_stats
-from outagekit.ingest import deduplicate, parse_document, xmlparse
+from outagekit.ingest import deduplicate, parse_document
 from outagekit.io import (
     RegistryRow,
     read_fleet,
@@ -678,31 +677,6 @@ def test_ingest_series_independent_of_report_order(corpus, tmp_path, monkeypatch
     for fwd, rev in zip(forward, backward, strict=True):
         assert fwd.name == rev.name
         assert fwd.read_bytes() == rev.read_bytes()
-
-
-def test_ingest_reads_every_bundled_zip_page_without_zipfile(corpus, tmp_path, monkeypatch):
-    """The bundled corpus's ZIP pages, written by ``zipfile``, are plain, so
-    ingest opens none with ``zipfile``, and it writes the series bytes of
-    the ``zipfile`` path."""
-    opened: list[object] = []
-    zip_file = zipfile.ZipFile
-
-    def recording_zip_file(file, *args, **kwargs):
-        opened.append(file)
-        return zip_file(file, *args, **kwargs)
-
-    monkeypatch.setattr(zipfile, "ZipFile", recording_zip_file)
-    config = corpus["config"]
-    with monkeypatch.context() as m:
-        m.setattr(xmlparse, "_plain_members", lambda raw: None)
-        by_zipfile = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "zipfile"))
-    assert opened
-    opened.clear()
-    by_directory = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "directory"))
-    assert opened == []
-    for slow, fast in zip(by_zipfile, by_directory, strict=True):
-        assert slow.name == fast.name
-        assert slow.read_bytes() == fast.read_bytes()
 
 
 # -- plot-ready exports ------------------------------------------------------
