@@ -42,7 +42,6 @@ class OutageReport:
     report_id: str
     revision: int
     unit_id: str
-    zone: str
     fuel: Fuel | Renewable
     nominal_mw: float
     start: datetime

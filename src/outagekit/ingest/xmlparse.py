@@ -52,7 +52,6 @@ from xml.etree import ElementTree
 from ..errors import ParseError
 from ..timeseries import parse_utc
 from ..types import Fuel, Renewable
-from ..zones import zone_for_eic
 from .reports import OutageReport, ReportKind, ReportStatus
 
 logger = logging.getLogger(__name__)
@@ -119,15 +118,9 @@ _N = TypeVar("_N", int, float)
 
 
 def parse_document(
-    raw: bytes,
-    *,
-    zone_eic: dict[str, str] | None = None,
-    seen: set[bytes | tuple] | None = None,
+    raw: bytes, *, seen: set[bytes | tuple] | None = None
 ) -> list[OutageReport]:
     """Parse one raw payload into normalized reports.
-
-    ``zone_eic`` extends the built-in EIC-to-zone table used to label
-    reports with a zone code.
 
     ``seen`` is the set of documents already parsed, so each distinct
     document is parsed once.  A caller passes its own set to carry it
@@ -155,46 +148,49 @@ def parse_document(
     if not isinstance(raw, bytes):
         raise ParseError(f"expected bytes, got {type(raw).__name__}")
     seen = set() if seen is None else seen
-    if _is_zip(raw):
-        return _parse_zip(raw, zone_eic, seen)
-    if not raw.lstrip() or raw in seen:
+    if raw[:4] == _ZIP_MAGIC:
+        return _parse_zip(raw, seen)
+    if not _holds_xml(raw) or raw in seen:
         return []
-    reports = _parse_xml(raw, zone_eic)
+    reports = _parse_xml(raw)
     seen.add(raw)
     return reports
 
 
-def _is_zip(raw: bytes) -> bool:
-    """Whether a page is ZIP rather than bare XML or empty; any other page is a ``ParseError``."""
-    if raw[:4] == _ZIP_MAGIC:
-        return True
-    if raw.lstrip()[:1] not in (b"", b"<"):
+def _holds_xml(doc: bytes) -> bool:
+    """Whether a bare page or ZIP member holds XML rather than only whitespace.
+
+    Anything else is a ``ParseError``: a ZIP page is told apart before this
+    rule, and a ZIP member may not be one.
+    """
+    head = doc.lstrip()[:1]
+    if head not in (b"", b"<"):
         raise ParseError("unrecognized payload: not ZIP or XML")
-    return False
+    return head == b"<"
 
 
-def _parse_zip(
-    raw: bytes, zone_eic: dict[str, str] | None, seen: set[bytes | tuple]
-) -> list[OutageReport]:
+def _parse_zip(raw: bytes, seen: set[bytes | tuple]) -> list[OutageReport]:
     reports: list[OutageReport] = []
-    for name, payload in _zip_payloads(raw, seen):
-        if payload.lstrip()[:1] == b"<" and payload not in seen:
-            try:
-                reports.extend(_parse_xml(payload, zone_eic))
-            except ParseError as exc:
-                raise ParseError(f"{name}: {exc}") from exc
-            seen.add(payload)
+    for name, payload in _zip_payloads(raw, _central_directory(raw), seen):
+        try:
+            if _holds_xml(payload) and payload not in seen:
+                reports.extend(_parse_xml(payload))
+                seen.add(payload)
+        except ParseError as exc:
+            raise ParseError(f"{name}: {exc}") from exc
     return reports
 
 
-def _zip_payloads(raw: bytes, seen: set[bytes | tuple]) -> Iterator[tuple[str, bytes]]:
-    """(name, payload) of each member of a ZIP page, in name order, that its key does not skip.
+def _zip_payloads(
+    raw: bytes, members: list[tuple], seen: set[bytes | tuple]
+) -> Iterator[tuple[str, bytes]]:
+    """(name, payload) of each of a ZIP page's ``members`` that its key does not skip.
 
-    A member whose key is in ``seen`` is skipped before it is inflated, and
-    its key is added once the caller has taken its payload.  A member that
-    fails a check is a ``ParseError`` naming it.
+    ``members`` is the page's ``_central_directory``.  A member whose key is
+    in ``seen`` is skipped before it is inflated, and its key is added once
+    the caller has taken its payload.  A member that fails a check is a
+    ``ParseError`` naming it.
     """
-    members = _central_directory(raw)
     for name, raw_name, method, flags, crc, stored_size, size, offset, end in members:
         start = offset + _LOCAL_HEADER.size
         signature, local_flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, offset)
@@ -317,21 +313,23 @@ def page_document_count(raw: bytes) -> int:
 
     A page is read as ``parse_document`` reads it, but of each XML document
     only the root is checked.  So a page that is neither ZIP nor XML, a ZIP
-    page that ingest refuses, or a document with another root (an HTML
-    error page, say) is a ``ParseError``.  Repeated members count, as the
-    platform counts them when it pages.
+    member that is neither empty nor XML, a ZIP page that ingest refuses, or
+    a document with another root (an HTML error page, say) is a
+    ``ParseError``.  Repeated members count, as the platform counts them
+    when it pages.
     """
-    if not _is_zip(raw):
-        if raw.lstrip():
+    if raw[:4] != _ZIP_MAGIC:
+        if _holds_xml(raw):
             _document_root(raw)
         return 1
-    for name, payload in _zip_payloads(raw, set()):
-        if payload.lstrip()[:1] == b"<":
-            try:
+    members = _central_directory(raw)
+    for name, payload in _zip_payloads(raw, members, set()):
+        try:
+            if _holds_xml(payload):
                 _document_root(payload)
-            except ParseError as exc:
-                raise ParseError(f"{name}: {exc}") from exc
-    return len(_central_directory(raw))
+        except ParseError as exc:
+            raise ParseError(f"{name}: {exc}") from exc
+    return len(members)
 
 
 # -- XML ---------------------------------------------------------------------
@@ -354,7 +352,7 @@ def _document_root(raw: bytes) -> ElementTree.Element:
     return root
 
 
-def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport]:
+def _parse_xml(raw: bytes) -> list[OutageReport]:
     root = _document_root(raw)
     doc_id = _field(root, "mRID", "document", _token)
     where = f"document {doc_id}"
@@ -368,16 +366,12 @@ def _parse_xml(raw: bytes, zone_eic: dict[str, str] | None) -> list[OutageReport
     return [
         report
         for ts in root.findall("TimeSeries")
-        for report in _parse_timeseries(ts, doc_id, revision, status, zone_eic)
+        for report in _parse_timeseries(ts, doc_id, revision, status)
     ]
 
 
 def _parse_timeseries(
-    ts: ElementTree.Element,
-    doc_id: str,
-    revision: int,
-    status: ReportStatus,
-    zone_eic: dict[str, str] | None,
+    ts: ElementTree.Element, doc_id: str, revision: int, status: ReportStatus
 ) -> list[OutageReport]:
     ts_id = _field(ts, "mRID", f"document {doc_id}", _token, default="1")
     where = f"document {doc_id} TimeSeries {ts_id}"
@@ -388,7 +382,6 @@ def _parse_timeseries(
         logger.warning("%s: skipping record with unknown business type %r", where, business)
         return []
 
-    zone = zone_for_eic(_field(ts, "biddingZone_Domain.mRID", where, default=""), zone_eic)
     fuel = _field(ts, "production_RegisteredResource.pSRType.psrType", where, _psr_type)
     # ``_token`` never gives "", so only an absent unit mRID falls back to
     # the resource's.
@@ -411,7 +404,6 @@ def _parse_timeseries(
             report_id=f"{doc_id}:{ts_id}",
             revision=revision,
             unit_id=unit_id,
-            zone=zone,
             fuel=fuel,
             nominal_mw=nominal,
             start=interval_start,

@@ -346,7 +346,7 @@ def _parse_zone_period(
                 )
             for page, payload in enumerate(pages):
                 try:
-                    reports.extend(parse_document(payload, zone_eic=config.zone_eic, seen=seen))
+                    reports.extend(parse_document(payload, seen=seen))
                 except ParseError as exc:
                     raise ParseError(
                         f"{client.page_path(zone, day, doc_type, page)}: {exc}"

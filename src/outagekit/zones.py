@@ -8,7 +8,7 @@ differ between data providers for some countries.
 
 from __future__ import annotations
 
-#: zone code -> EIC area code used in API calls and document domains.
+#: zone code -> EIC area code used as the API query domain.
 DEFAULT_ZONE_EIC: dict[str, str] = {
     "GB": "10YGB----------A",
     "BE": "10YBE----------2",
@@ -22,17 +22,6 @@ DEFAULT_ZONE_EIC: dict[str, str] = {
 }
 
 
-def zone_for_eic(eic: str, extra: dict[str, str] | None = None) -> str:
-    """Zone code for an EIC area code; unknown codes pass through unchanged."""
-    table = dict(DEFAULT_ZONE_EIC)
-    if extra:
-        table.update(extra)
-    reverse = {v: k for k, v in table.items()}
-    return reverse.get(eic, eic)
-
-
 def eic_for_zone(zone: str, extra: dict[str, str] | None = None) -> str | None:
-    table = dict(DEFAULT_ZONE_EIC)
-    if extra:
-        table.update(extra)
-    return table.get(zone)
+    """``zone``'s EIC code: its entry in ``extra``, even an empty one, else the built-in one."""
+    return (extra or {}).get(zone, DEFAULT_ZONE_EIC.get(zone))

@@ -40,14 +40,12 @@ def make_report(
     kind: ReportKind = ReportKind.FORCED,
     status: ReportStatus = ReportStatus.ACTIVE,
     fuel=Fuel.CCGT,
-    zone: str = "AA",
 ) -> OutageReport:
     """Report builder with hour offsets relative to the shared T0 origin."""
     return OutageReport(
         report_id=report_id,
         revision=revision,
         unit_id=unit_id,
-        zone=zone,
         fuel=fuel,
         nominal_mw=nominal_mw,
         start=T0 + timedelta(hours=start_h),

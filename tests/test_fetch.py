@@ -385,6 +385,10 @@ PAGES_INGEST_REFUSES = {
         r"doc_1\.xml: unexpected root element 'html'",
     ),
     "malformed_bare_page": (b"<Unavailability_MarketDocument>", "malformed XML"),
+    "zip_member_not_xml": (
+        _zip_of({"doc_0.xml": XML_PAGE, "doc_1.xml": b"garbage"}),
+        r"doc_1\.xml: unrecognized payload",
+    ),
 }
 
 

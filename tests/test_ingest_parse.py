@@ -29,14 +29,7 @@ from outagekit.ingest.xmlparse import PSR_TYPE_MAP
 from outagekit.types import Fuel, Renewable
 
 from conftest import make_report
-from corpusgen import ZONE_EIC, _document, _timeseries
-
-EIC = dict(ZONE_EIC)  # zone code -> EIC, the shape parse_document expects
-
-
-def parse(raw: bytes) -> list[OutageReport]:
-    return parse_document(raw, zone_eic=EIC)
-
+from corpusgen import _document, _timeseries
 
 # -- XML documents -----------------------------------------------------------
 
@@ -46,11 +39,10 @@ def test_parse_simple_forced_outage():
         _timeseries("1", "A54", "AA", "B04", "U1", 400,
                     ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), "PT60M", [(1, 150)]),
     ])
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.report_id == "D1:1"
     assert r.revision == 1
     assert r.unit_id == "U1"
-    assert r.zone == "AA"
     assert r.fuel is Fuel.CCGT
     assert r.nominal_mw == 400.0
     assert r.start == datetime(2030, 1, 7, tzinfo=timezone.utc)
@@ -66,7 +58,7 @@ def test_parse_year_long_partial_outage():
         _timeseries("1", "A53", "AA", "B14", "U1", 500,
                     ("2015-09-01T00:00Z", "2016-09-01T00:00Z"), "P1D", [(1, 15)]),
     ])
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.unavailable_mw == 485.0
     assert (r.end - r.start).days == 366
 
@@ -76,7 +68,7 @@ def test_parse_available_above_nominal_clamps_to_zero():
         _timeseries("1", "A54", "AA", "B04", "U1", 400,
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 430)]),
     ])
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.unavailable_mw == 0.0
 
 
@@ -85,7 +77,7 @@ def test_parse_withdrawn_status_preserved():
         _timeseries("1", "A54", "AA", "B04", "U1", 400,
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
     ], doc_status="A13")
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.status is ReportStatus.WITHDRAWN
     assert r.revision == 3
 
@@ -95,7 +87,7 @@ def test_parse_cancelled_doc_status_is_withdrawn():
         _timeseries("1", "A54", "AA", "B04", "U1", 400,
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
     ], doc_status="A09")
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.status is ReportStatus.WITHDRAWN
 
 
@@ -104,7 +96,7 @@ def test_parse_planned_business_type():
         _timeseries("1", "A53", "AA", "B05", "U1", 300,
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
     ])
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert r.kind is ReportKind.PLANNED
     assert r.fuel is Fuel.COAL
 
@@ -117,7 +109,7 @@ def test_parse_unknown_business_type_skipped_with_warning(caplog):
                     ("2030-01-07T01:00Z", "2030-01-07T02:00Z"), "PT60M", [(1, 0)]),
     ])
     with caplog.at_level(logging.WARNING, logger="outagekit.ingest.xmlparse"):
-        reports = parse(doc)
+        reports = parse_document(doc)
     assert len(reports) == 1
     assert reports[0].report_id == "D1:2"
     assert "A46" in caplog.text
@@ -144,7 +136,7 @@ def test_parse_psr_type_map():
             _timeseries("1", "A54", "AA", psr, "U1", 100,
                         ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
         ])
-        (r,) = parse(doc)
+        (r,) = parse_document(doc)
         assert r.fuel is fuel, psr
     # every platform production type B01..B20 has a mapping
     assert set(PSR_TYPE_MAP) == {f"B{i:02d}" for i in range(1, 21)}
@@ -156,25 +148,7 @@ def test_parse_unknown_psr_type_rejected():
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
     ])
     with pytest.raises(ParseError, match="B99"):
-        parse(doc)
-
-
-def test_parse_unknown_eic_passes_through():
-    doc = _document("D1", 1, [
-        _timeseries("1", "A54", "AA", "B04", "U1", 400,
-                    ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
-    ])
-    (r,) = parse_document(doc)  # no zone table: raw EIC is kept
-    assert r.zone == ZONE_EIC["AA"]
-
-
-def test_parse_builtin_eic_table():
-    doc = _document("D1", 1, [
-        _timeseries("1", "A54", "AA", "B04", "U1", 400,
-                    ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
-    ]).replace(ZONE_EIC["AA"].encode(), b"10YGB----------A")
-    (r,) = parse_document(doc)
-    assert r.zone == "GB"
+        parse_document(doc)
 
 
 def test_parse_point_fill_forward_sub_hourly():
@@ -183,7 +157,7 @@ def test_parse_point_fill_forward_sub_hourly():
                     ("2030-01-12T00:00Z", "2030-01-12T01:00Z"), "PT12M",
                     [(1, 200), (2, 50)]),
     ])
-    reports = parse(doc)
+    reports = parse_document(doc)
     assert len(reports) == 2
     first, second = sorted(reports, key=lambda r: r.start)
     assert (first.start.minute, first.end.minute) == (0, 12)
@@ -202,7 +176,7 @@ def test_parse_point_fill_forward_with_position_gap():
                     ("2030-01-07T00:00Z", "2030-01-07T04:00Z"), "PT60M",
                     [(1, 100), (3, 300)]),
     ])
-    first, second = sorted(parse(doc), key=lambda r: r.start)
+    first, second = sorted(parse_document(doc), key=lambda r: r.start)
     assert (first.end - first.start).total_seconds() == 2 * 3600
     assert first.unavailable_mw == 300.0
     assert (second.end - second.start).total_seconds() == 2 * 3600
@@ -216,7 +190,7 @@ def test_parse_resolution_forms():
                         ("2030-01-07T00:00Z", "2030-01-09T00:00Z"), res,
                         [(1, 0), (2, 400)]),
         ])
-        first = min(parse(doc), key=lambda r: r.start)
+        first = min(parse_document(doc), key=lambda r: r.start)
         assert (first.end - first.start).total_seconds() == span_h * 3600, res
 
 
@@ -226,7 +200,7 @@ def test_parse_unsupported_resolution():
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT7S", [(1, 0)]),
     ])
     with pytest.raises(ParseError, match="resolution"):
-        parse(doc)
+        parse_document(doc)
 
 
 def test_parse_no_points_rejected():
@@ -235,17 +209,17 @@ def test_parse_no_points_rejected():
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", []),
     ])
     with pytest.raises(ParseError, match="no Available_Period points"):
-        parse(doc)
+        parse_document(doc)
 
 
 def test_parse_rejects_wrong_root():
     with pytest.raises(ParseError, match="root element"):
-        parse(b"<Publication_MarketDocument><mRID>x</mRID></Publication_MarketDocument>")
+        parse_document(b"<Publication_MarketDocument><mRID>x</mRID></Publication_MarketDocument>")
 
 
 def test_parse_rejects_malformed_xml():
     with pytest.raises(ParseError, match="malformed XML"):
-        parse(b"<Unavailability_MarketDocument><mRID>")
+        parse_document(b"<Unavailability_MarketDocument><mRID>")
 
 
 def test_parse_rejects_missing_document_id():
@@ -254,18 +228,18 @@ def test_parse_rejects_missing_document_id():
         b"<revisionNumber>1</revisionNumber></Unavailability_MarketDocument>"
     )
     with pytest.raises(ParseError, match="mRID"):
-        parse(doc)
+        parse_document(doc)
 
 
 def test_parse_empty_payload():
-    assert parse(b"") == []
-    assert parse(b"   \n") == []
+    assert parse_document(b"") == []
+    assert parse_document(b"   \n") == []
 
 
 def test_parse_unrecognized_payload():
     for raw in (b"capacity,outage\n1,2\n", b'{"report_id": "R1", "revision": 1}\n'):
         with pytest.raises(ParseError, match="^unrecognized payload: not ZIP or XML$"):
-            parse(raw)
+            parse_document(raw)
 
 
 # -- ZIP pages ---------------------------------------------------------------
@@ -288,9 +262,8 @@ def test_parse_zip_concatenates_documents():
         _timeseries("1", "A53", "BB", "B05", "U2", 300,
                     ("2030-01-07T00:00Z", "2030-01-07T02:00Z"), "PT60M", [(1, 100)]),
     ])
-    reports = parse(_zip_of([doc_a, doc_b]))
+    reports = parse_document(_zip_of([doc_a, doc_b]))
     assert {r.report_id for r in reports} == {"D1:1", "D2:1"}
-    assert {r.zone for r in reports} == {"AA", "BB"}
 
 
 def test_parse_zip_propagates_member_errors():
@@ -299,12 +272,12 @@ def test_parse_zip_propagates_member_errors():
                     ("2030-01-07T00:00Z", "2030-01-07T01:00Z"), "PT60M", [(1, 0)]),
     ])
     with pytest.raises(ParseError, match="doc_0.xml"):
-        parse(_zip_of([bad]))
+        parse_document(_zip_of([bad]))
 
 
 def test_parse_corrupt_zip():
     with pytest.raises(ParseError, match="ZIP"):
-        parse(b"PK\x03\x04garbage-that-is-not-a-zip")
+        parse_document(b"PK\x03\x04garbage-that-is-not-a-zip")
 
 
 STORED = (zipfile.ZIP_STORED, None)
@@ -400,7 +373,7 @@ BAD_MEMBERS = {
 def test_parse_bad_zip_member_is_a_parse_error_naming_it(case):
     build, reason = BAD_MEMBERS[case]
     with pytest.raises(ParseError, match=rf"doc_0\.xml: unreadable ZIP member: .*{reason}"):
-        parse(build())
+        parse_document(build())
 
 
 def _central_offset(page: bytes) -> int:
@@ -516,7 +489,7 @@ DAMAGED_PAGES = {
 def test_parse_damaged_zip_page_is_a_parse_error(case):
     build, message = DAMAGED_PAGES[case]
     with pytest.raises(ParseError, match=message):
-        parse(build())
+        parse_document(build())
     with pytest.raises(ParseError, match=message):
         xmlparse.page_document_count(build())
 
@@ -577,7 +550,7 @@ def test_parse_duplicate_named_members_reads_each():
         with zipfile.ZipFile(buf, "w") as zf:
             zf.writestr("a.xml", _doc("D1"))
             zf.writestr("a.xml", _doc("D2"))
-    assert [r.report_id for r in parse(buf.getvalue())] == ["D1:1", "D2:1"]
+    assert [r.report_id for r in parse_document(buf.getvalue())] == ["D1:1", "D2:1"]
 
 
 # -- documents already parsed ------------------------------------------------
@@ -590,31 +563,45 @@ def _doc(doc_id: str, business: str = "A54") -> bytes:
     ])
 
 
+def test_zip_member_is_read_by_the_bare_page_rule():
+    """A member holding only whitespace is skipped; any other member that is
+    not XML, a byte-order mark before the XML included, is refused, not
+    dropped, at ingest and at fetch."""
+    blank = _zip_of([_doc("D1"), b" \n"])
+    assert [r.report_id for r in parse_document(blank)] == ["D1:1"]
+    assert xmlparse.page_document_count(blank) == 2
+    for member in (b"garbage", b"\xef\xbb\xbf" + _doc("D2")):
+        page = _zip_of([_doc("D1"), member])
+        for read in (parse_document, xmlparse.page_document_count):
+            with pytest.raises(ParseError, match=r"^doc_1\.xml: unrecognized payload"):
+                read(page)
+
+
 def test_seen_bare_document_parsed_once():
     seen: set[bytes] = set()
     doc = _doc("D1")
-    first = parse_document(doc, zone_eic=EIC, seen=seen)
+    first = parse_document(doc, seen=seen)
     assert [r.report_id for r in first] == ["D1:1"]
     assert seen == {doc}
-    assert parse_document(doc, zone_eic=EIC, seen=seen) == []
-    assert parse_document(doc, zone_eic=EIC) == first  # no set: parse every time
+    assert parse_document(doc, seen=seen) == []
+    assert parse_document(doc) == first  # no set: parse every time
 
 
 def test_seen_zip_members_skipped_individually():
     seen: set[bytes | tuple] = set()
     doc_a, doc_b, doc_c = _doc("D1"), _doc("D2"), _doc("D3")
-    parse_document(_zip_of([doc_a, doc_b]), zone_eic=EIC, seen=seen)
+    parse_document(_zip_of([doc_a, doc_b]), seen=seen)
     assert {e for e in seen if isinstance(e, bytes)} == {doc_a, doc_b}
     assert sum(isinstance(e, tuple) for e in seen) == 2  # one member key per member
     assert len(seen) == 4
-    again = parse_document(_zip_of([doc_b, doc_c]), zone_eic=EIC, seen=seen)
+    again = parse_document(_zip_of([doc_b, doc_c]), seen=seen)
     assert [r.report_id for r in again] == ["D3:1"]
-    assert parse_document(doc_c, zone_eic=EIC, seen=seen) == []  # served bare later
+    assert parse_document(doc_c, seen=seen) == []  # served bare later
 
 
 def test_document_repeated_within_a_zip_parsed_once_without_a_set():
     doc = _doc("D1")
-    assert [r.report_id for r in parse(_zip_of([doc, doc]))] == ["D1:1"]
+    assert [r.report_id for r in parse_document(_zip_of([doc, doc]))] == ["D1:1"]
 
 
 def test_seen_unknown_business_type_warned_once(caplog):
@@ -622,7 +609,7 @@ def test_seen_unknown_business_type_warned_once(caplog):
     doc = _doc("D1", business="A46")
     with caplog.at_level(logging.WARNING, logger="outagekit.ingest.xmlparse"):
         for _ in range(3):
-            assert parse_document(doc, zone_eic=EIC, seen=seen) == []
+            assert parse_document(doc, seen=seen) == []
     assert caplog.text.count("unknown business type") == 1
 
 
@@ -654,9 +641,9 @@ def test_seen_zip_member_skipped_before_inflating(monkeypatch):
         page = _zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_9)], shape)
         seen: set[bytes | tuple] = set()
         inflates[0] = 0
-        assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 2
+        assert len(parse_document(page, seen=seen)) == 2
         assert inflates == [2], shape
-        assert parse_document(page, zone_eic=EIC, seen=seen) == []
+        assert parse_document(page, seen=seen) == []
         assert inflates == [2], shape
 
 
@@ -666,7 +653,7 @@ def test_seen_document_compressed_differently_parsed_once(monkeypatch):
     parses = _counting(monkeypatch, xmlparse, "_parse_xml")
     inflates = _counting(monkeypatch, xmlparse, "_inflate")
     seen: set[bytes | tuple] = set()
-    served = [parse_document(page, zone_eic=EIC, seen=seen) for page in pages]
+    served = [parse_document(page, seen=seen) for page in pages]
     assert [len(reports) for reports in served] == [1, 0, 0]
     assert parses == [1]
     assert inflates == [3]  # no serving hit an earlier serving's member key
@@ -681,11 +668,11 @@ def test_seen_member_with_same_stored_bytes_but_another_crc_is_rejected():
         crc = zf.infolist()[0].CRC
     bad = _patched(page, crc=crc ^ 1)
     seen: set[bytes | tuple] = set()
-    assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 1
+    assert len(parse_document(page, seen=seen)) == 1
     with pytest.raises(ParseError, match=r"doc_0\.xml: unreadable ZIP member: bad length or CRC"):
-        parse_document(bad, zone_eic=EIC, seen=seen)
+        parse_document(bad, seen=seen)
     with pytest.raises(ParseError, match="bad length or CRC"):
-        parse(bad)
+        parse_document(bad)
 
 
 def _damage_local_header(page: bytes, damage: str) -> bytes:
@@ -708,15 +695,15 @@ def test_seen_member_with_a_header_zipfile_refuses_is_still_rejected(damage):
     page = _zip_members([(_doc("D1"), DEFLATE_1), (_doc("D2"), DEFLATE_1)])
     bad = _damage_local_header(page, damage)
     seen: set[bytes | tuple] = set()
-    assert len(parse_document(page, zone_eic=EIC, seen=seen)) == 2
+    assert len(parse_document(page, seen=seen)) == 2
     with pytest.raises(ParseError, match=r"doc_1\.xml: unreadable ZIP member"):
-        parse_document(bad, zone_eic=EIC, seen=seen)
+        parse_document(bad, seen=seen)
     with pytest.raises(ParseError, match=r"doc_1\.xml: unreadable ZIP member"):
-        parse(bad)
+        parse_document(bad)
 
 
 #: documents a page may carry: revisions, an unknown business type, and a
-#: member that is not XML
+#: member that holds only whitespace
 MIXTURE_DOCS = [
     _doc("D1"),
     _document("D1", 2, [
@@ -725,7 +712,7 @@ MIXTURE_DOCS = [
     ]),
     _doc("D2", business="A53"),
     _doc("D3", business="A46"),
-    b"not a document",
+    b" \n",
 ]
 
 
@@ -758,8 +745,8 @@ def test_seen_skipping_matches_parsing_every_page(pages, data):
             raw_pages.append(_zip_members([(MIXTURE_DOCS[i], how) for i, how in members], shape))
     order = data.draw(st.permutations(range(len(raw_pages))))
     seen: set[bytes | tuple] = set()
-    skipping = [r for k in order for r in parse_document(raw_pages[k], zone_eic=EIC, seen=seen)]
-    every_page = [r for page in raw_pages for r in parse(page)]
+    skipping = [r for k in order for r in parse_document(raw_pages[k], seen=seen)]
+    every_page = [r for page in raw_pages for r in parse_document(page)]
     assert deduplicate(skipping) == deduplicate(every_page)
 
 
@@ -795,23 +782,22 @@ DAMAGE_REGIONS = {
 
 def _reports_or_error(page: bytes, seen: set[bytes | tuple]) -> list[OutageReport] | str:
     try:
-        return parse_document(page, zone_eic=EIC, seen=seen)
+        return parse_document(page, seen=seen)
     except ParseError as exc:
         return f"ParseError: {exc}"
 
 
 def _zipfile_reports(page: bytes, seen: set[bytes | tuple]) -> list[OutageReport]:
     """The reports of a ZIP page as ``zipfile`` reads it: the oracle of the
-    central directory reader.  Members go in name order, and each XML member
-    is parsed as a bare page, so ``seen`` skips it by its payload."""
+    central directory reader.  Members go in name order, and each member is
+    parsed as a bare page, so ``seen`` skips it by its payload."""
     with zipfile.ZipFile(io.BytesIO(page)) as zf:
         # A stable sort keeps same-named members in archive order.
         payloads = [zf.read(info) for info in sorted(zf.infolist(), key=lambda i: i.filename)]
     return [
         report
         for payload in payloads
-        if payload.lstrip()[:1] == b"<"
-        for report in parse_document(payload, zone_eic=EIC, seen=seen)
+        for report in parse_document(payload, seen=seen)
     ]
 
 
@@ -828,7 +814,7 @@ def test_damaged_page_reads_as_zipfile_alone_reads_it(data, after_the_intact_pag
         del page[data.draw(st.integers(4, len(page) - 1)):]
     seen: set[bytes | tuple] = set()
     if after_the_intact_page:
-        parse_document(DAMAGE_PAGE, zone_eic=EIC, seen=seen)
+        parse_document(DAMAGE_PAGE, seen=seen)
     reports = _reports_or_error(bytes(page), set(seen))
     if not isinstance(reports, str):
         assert reports == _zipfile_reports(bytes(page), set(seen))
@@ -881,7 +867,7 @@ def test_overlapping_members_read_as_zipfile_alone_reads_them(case):
     naming the member on every Python."""
     build, name, reason = OVERLAPPING_PAGES[case]
     with pytest.raises(ParseError, match=rf"^{re.escape(name)}: unreadable ZIP member: {reason}"):
-        parse(build())
+        parse_document(build())
 
 
 def test_seen_unparseable_zip_member_not_recorded():
@@ -1008,14 +994,14 @@ def _one_point_document(revision="1", nominal="400", resolution="PT60M", point=(
 def test_parse_rejects_digit_group_underscores(fields):
     (text,) = [v for v in [*fields.values(), *fields.get("point", ())] if "_" in v]
     with pytest.raises(ParseError, match=rf"document D1\b.*{text}"):
-        parse(_one_point_document(**fields))
+        parse_document(_one_point_document(**fields))
 
 
 def test_parse_accepts_whitespace_around_numbers():
     doc = _one_point_document(
         revision=" 2\n", nominal="\t400 ", resolution=" PT60M ", point=(" 1 ", " 150.5\n")
     )
-    (r,) = parse(doc)
+    (r,) = parse_document(doc)
     assert (r.revision, r.nominal_mw, r.unavailable_mw) == (2, 400.0, 249.5)
     assert (r.end - r.start).total_seconds() == 6 * 3600
 
@@ -1029,7 +1015,7 @@ def test_parse_rejects_non_finite_power(where, text):
                     ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), "PT60M", [(1, quantity)]),
     ])
     with pytest.raises(ParseError, match=f"document D1 TimeSeries 1: bad .*{text}"):
-        parse(doc)
+        parse_document(doc)
 
 
 #: a valid document whose every field a hostile text may replace: two points
@@ -1082,7 +1068,7 @@ def _with_text(doc: bytes, tag: str, text: str, nth: int = 0) -> bytes:
 )
 def test_parse_rejects_a_bad_field(tag, nth, text, message):
     with pytest.raises(ParseError, match=rf"^document D1\b.*{re.escape(message)}"):
-        parse(_with_text(GRID_DOC, tag, text, nth))
+        parse_document(_with_text(GRID_DOC, tag, text, nth))
 
 
 #: (tag, nth) of every field of GRID_DOC but the document's own mRID, which
@@ -1091,7 +1077,6 @@ GRID_FIELDS = [
     ("revisionNumber", 0),
     ("mRID", 1),
     ("businessType", 0),
-    ("biddingZone_Domain.mRID", 0),
     ("production_RegisteredResource.mRID", 0),
     ("production_RegisteredResource.pSRType.psrType", 0),
     ("production_RegisteredResource.pSRType.powerSystemResources.mRID", 0),
@@ -1115,7 +1100,7 @@ HOSTILE_TEXTS = [
 def test_parse_hostile_field_gives_reports_or_a_parse_error(field, text):
     tag, nth = field
     try:
-        reports = parse(_with_text(GRID_DOC, tag, text, nth))
+        reports = parse_document(_with_text(GRID_DOC, tag, text, nth))
     except ParseError as exc:
         assert re.match(r"document D1\b", str(exc)), exc
     else:
@@ -1127,7 +1112,7 @@ def test_parse_reads_every_namespace_form_alike():
     prefixed = ElementTree.tostring(ElementTree.fromstring(default_ns))
     no_ns = re.sub(rb' xmlns="[^"]*"', b"", default_ns)
     assert b"<ns0:TimeSeries>" in prefixed and b"xmlns" not in no_ns
-    reports = parse(default_ns)
+    reports = parse_document(default_ns)
     assert len(reports) == 1
-    assert parse(prefixed) == reports
-    assert parse(no_ns) == reports
+    assert parse_document(prefixed) == reports
+    assert parse_document(no_ns) == reports

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from outagekit import pipeline, run_pipeline
+from outagekit import fetch, pipeline, run_pipeline
 from outagekit.errors import InvalidInputError, ParseError, UsageError
 from outagekit.fetch import DOC_TYPES, FetchClient
 from outagekit.fleet import pmf_stats
@@ -610,7 +610,7 @@ def test_parse_skip_matches_parsing_every_page(corpus, tmp_path, monkeypatch, se
     monkeypatch.setattr(
         pipeline,
         "parse_document",
-        lambda raw, *, zone_eic=None, seen=None: parse_document(raw, zone_eic=zone_eic),
+        lambda raw, *, seen=None: parse_document(raw),
     )
     every_page = _parse_all_zone_periods(config)
     slow_paths = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "every"))
@@ -632,6 +632,26 @@ def test_warm_cache_fetch_reads_no_page(corpus, monkeypatch):
     config = corpus["config"]
     expected = sum(len(days_in(ev.range)) for ev in evaluations(config))
     assert pipeline.stage_fetch(config) == expected * len(config.zones) * len(DOC_TYPES)
+
+
+def test_fetch_queries_the_config_zone_eic_over_the_builtin_table(tmp_path, monkeypatch):
+    domains = []
+
+    def http_get(url, params):
+        domains.append(params["biddingZone_Domain"])
+        return 200, b""
+
+    monkeypatch.setattr(fetch, "_default_http_get", http_get)
+    config = PipelineConfig(
+        zones=("GB",),
+        period=HourRange(START, 24),
+        cache_dir=tmp_path / "cache",
+        api_token="tok",
+        rate_limit_s=0,
+        zone_eic={"GB": "10Y-TEST-GB----X"},
+    )
+    assert pipeline.stage_fetch(config) == len(DOC_TYPES)
+    assert domains == ["10Y-TEST-GB----X"] * len(DOC_TYPES)
 
 
 def test_ingest_reads_only_the_cache(corpus, tmp_path, monkeypatch):
