@@ -160,10 +160,11 @@ def parse_document(
 def _holds_xml(doc: bytes) -> bool:
     """Whether a bare page or ZIP member holds XML rather than only whitespace.
 
+    One leading UTF-8 byte-order mark is skipped (XML 1.0, Appendix F).
     Anything else is a ``ParseError``: a ZIP page is told apart before this
     rule, and a ZIP member may not be one.
     """
-    head = doc.lstrip()[:1]
+    head = doc.removeprefix(b"\xef\xbb\xbf").lstrip()[:1]
     if head not in (b"", b"<"):
         raise ParseError("unrecognized payload: not ZIP or XML")
     return head == b"<"

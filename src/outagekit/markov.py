@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .timeseries import HourlySeries, format_utc
-from .types import Fleet, FuelParams, GeneratorUnit
+from .types import Fleet, FuelParams, GeneratorUnit, failure_rate
 
 RNG_NAME = "numpy.random.default_rng (PCG64)"
 
@@ -63,9 +63,7 @@ def transition_rates(availability: float, mttr_hours: float) -> TransitionRates:
     ``InvalidInputError``; any other gives 0 < mu <= 1 and 0 <= lambda <= 1.
     """
     FuelParams(availability, mttr_hours)  # raises outside the domain
-    mu = 1.0 / mttr_hours
-    lam = mu * (1.0 / availability - 1.0)
-    return TransitionRates(repair_rate_mu=mu, failure_rate_lambda=lam)
+    return TransitionRates(1.0 / mttr_hours, failure_rate(availability, mttr_hours))
 
 
 def derive_seed(seed: int, *branch: int) -> int:

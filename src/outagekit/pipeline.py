@@ -14,11 +14,11 @@ import json
 import logging
 import math
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,8 +97,8 @@ _FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
         "a finite number >= 0",
     ),
     "zone_eic": (
-        lambda v: isinstance(v, dict) and all(isinstance(s, str) for s in (*v, *v.values())),
-        "a map of zone codes to EIC strings",
+        lambda v: isinstance(v, dict) and all(isinstance(s, str) and s for s in (*v, *v.values())),
+        "a map of zone codes to EIC strings, none of them empty",
     ),
 }
 
@@ -226,19 +226,18 @@ class Evaluation(NamedTuple):
     """One evaluation period: a label, its hourly range, and its stat window.
 
     ``window`` is the season's winter window, whose span is ``range``, or
-    ``None`` for an explicit period override, meaning the whole range is the
-    statistics window.
+    for an explicit period override the period itself, which is ``range``.
     """
 
     label: str
     slug: str
     range: HourRange
-    window: WinterWindow | None
+    window: WinterWindow | HourRange
 
 
 def evaluations(config: PipelineConfig) -> list[Evaluation]:
     if config.period is not None:
-        return [Evaluation("period", "period", config.period, None)]
+        return [Evaluation("period", "period", config.period, config.period)]
     evs = []
     for label in config.seasons:
         window = winter_window(season_label_to_year(label))
@@ -453,11 +452,20 @@ def _empirical_series(
     return [okio.read_zone_series(series_path(config, zone, ev.slug)) for ev in evaluations(config)]
 
 
+@contextmanager
+def _about_zone(zone: str) -> Iterator[None]:
+    """Name the zone in an ``InvalidInputError`` from reading its artifacts or windows."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"zone {zone}: {exc}") from None
+
+
 def _windowed_row(
     zone: str,
     channel: str,
     source: str,
-    per_ev: Sequence[tuple[HourlySeries, WinterWindow | None]],
+    per_ev: Sequence[tuple[HourlySeries, WinterWindow | HourRange]],
 ) -> okio.StatsRow:
     """One ``stats.csv`` row from a series and its window per evaluation.
 
@@ -467,19 +475,20 @@ def _windowed_row(
     a statistic is undefined and lags not shorter than the window are left
     out, and logged.
     """
-    samples = [window_values(series, window) for series, window in per_ev]
+    positions = [window.indices_in(series.range) for series, window in per_ev]
+    samples = [series.values_mw[idx] for (series, _), idx in zip(per_ev, positions)]
     hours = min(x.size for x in samples)
     lags = [lag for lag in REPORT_LAGS_HOURS if lag < hours]
     reconciled = all(isinstance(series, HourlyOutageSeries) for series, _ in per_ev)
     acfs: list[dict[int, float]] = []
     errors: list[float] = []
-    for series, window in per_ev:
+    for (series, _), idx, x in zip(per_ev, positions, samples):
         with suppress(StatsError):  # zero variance; a one-hour window has no lag
             if lags:
-                acfs.append(autocorrelation(series, window, lags))
+                acfs.append(autocorrelation(x, lags))
         with suppress(StatsError):  # zero outage mass
             if reconciled:
-                errors.append(reconciliation_error(series, window))
+                errors.append(reconciliation_error(x, series.o_min_mw[idx]))
     skips = f"of {len(per_ev)} windows, {len(per_ev) - len(acfs)} zero-variance skipped in the ACF"
     if reconciled:
         skips += f", {len(per_ev) - len(errors)} zero-mass skipped in the reconciliation error"
@@ -502,14 +511,15 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
     evs = evaluations(config)
     windows = [ev.window for ev in evs]
     for zone in config.zones:
-        empirical = _empirical_series(config, zone)
-        for channel in Channel:
-            per_ev = [(series[channel], w) for series, w in zip(empirical, windows)]
-            rows.append(_windowed_row(zone, channel.value, "empirical", per_ev))
-        mean, iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
-        rows.append(okio.StatsRow(zone, "Total", "model", mean, iqr))
-        sims = [okio.read_sim_series(sim_path(config, zone, ev.slug))[0] for ev in evs]
-        rows.append(_windowed_row(zone, "Total", "simulated", list(zip(sims, windows))))
+        with _about_zone(zone):
+            empirical = _empirical_series(config, zone)
+            for channel in Channel:
+                per_ev = [(series[channel], w) for series, w in zip(empirical, windows)]
+                rows.append(_windowed_row(zone, channel.value, "empirical", per_ev))
+            mean, iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
+            rows.append(okio.StatsRow(zone, "Total", "model", mean, iqr))
+            sims = [okio.read_sim_series(sim_path(config, zone, ev.slug))[0] for ev in evs]
+            rows.append(_windowed_row(zone, "Total", "simulated", list(zip(sims, windows))))
     target = stats_path(config)
     okio.write_stats_csv(rows, target)
     return [target]
@@ -604,10 +614,11 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
     width = config.histogram_bin_mw
     windows = [ev.window for ev in evaluations(config)]
     for zone in config.zones:
-        per_ev = [
-            [window_values(by_channel[channel], w) for channel in (Channel.TOTAL, Channel.FORCED)]
-            for by_channel, w in zip(_empirical_series(config, zone), windows)
-        ]
+        with _about_zone(zone):
+            per_ev = [
+                [window_values(by_channel[ch], w) for ch in (Channel.TOTAL, Channel.FORCED)]
+                for by_channel, w in zip(_empirical_series(config, zone), windows)
+            ]
         totals, forced = (np.concatenate(parts) for parts in zip(*per_ev))
         pmf = okio.read_pmf(pmf_path(config, zone))
         top = max(float(totals.max()), float(forced.max()), float(pmf.max_outage_mw))
@@ -635,19 +646,24 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
     demand = weekly_profile(okio.read_demand(config.demand_path)) if config.demand_path else None
     written = []
     for zone in config.zones:
-        (series,) = [by_channel[Channel.TOTAL] for by_channel in _empirical_series(config, zone)]
+        with _about_zone(zone):
+            (series,) = [s[Channel.TOTAL] for s in _empirical_series(config, zone)]
+            total = HourlySeries(config.period.start, window_values(series, config.period))
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
-        okio.write_seasonal(weekly_profile(series), demand, target)
+        okio.write_seasonal(weekly_profile(total), demand, target)
         written.append(target)
     return written
 
 
 def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
+    evs = evaluations(config)
     for zone_idx, zone in enumerate(config.zones):
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
-        totals = [by_channel[Channel.TOTAL] for by_channel in _empirical_series(config, zone)]
-        for ev_idx, (ev, series) in enumerate(zip(evaluations(config), totals)):
+        with _about_zone(zone):
+            empirical = zip(_empirical_series(config, zone), evs)
+            totals = [window_values(s[Channel.TOTAL], ev.range) for s, ev in empirical]
+        for ev_idx, (ev, total) in enumerate(zip(evs, totals)):
             sims = [
                 simulate_fleet(
                     fleet,
@@ -658,7 +674,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
                 for k in range(config.timeseries_draws)
             ]
             target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
-            okio.write_timeseries_plot(series.values_mw, sims, ev.range.start, target)
+            okio.write_timeseries_plot(total, sims, ev.range.start, target)
             written.append(target)
     return written
 

@@ -1,13 +1,13 @@
 """Comparison statistics: winter windows, windowed sample mean and IQR,
 reconciliation error, lagged autocorrelation and weekly seasonality.
 
-Each statistic takes one series and at most one window (``None`` meaning
-the whole series).  Every series is an ``HourlySeries`` and the statistics
-read its ``values_mw``; for a reconciled ``HourlyOutageSeries`` that is the
-midpoint of its envelopes, and only the reconciliation error also reads the
-lower envelope.  The pipeline builds each row of ``stats.csv`` in one place,
-``pipeline._windowed_row``, which pools these statistics over the windows
-of several evaluations.
+A window is a ``WinterWindow`` or an explicit period's ``HourRange``; its
+``indices_in`` gives its positions in a series' range and raises unless the
+series covers them.  The statistics take the window's samples of a series'
+``values_mw`` (for a reconciled series, the midpoint of its envelopes) and,
+for the reconciliation error only, of its lower envelope.  The pipeline
+builds each row of ``stats.csv`` in one place, ``pipeline._windowed_row``,
+which pools these statistics over the windows of several evaluations.
 
 Empirical quantiles here use linear-interpolation (type-7) quantiles on the
 hourly sample, which is the convention for continuous samples; discrete
@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError, StatsError
-from .ingest.reconcile import HourlyOutageSeries
-from .timeseries import HOUR, HourRange, HourlySeries
+from .timeseries import HourRange, HourlySeries
 
 #: Table-style report lags: one hour, six hours, one day, one week.
 REPORT_LAGS_HOURS = (1, 6, 24, 168)
@@ -58,16 +57,12 @@ class WinterWindow:
         return HourRange(self.start, (self.weeks[-1] + 1) * HOURS_PER_WEEK)
 
     def indices_in(self, rng: HourRange) -> np.ndarray:
-        """Positions of the window's hours inside an hourly range."""
+        """Positions of the window's hours inside ``rng``; raises unless ``rng`` covers them."""
         try:
-            first = rng.index_of(self.start)
-            rng.index_of(self.span.end - HOUR)
+            span = self.span.indices_in(rng)
         except InvalidInputError as exc:
-            raise InvalidInputError(
-                f"window {self.label} not covered by series range"
-            ) from exc
-        weeks = np.asarray(self.weeks, dtype=np.int64)
-        return first + (weeks[:, None] * HOURS_PER_WEEK + np.arange(HOURS_PER_WEEK)).ravel()
+            raise InvalidInputError(f"window {self.label}: {exc}") from None
+        return span.reshape(-1, HOURS_PER_WEEK)[list(self.weeks)].ravel()
 
 
 def first_sunday_of_november(year: int) -> date:
@@ -108,13 +103,8 @@ def season_label_to_year(label: str) -> int:
     return year
 
 
-def window_values(series: HourlySeries, window: WinterWindow | None) -> np.ndarray:
-    """Hourly values (MW) of a series inside a window.
-
-    ``window=None`` selects the whole series.
-    """
-    if window is None:
-        return series.values_mw
+def window_values(series: HourlySeries, window: WinterWindow | HourRange) -> np.ndarray:
+    """Hourly values (MW) of a series inside a window; raises unless the series covers it."""
     return series.values_mw[window.indices_in(series.range)]
 
 
@@ -127,49 +117,38 @@ def sample_stats(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(q75 - q25)
 
 
-def reconciliation_error(
-    series: HourlyOutageSeries, window: WinterWindow | None = None
-) -> float:
-    """Relative mean absolute reconciliation error over the evaluation period.
+def reconciliation_error(values: np.ndarray, lower: np.ndarray) -> float:
+    """Relative mean absolute reconciliation error of one window's sample.
 
-    The l1 distance between the reconciled outage and its lower envelope,
-    divided by the l1 norm of the reconciled outage; a data-quality measure
-    of how much conflicting reports could move the series.  Scale-invariant;
-    zero exactly when no hour has conflicting reports.
+    The l1 distance between the reconciled outage ``values`` and its lower
+    envelope ``lower`` over the same hours, divided by the l1 norm of
+    ``values``; a data-quality measure of how much conflicting reports
+    could move the series.  Scale-invariant; zero exactly when no hour has
+    conflicting reports.
     """
-    idx = slice(None) if window is None else window.indices_in(series.range)
-    mean_vals = series.values_mw[idx]
-    min_vals = series.o_min_mw[idx]
-    denom = float(np.abs(mean_vals).sum())
+    denom = float(np.abs(values).sum())
     if denom == 0.0:
         raise StatsError("reconciliation error undefined: series has zero total outage")
-    return float(np.abs(mean_vals - min_vals).sum() / denom)
+    return float(np.abs(values - lower).sum() / denom)
 
 
-def autocorrelation(
-    series: HourlySeries,
-    window: WinterWindow | None,
-    lags: Sequence[int] = REPORT_LAGS_HOURS,
-) -> dict[int, float]:
-    """Sample autocorrelation of a series inside one window at the given lags.
+def autocorrelation(values: np.ndarray, lags: Sequence[int]) -> dict[int, float]:
+    """Sample autocorrelation of one window's hourly sample at the given lags.
 
-    Uses the standard biased estimator with the window's own mean removed;
-    lag 0 is exactly 1.  ``window=None`` takes the whole series.  Windows
-    are not contiguous in time, so each is evaluated on its own; averaging
-    over windows is left to the caller.
+    Uses the standard biased estimator with the sample's own mean removed;
+    lag 0 is exactly 1.  Windows are not contiguous in time, so each is
+    evaluated on its own; averaging over windows is left to the caller.
     """
-    context = "full series" if window is None else f"window {window.label}"
-    x = window_values(series, window)
-    if x.size < 2:
-        raise InvalidInputError(f"{context}: need at least 2 values for autocorrelation")
-    xc = x - x.mean()
+    if values.size < 2:
+        raise InvalidInputError("need at least 2 values for autocorrelation")
+    xc = values - values.mean()
     denom = float(xc @ xc)
     if denom == 0.0:
-        raise StatsError(f"{context}: zero variance, autocorrelation undefined")
+        raise StatsError("zero variance, autocorrelation undefined")
     out: dict[int, float] = {}
     for lag in lags:
-        if lag < 0 or lag >= x.size:
-            raise InvalidInputError(f"{context}: lag {lag} outside [0, {x.size - 1}]")
+        if lag < 0 or lag >= values.size:
+            raise InvalidInputError(f"lag {lag} outside [0, {values.size - 1}]")
         if lag == 0:
             out[0] = 1.0
         else:

@@ -72,13 +72,15 @@ class HourRange:
     def hours(self) -> list[datetime]:
         return [self.start + k * HOUR for k in range(self.n_hours)]
 
-    def index_of(self, ts: datetime) -> int:
-        """Position of an hour within the range; raises if outside."""
-        delta = ensure_hour_aligned(ts) - self.start
-        k, rem = divmod(int(delta.total_seconds()), 3600)
-        if rem or not 0 <= k < self.n_hours:
-            raise InvalidInputError(f"{ts.isoformat()} outside range {self.start.isoformat()}+{self.n_hours}h")
-        return k
+    def indices_in(self, rng: HourRange) -> np.ndarray:
+        """Positions of this range's hours inside ``rng``; raises unless ``rng`` covers them."""
+        first = (self.start - rng.start) // HOUR
+        if first < 0 or first + self.n_hours > rng.n_hours:
+            raise InvalidInputError(
+                f"hours {format_utc(self.start)}+{self.n_hours}h not covered by series "
+                f"range {format_utc(rng.start)}+{rng.n_hours}h"
+            )
+        return np.arange(first, first + self.n_hours)
 
 
 @dataclass(frozen=True)

@@ -42,22 +42,24 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def failure_rate(availability: float, mttr_hours: float) -> float:
+    """The hourly failure rate lambda = (1/MTTR)(1/A - 1) of the two-state chain."""
+    return (1.0 / mttr_hours) * (1.0 / availability - 1.0)
+
+
 def _check_reliability(availability: float, mttr_hours: float) -> None:
     """Reject an (availability, MTTR) pair the hourly two-state chain cannot hold.
 
     Availability must be in (0, 1] and the MTTR finite and > 0.  The chain
-    uses the rates mu = 1/MTTR and lambda = mu * (1/A - 1) as per-hour
-    probabilities, so both must be at most 1: MTTR >= 1 h and
-    A >= 1/(1 + MTTR).  lambda is computed with the float expression
-    ``markov.transition_rates`` uses, so no accepted pair gives lambda > 1.
-    The comparisons are false for NaN, so NaN is rejected too, and so is a
-    value that is not an int or float, or is a bool.
+    uses mu = 1/MTTR and lambda = ``failure_rate`` as per-hour probabilities,
+    so both must be at most 1: MTTR >= 1 h and A >= 1/(1 + MTTR).  NaN fails
+    every comparison and is rejected, and so is a bool or a non-number.
     """
     if not (_is_number(availability) and 0.0 < availability <= 1.0):
         raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
     if not (_is_number(mttr_hours) and 0.0 < mttr_hours < math.inf):
         raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours}")
-    if mttr_hours < 1.0 or (1.0 / mttr_hours) * (1.0 / availability - 1.0) > 1.0:
+    if mttr_hours < 1.0 or failure_rate(availability, mttr_hours) > 1.0:
         raise InvalidInputError(
             "mttr_hours must be >= 1 and availability >= 1/(1 + mttr_hours), so that"
             f" both hourly rates are at most 1, got availability {availability}"

@@ -23,5 +23,5 @@ DEFAULT_ZONE_EIC: dict[str, str] = {
 
 
 def eic_for_zone(zone: str, extra: dict[str, str] | None = None) -> str | None:
-    """``zone``'s EIC code: its entry in ``extra``, even an empty one, else the built-in one."""
+    """``zone``'s EIC code: its entry in ``extra``, else the built-in one."""
     return (extra or {}).get(zone, DEFAULT_ZONE_EIC.get(zone))

@@ -63,6 +63,21 @@ def write_registry(rows: Iterable[RegistryRow], path: Path | str) -> None:
     write_lines(lines, path)
 
 
+def write_year_series(path: Path, start: datetime, cell: str) -> None:
+    """Write an 8760-hour zone series CSV with every channel cell set to ``cell``."""
+    header = (
+        "timestamp_utc,forced_min,forced,forced_max,"
+        "planned_min,planned,planned_max,total_min,total,total_max"
+    )
+    cells = ",".join([cell] * 9)
+    lines = [header]
+    lines.extend(
+        f"{(start + timedelta(hours=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},{cells}"
+        for k in range(8760)
+    )
+    write_lines(lines, path)
+
+
 def capacity_by_fuel(fleet: Fleet) -> dict[Fuel, int]:
     """Installed capacity of each fuel in a fleet, in MW."""
     totals: dict[Fuel, int] = {}

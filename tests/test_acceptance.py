@@ -162,7 +162,7 @@ def test_reconciliation_error_reference_values():
         clean = unit_series(
             [make_report("a", unavailable_mw=100.0)], period
         )[Channel.TOTAL]
-        assert reconciliation_error(clean) == 0.0
+        assert reconciliation_error(clean.values_mw, clean.o_min_mw) == 0.0
 
         conflicting = [
             make_report("a", unavailable_mw=100.0),
@@ -174,7 +174,7 @@ def test_reconciliation_error_reference_values():
             series.values_mw[0],
             series.o_max_mw[0],
         ) == (100.0, 200.0, 300.0)
-        assert reconciliation_error(series) == 0.5
+        assert reconciliation_error(series.values_mw, series.o_min_mw) == 0.5
 
         scaled = unit_series(
             [
@@ -183,7 +183,9 @@ def test_reconciliation_error_reference_values():
             ],
             period,
         )[Channel.TOTAL]
-        assert reconciliation_error(scaled) == reconciliation_error(series)
+        assert reconciliation_error(scaled.values_mw, scaled.o_min_mw) == reconciliation_error(
+            series.values_mw, series.o_min_mw
+        )
 
 
 def test_winter_windows_have_exactly_3024_hours():

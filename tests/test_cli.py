@@ -5,7 +5,7 @@ import json
 import logging
 import struct
 import zipfile
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,8 @@ from click.testing import CliRunner
 from outagekit.cli import main
 from outagekit.fetch import FetchClient
 from outagekit.pipeline import STAGES
+
+from conftest import write_year_series
 
 
 @pytest.fixture()
@@ -511,18 +513,7 @@ def test_undefined_statistic_exits_6(runner, tmp_path):
     # a year of all-zero outages has no weekly profile
     out = tmp_path / "out"
     out.mkdir()
-    start = datetime(2001, 1, 1, tzinfo=timezone.utc)
-    header = (
-        "timestamp_utc,forced_min,forced,forced_max,"
-        "planned_min,planned,planned_max,total_min,total,total_max"
-    )
-    rows = [header]
-    rows.extend(
-        f"{(start + timedelta(hours=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},"
-        + ",".join(["0.000"] * 9)
-        for k in range(8760)
-    )
-    (out / "series_AA_period.csv").write_text("\n".join(rows) + "\n")
+    write_year_series(out / "series_AA_period.csv", datetime(2001, 1, 1, tzinfo=timezone.utc), "0.000")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "zones": ["AA"],
@@ -535,6 +526,44 @@ def test_undefined_statistic_exits_6(runner, tmp_path):
     )
     assert result.exit_code == 6
     assert "identically zero" in result.stderr
+
+
+def test_period_the_artifacts_do_not_cover_exits_2(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    stats = tmp_path / "out" / "stats.csv"
+    before = stats.read_bytes()
+    week_later = {"start": "2030-01-14T00:00:00Z", "hours": 336}
+    config_path = write_config(corpus, tmp_path, period=week_later)
+    for args in (["stats"], ["plot-data", "--kind", "histogram"], ["plot-data", "--kind", "timeseries"]):
+        result = runner.invoke(main, [*args, "--config", str(config_path)])
+        assert result.exit_code == 2, args
+        assert (
+            "zone AA: hours 2030-01-14T00:00:00Z+336h not covered by series range "
+            "2030-01-07T00:00:00Z+336h"
+        ) in result.stderr, args
+    assert stats.read_bytes() == before
+    assert not list((tmp_path / "out").glob("plot_*"))
+
+
+def test_seasonal_period_the_series_does_not_cover_exits_2(runner, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_year_series(out / "series_AA_period.csv", datetime(2001, 1, 1, tzinfo=timezone.utc), "1.000")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2001-01-08T00:00:00Z", "hours": 8760},
+        "cache_dir": str(tmp_path / "cache"),
+        "output_dir": str(out),
+    }))
+    result = runner.invoke(main, ["plot-data", "--kind", "seasonal", "--config", str(config)])
+    assert result.exit_code == 2
+    assert (
+        "zone AA: hours 2001-01-08T00:00:00Z+8760h not covered by series range "
+        "2001-01-01T00:00:00Z+8760h"
+    ) in result.stderr
+    assert not (out / "plot_seasonal_AA.csv").exists()
 
 
 def test_unknown_plot_kind_exits_2(runner, corpus, tmp_path):

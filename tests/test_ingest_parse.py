@@ -563,18 +563,32 @@ def _doc(doc_id: str, business: str = "A54") -> bytes:
     ])
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+
+
 def test_zip_member_is_read_by_the_bare_page_rule():
     """A member holding only whitespace is skipped; any other member that is
-    not XML, a byte-order mark before the XML included, is refused, not
-    dropped, at ingest and at fetch."""
+    not XML, a byte-order mark after whitespace or a second one included, is
+    refused, not dropped, at ingest and at fetch."""
     blank = _zip_of([_doc("D1"), b" \n"])
     assert [r.report_id for r in parse_document(blank)] == ["D1:1"]
     assert xmlparse.page_document_count(blank) == 2
-    for member in (b"garbage", b"\xef\xbb\xbf" + _doc("D2")):
+    for member in (b"garbage", b" " + BOM + _doc("D2"), BOM + BOM + _doc("D2")):
         page = _zip_of([_doc("D1"), member])
         for read in (parse_document, xmlparse.page_document_count):
             with pytest.raises(ParseError, match=r"^doc_1\.xml: unrecognized payload"):
                 read(page)
+
+
+def test_byte_order_mark_before_xml_is_skipped():
+    """XML 1.0 (Appendix F) allows one UTF-8 byte-order mark before a document."""
+    doc, other = _doc("D1"), _doc("D2")
+    pairs = [(BOM + doc, doc), (_zip_of([BOM + doc, other]), _zip_of([doc, other]))]
+    for with_bom, plain in pairs:
+        assert parse_document(with_bom) == parse_document(plain) != []
+        assert xmlparse.page_document_count(with_bom) == xmlparse.page_document_count(plain)
+    assert parse_document(BOM + b"\n") == []  # a mark before whitespace: an empty page
+    assert xmlparse.page_document_count(BOM) == 1
 
 
 def test_seen_bare_document_parsed_once():

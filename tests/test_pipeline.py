@@ -42,7 +42,7 @@ from outagekit.pipeline import (
 from outagekit.timeseries import HourRange
 from outagekit.types import Fuel
 
-from conftest import capacity_by_fuel, write_registry
+from conftest import capacity_by_fuel, write_registry, write_year_series
 from corpusgen import N_HOURS, START, ZONE_EIC, build_reserved_corpus
 
 
@@ -130,6 +130,7 @@ def test_config_rejects_bad_period(tmp_path):
         ("zone_eic", "abc"),
         ("zone_eic", [["GB", "10YGB----------A"]]),
         ("zone_eic", {"GB": 5}),
+        ("zone_eic", {"GB": ""}),
         ("zone_eic", None),
         ("retries", 0),
         ("retries", -1),
@@ -222,6 +223,7 @@ def test_config_hash_independent_of_spelling(corpus, monkeypatch):
         ("cache_dir", "x"),
         ("seasons", ("16/17", "16/17")),
         ("seasons", ("16-17",)),
+        ("zone_eic", {"GB": ""}),
     ],
 )
 def test_config_validated_however_built(key, value):
@@ -263,7 +265,7 @@ def test_period_override_yields_single_evaluation(corpus):
     (ev,) = evaluations(corpus["config"])
     assert ev.label == "period"
     assert ev.range == HourRange(START, N_HOURS)
-    assert ev.window is None
+    assert ev.window == ev.range  # the period is its own window
 
 
 def test_season_evaluations():
@@ -273,7 +275,8 @@ def test_season_evaluations():
     assert [ev.slug for ev in evs] == ["16-17", "17-18"]
     assert evs[0].range.start == datetime(2016, 11, 6, tzinfo=timezone.utc)
     assert evs[0].range.n_hours == 20 * 168
-    assert evs[0].window is not None and evs[0].window.label == "16/17"
+    assert evs[0].window.label == "16/17"
+    assert evs[0].window.span == evs[0].range
 
 
 def test_days_in_covers_partial_days():
@@ -748,16 +751,7 @@ def test_plot_seasonal_on_year_long_series(tmp_path):
     start = datetime(2001, 1, 1, tzinfo=timezone.utc)
     out = tmp_path / "out"
     out.mkdir()
-    header = (
-        "timestamp_utc,forced_min,forced,forced_max,"
-        "planned_min,planned,planned_max,total_min,total,total_max"
-    )
-    lines = [header]
-    for k in range(8760):
-        ts = start + timedelta(hours=k)
-        cells = ",".join(["100.000"] * 9)
-        lines.append(f"{ts.strftime('%Y-%m-%dT%H:%M:%SZ')},{cells}")
-    (out / "series_ZZ_period.csv").write_text("\n".join(lines) + "\n")
+    write_year_series(out / "series_ZZ_period.csv", start, "100.000")
     demand_path = tmp_path / "demand.csv"
     demand_lines = ["timestamp_utc,demand_mw"]
     demand_lines.extend(
@@ -798,6 +792,26 @@ COMPARE_SHA256 = {
     "plot_timeseries_BB_period.csv": "c64f6215ff965c670e41f9aee43d355a0481f1bb3b37db0356c1219f1f6e4f23",
     "stats.csv": "dbdb1ffba78489bc3cf9c66e48299542e6b11391768c1e35e0332e1416e09f99",
 }
+
+
+def test_shorter_period_over_longer_artifacts_matches_a_fresh_run(full_run, tmp_path):
+    """A period inside the artifacts' range reads just its hours of them."""
+    week = HourRange(START, 168)
+    reused = dataclasses.replace(full_run["config"], period=week, output_dir=tmp_path / "reused")
+    shutil.copytree(full_run["config"].output_dir, reused.output_dir)
+    fresh = dataclasses.replace(reused, output_dir=tmp_path / "fresh")
+    run_pipeline(fresh)
+    names = set()
+    for config in (reused, fresh):
+        stage_stats(config)
+        for kind in ("histogram", "timeseries"):
+            names.update(p.name for p in emit_plot_data(config, kind))
+    assert len(names) == 4
+    for name in sorted(names | {"stats.csv"}):
+        assert (reused.output_dir / name).read_bytes() == (fresh.output_dir / name).read_bytes(), name
+    # the reused artifacts still span both weeks, the fresh ones only the first
+    spans = [read_sim_series(sim_path(c, "AA", "period"))[0].n_hours for c in (reused, fresh)]
+    assert spans == [336, 168]
 
 
 def test_compare_side_bytes_are_pinned(full_run, tmp_path):

@@ -38,6 +38,11 @@ def outage_series(start: datetime, mean_vals, min_vals=None, max_vals=None):
     return HourlyOutageSeries(start=start, values_mw=mean_vals, o_min_mw=lo, o_max_mw=hi)
 
 
+def recon(series: HourlyOutageSeries) -> float:
+    """Reconciliation error of a whole reconciled series."""
+    return reconciliation_error(series.values_mw, series.o_min_mw)
+
+
 # -- winter windows ----------------------------------------------------------
 
 
@@ -139,6 +144,31 @@ def test_window_outside_range_rejected():
         w.indices_in(short.range)
 
 
+def test_hour_range_indices_when_covered():
+    rng = HourRange(T0, 48)
+    np.testing.assert_array_equal(rng.indices_in(rng), np.arange(48))
+    np.testing.assert_array_equal(HourRange(T0, 1).indices_in(rng), [0])
+
+
+def test_hour_range_indices_at_an_offset():
+    rng = HourRange(T0, 48)
+    sub = HourRange(T0 + 24 * HOUR, 24)
+    np.testing.assert_array_equal(sub.indices_in(rng), np.arange(24, 48))
+    series = hs(T0, np.arange(48.0))
+    np.testing.assert_array_equal(window_values(series, sub), np.arange(24.0, 48.0))
+
+
+@pytest.mark.parametrize(
+    "start_h, n_hours",
+    [(1, 48), (-1, 2), (48, 1), (24, 25), (-24, 100)],
+)
+def test_hour_range_indices_not_covered_rejected(start_h, n_hours):
+    rng = HourRange(T0, 48)
+    sub = HourRange(T0 + start_h * HOUR, n_hours)
+    with pytest.raises(InvalidInputError, match=r"not covered by series range .*\+48h"):
+        sub.indices_in(rng)
+
+
 def test_window_year_bounds():
     for year in (1999, 2100):
         with pytest.raises(InvalidInputError):
@@ -190,13 +220,13 @@ def test_summary_windowed_ignores_outside_hours():
     values[idx] = 1.0
     series = hs(w.start, values)
     assert sample_stats(window_values(series, w)) == (1.0, 0.0)
-    mean_all, _ = sample_stats(window_values(series, None))
+    mean_all, _ = sample_stats(window_values(series, series.range))
     assert mean_all > 1.0
 
 
 def test_summary_accepts_outage_series():
     s = outage_series(T0, [10.0, 20.0, 30.0, 40.0])
-    assert sample_stats(window_values(s, None)) == (25.0, 15.0)
+    assert sample_stats(window_values(s, s.range)) == (25.0, 15.0)
 
 
 # -- reconciliation error ----------------------------------------------------
@@ -204,31 +234,31 @@ def test_summary_accepts_outage_series():
 
 def test_recon_error_zero_without_conflicts():
     s = outage_series(T0, [100.0, 50.0, 0.0])
-    assert reconciliation_error(s) == 0.0
+    assert recon(s) == 0.0
 
 
 def test_recon_error_known_value():
     s = outage_series(T0, [100.0, 100.0], min_vals=[50.0, 100.0], max_vals=[150.0, 100.0])
-    assert reconciliation_error(s) == 0.25
+    assert recon(s) == 0.25
 
 
 def test_recon_error_half():
     s = outage_series(T0, [100.0], min_vals=[50.0], max_vals=[150.0])
-    assert reconciliation_error(s) == 0.5
+    assert recon(s) == 0.5
 
 
 def test_recon_error_scale_invariant():
     base = np.array([100.0, 30.0, 70.0])
     lo = np.array([80.0, 30.0, 50.0])
     hi = 2 * base - lo
-    eps1 = reconciliation_error(outage_series(T0, base, lo, hi))
-    eps7 = reconciliation_error(outage_series(T0, 7 * base, 7 * lo, 7 * hi))
+    eps1 = recon(outage_series(T0, base, lo, hi))
+    eps7 = recon(outage_series(T0, 7 * base, 7 * lo, 7 * hi))
     assert eps7 == pytest.approx(eps1)
 
 
 def test_recon_error_zero_mass_rejected():
     with pytest.raises(StatsError, match="zero total outage"):
-        reconciliation_error(outage_series(T0, [0.0, 0.0]))
+        recon(outage_series(T0, [0.0, 0.0]))
 
 
 def test_recon_error_windowed():
@@ -244,15 +274,17 @@ def test_recon_error_windowed():
     mean_vals[outside] = 1000.0
     min_vals[outside] = 0.0
     s = outage_series(w.start, mean_vals, min_vals, 2 * mean_vals - min_vals)
-    assert reconciliation_error(s, w) == 0.5
+    assert recon(s) != 0.5
+    assert _windowed_row("Z", "Total", "empirical", [(s, w)]).recon_error == 0.5
+    assert reconciliation_error(window_values(s, w), s.o_min_mw[idx]) == 0.5
 
 
 # -- autocorrelation ---------------------------------------------------------
 
 
 def acf(values, lags):
-    """Autocorrelation of a plain array, taken as one whole-series window."""
-    return autocorrelation(hs(T0, values), None, lags)
+    """Autocorrelation of a plain array, taken as one window's sample."""
+    return autocorrelation(np.asarray(values, dtype=float), lags)
 
 
 def test_acf_lag_zero_is_one():
@@ -329,17 +361,25 @@ def test_autocorrelation_does_not_cross_window_seams(monkeypatch):
 def test_autocorrelation_whole_series_when_no_windows():
     rng = np.random.default_rng(8)
     series = hs(T0, rng.normal(size=300))
-    got = autocorrelation(series, None, lags=(1, 6))
+    got = autocorrelation(window_values(series, series.range), (1, 6))
     xc = series.values_mw - series.values_mw.mean()
     ref = {lag: float(xc[:-lag] @ xc[lag:] / (xc @ xc)) for lag in (1, 6)}
     assert got == pytest.approx(ref)
 
 
-def test_autocorrelation_constant_window_names_window():
+def test_autocorrelation_skips_constant_window(monkeypatch, caplog):
+    monkeypatch.setattr(pipeline, "REPORT_LAGS_HOURS", (1,))
     series = hs(T0, np.concatenate([np.full(168, 3.0), np.arange(168.0)]))
-    w = WinterWindow(label="flat", start=T0, weeks=(0,))
-    with pytest.raises(StatsError, match="flat"):
-        autocorrelation(series, w, lags=(1,))
+    flat = WinterWindow(label="flat", start=T0, weeks=(0,))
+    ramp = WinterWindow(label="ramp", start=T0, weeks=(1,))
+    with pytest.raises(StatsError, match="zero variance"):
+        autocorrelation(window_values(series, flat), (1,))
+    with caplog.at_level("INFO", logger="outagekit.pipeline"):
+        row = _windowed_row("Z", "Total", "empirical", [(series, flat), (series, ramp)])
+    assert row.acf == acf(np.arange(168.0), (1,))
+    assert caplog.messages == [
+        "stats Z Total empirical: of 2 windows, 1 zero-variance skipped in the ACF"
+    ]
 
 
 def test_report_lags():
@@ -404,7 +444,10 @@ def test_autocorrelation_and_weekly_profile_read_outage_series_midpoint():
     values = np.random.default_rng(5).uniform(10, 500, size=8760)
     plain = hs(YEAR_START, values)
     reconciled = outage_series(YEAR_START, values, values - 5.0, values + 5.0)
-    assert autocorrelation(reconciled, None) == autocorrelation(plain, None)
+    np.testing.assert_array_equal(window_values(reconciled, reconciled.range), values)
+    assert acf(window_values(reconciled, reconciled.range), REPORT_LAGS_HOURS) == acf(
+        window_values(plain, plain.range), REPORT_LAGS_HOURS
+    )
     np.testing.assert_array_equal(weekly_profile(reconciled), weekly_profile(plain))
 
 
