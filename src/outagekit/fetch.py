@@ -172,9 +172,10 @@ class FetchClient:
         an empty page list, so it too is served without a network call next
         time.  Paging follows the platform's fixed page size: a full page
         triggers a request for the next offset.  Each page is counted by
-        ``page_document_count``, which reads it as ingest does but checks
-        only the root of each document: a page it refuses (an HTML error
-        page, say) is a ``ParseError``, and the day stays a cache miss.
+        ``page_document_count``, which reads it in full as ingest does: a
+        page that ingest would refuse (an HTML error page, or a field error
+        such as a non-numeric quantity) is a ``ParseError``, and the day
+        stays a cache miss.
         """
         if doc_type not in DOC_TYPES:
             raise InvalidInputError(f"doc_type must be one of {DOC_TYPES}, got {doc_type!r}")

@@ -7,7 +7,7 @@ multi-document responses in a ZIP); the payload bytes tell which.  Each
 availability period point becomes one report; the platform states
 *available* capacity, so the reduction is nominal minus available.  This
 module alone decides what a page is: ``fetch`` stores a page only once
-``page_document_count`` has read it the way ``parse_document`` does.
+``page_document_count`` has read it with ``parse_document``.
 
 Right after an XML document is parsed, every tag becomes its local name,
 so the default-namespace, prefixed and namespace-free forms read alike and
@@ -46,7 +46,7 @@ import struct
 import zlib
 from datetime import datetime, timedelta
 from operator import itemgetter
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 from xml.etree import ElementTree
 
 from ..errors import ParseError
@@ -172,26 +172,7 @@ def _holds_xml(doc: bytes) -> bool:
 
 def _parse_zip(raw: bytes, seen: set[bytes | tuple]) -> list[OutageReport]:
     reports: list[OutageReport] = []
-    for name, payload in _zip_payloads(raw, _central_directory(raw), seen):
-        try:
-            if _holds_xml(payload) and payload not in seen:
-                reports.extend(_parse_xml(payload))
-                seen.add(payload)
-        except ParseError as exc:
-            raise ParseError(f"{name}: {exc}") from exc
-    return reports
-
-
-def _zip_payloads(
-    raw: bytes, members: list[tuple], seen: set[bytes | tuple]
-) -> Iterator[tuple[str, bytes]]:
-    """(name, payload) of each of a ZIP page's ``members`` that its key does not skip.
-
-    ``members`` is the page's ``_central_directory``.  A member whose key is
-    in ``seen`` is skipped before it is inflated, and its key is added once
-    the caller has taken its payload.  A member that fails a check is a
-    ``ParseError`` naming it.
-    """
+    members = _central_directory(raw)
     for name, raw_name, method, flags, crc, stored_size, size, offset, end in members:
         start = offset + _LOCAL_HEADER.size
         signature, local_flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, offset)
@@ -205,8 +186,15 @@ def _zip_payloads(
         key = (method, flags, crc, size, stored)
         if key in seen:
             continue
-        yield name, _inflate(name, method, stored, size, crc)
+        payload = _inflate(name, method, stored, size, crc)
+        try:
+            if _holds_xml(payload) and payload not in seen:
+                reports.extend(_parse_xml(payload))
+                seen.add(payload)
+        except ParseError as exc:
+            raise ParseError(f"{name}: {exc}") from exc
         seen.add(key)
+    return reports
 
 
 def _central_directory(raw: bytes) -> list[tuple]:
@@ -312,35 +300,18 @@ def _bad_member(name: str, reason: str) -> ParseError:
 def page_document_count(raw: bytes) -> int:
     """Number of documents in a page: 1 for a bare page, the member count of a ZIP page.
 
-    A page is read as ``parse_document`` reads it, but of each XML document
-    only the root is checked.  So a page that is neither ZIP nor XML, a ZIP
-    member that is neither empty nor XML, a ZIP page that ingest refuses, or
-    a document with another root (an HTML error page, say) is a
-    ``ParseError``.  Repeated members count, as the platform counts them
-    when it pages.
+    The page is first read in full with ``parse_document``, so a page that
+    ingest refuses is the same ``ParseError``.  Repeated members count, as
+    the platform counts them when it pages.
     """
-    if raw[:4] != _ZIP_MAGIC:
-        if _holds_xml(raw):
-            _document_root(raw)
-        return 1
-    members = _central_directory(raw)
-    for name, payload in _zip_payloads(raw, members, set()):
-        try:
-            if _holds_xml(payload):
-                _document_root(payload)
-        except ParseError as exc:
-            raise ParseError(f"{name}: {exc}") from exc
-    return len(members)
+    parse_document(raw)
+    return len(_central_directory(raw)) if raw[:4] == _ZIP_MAGIC else 1
 
 
 # -- XML ---------------------------------------------------------------------
 
 
-def _document_root(raw: bytes) -> ElementTree.Element:
-    """The root of an unavailability document, every tag made its local name.
-
-    Malformed XML, or any other root element, is a ``ParseError``.
-    """
+def _parse_xml(raw: bytes) -> list[OutageReport]:
     try:
         root = ElementTree.fromstring(raw)
     except ElementTree.ParseError as exc:
@@ -350,11 +321,6 @@ def _document_root(raw: bytes) -> ElementTree.Element:
         elem.tag = elem.tag.rpartition("}")[2]
     if root.tag != "Unavailability_MarketDocument":
         raise ParseError(f"unexpected root element {root.tag!r}")
-    return root
-
-
-def _parse_xml(raw: bytes) -> list[OutageReport]:
-    root = _document_root(raw)
     doc_id = _field(root, "mRID", "document", _token)
     where = f"document {doc_id}"
     revision = _field(root, "revisionNumber", where, _counting_number, default=1)

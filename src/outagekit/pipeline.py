@@ -643,7 +643,14 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
             "seasonal plot data needs an evaluation period of at least one full "
             "year; configure 'period' accordingly"
         )
-    demand = weekly_profile(okio.read_demand(config.demand_path)) if config.demand_path else None
+    demand = None
+    if config.demand_path:
+        hourly = okio.read_demand(config.demand_path)
+        try:
+            values = window_values(hourly, config.period)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{config.demand_path}: {exc}") from None
+        demand = weekly_profile(HourlySeries(config.period.start, values))
     written = []
     for zone in config.zones:
         with _about_zone(zone):

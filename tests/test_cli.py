@@ -5,7 +5,7 @@ import json
 import logging
 import struct
 import zipfile
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from outagekit.fetch import FetchClient
 from outagekit.pipeline import STAGES
 
 from conftest import write_year_series
+from corpusgen import _document, _timeseries
 
 
 @pytest.fixture()
@@ -496,6 +497,48 @@ def test_corrupt_zip_page_at_fetch_exits_5(runner, tmp_path, monkeypatch):
     assert not FetchClient("", tmp_path / "cache").is_cached("AA", date(2030, 3, 1), "A77")
 
 
+def _one_point_page(quantity: str) -> bytes:
+    return _document("AA-DOC-1", 1, [
+        _timeseries("1", "A54", "AA", "B04", "AA-U1", 400,
+                    ("2030-03-01T00:00Z", "2030-03-01T06:00Z"), "PT60M", [(1, quantity)]),
+    ])
+
+
+def test_page_with_a_field_error_at_fetch_exits_5_and_is_fetched_again(
+    runner, tmp_path, monkeypatch
+):
+    served = {"page": _one_point_page("abc")}
+    monkeypatch.setenv("ENTSOE_API_TOKEN", "a-token")
+    monkeypatch.setattr(
+        "outagekit.fetch._default_http_get", lambda url, params: (200, served["page"])
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2030-03-01T00:00:00Z", "hours": 24},
+        "cache_dir": str(tmp_path / "cache"),
+        "output_dir": str(tmp_path / "out"),
+        "zone_eic": {"AA": "10Y-TEST-AA----X"},
+        "rate_limit_s": 0.0,
+    }))
+    client = FetchClient("", tmp_path / "cache")
+    day = date(2030, 3, 1)
+    result = runner.invoke(main, ["fetch", "--config", str(config)])
+    assert result.exit_code == 5
+    assert (
+        "AA 2030-03-01 A77 offset 0: unreadable page: "
+        "document AA-DOC-1 TimeSeries 1: bad quantity 'abc'"
+    ) in result.stderr
+    assert not client.is_cached("AA", day, "A77")
+
+    served["page"] = _one_point_page("150")
+    assert runner.invoke(main, ["fetch", "--config", str(config)]).exit_code == 0
+    assert client.cached_pages("AA", day, "A77") == [served["page"]]
+    result = runner.invoke(main, ["ingest", "--config", str(config)])
+    assert result.exit_code == 0, result.stderr
+    assert (tmp_path / "out" / "series_AA_period.csv").exists()
+
+
 def test_fleet_of_another_zone_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
@@ -562,6 +605,37 @@ def test_seasonal_period_the_series_does_not_cover_exits_2(runner, tmp_path):
     assert (
         "zone AA: hours 2001-01-08T00:00:00Z+8760h not covered by series range "
         "2001-01-01T00:00:00Z+8760h"
+    ) in result.stderr
+    assert not (out / "plot_seasonal_AA.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "start, hours",
+    [(datetime(2010, 1, 1, tzinfo=timezone.utc), 8760), (datetime(2001, 1, 1, tzinfo=timezone.utc), 200)],
+    ids=["another_year", "200_hours"],
+)
+def test_seasonal_demand_that_does_not_cover_the_period_exits_2(runner, tmp_path, start, hours):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_year_series(out / "series_AA_period.csv", datetime(2001, 1, 1, tzinfo=timezone.utc), "1.000")
+    demand = tmp_path / "demand.csv"
+    demand.write_text("timestamp_utc,demand_mw\n" + "".join(
+        f"{(start + timedelta(hours=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},30000.0\n"
+        for k in range(hours)
+    ))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2001-01-01T00:00:00Z", "hours": 8760},
+        "cache_dir": str(tmp_path / "cache"),
+        "output_dir": str(out),
+        "demand_path": str(demand),
+    }))
+    result = runner.invoke(main, ["plot-data", "--kind", "seasonal", "--config", str(config)])
+    assert result.exit_code == 2
+    assert (
+        f"{demand}: hours 2001-01-01T00:00:00Z+8760h not covered by series range "
+        f"{start.strftime('%Y-%m-%dT%H:%M:%SZ')}+{hours}h"
     ) in result.stderr
     assert not (out / "plot_seasonal_AA.csv").exists()
 

@@ -23,6 +23,8 @@ from outagekit.fetch import (
     FetchClient,
 )
 
+from corpusgen import _document, _timeseries
+
 DAY = date(2030, 1, 7)
 
 XML_PAGE = (
@@ -373,6 +375,12 @@ def _directory_offset_raised() -> bytes:
 
 HTML_PAGE = b"<html><body>Service temporarily unavailable</body></html>"
 
+#: a well-formed unavailability document whose one point has a field error
+FIELD_ERROR_PAGE = _document("D1", 1, [
+    _timeseries("1", "A54", "AA", "B04", "U1", 400,
+                ("2030-01-07T00:00Z", "2030-01-07T06:00Z"), "PT60M", [(1, "abc")]),
+])
+
 #: page -> what the ParseError says after "unreadable page: "
 PAGES_INGEST_REFUSES = {
     "directory_offset_too_large": (
@@ -388,6 +396,11 @@ PAGES_INGEST_REFUSES = {
     "zip_member_not_xml": (
         _zip_of({"doc_0.xml": XML_PAGE, "doc_1.xml": b"garbage"}),
         r"doc_1\.xml: unrecognized payload",
+    ),
+    "bare_page_field_error": (FIELD_ERROR_PAGE, "document D1 TimeSeries 1: bad quantity 'abc'"),
+    "zip_member_field_error": (
+        _zip_of({"doc_0.xml": XML_PAGE, "doc_1.xml": FIELD_ERROR_PAGE}),
+        r"doc_1\.xml: document D1 TimeSeries 1: bad quantity 'abc'",
     ),
 }
 

@@ -1113,12 +1113,17 @@ HOSTILE_TEXTS = [
 @given(field=st.sampled_from(GRID_FIELDS), text=st.sampled_from(HOSTILE_TEXTS))
 def test_parse_hostile_field_gives_reports_or_a_parse_error(field, text):
     tag, nth = field
+    doc = _with_text(GRID_DOC, tag, text, nth)
     try:
-        reports = parse_document(_with_text(GRID_DOC, tag, text, nth))
+        reports = parse_document(doc)
     except ParseError as exc:
         assert re.match(r"document D1\b", str(exc)), exc
+        # fetch counts a page with the reader ingest uses, so it refuses it too
+        with pytest.raises(ParseError):
+            xmlparse.page_document_count(doc)
     else:
         assert all(r.report_id.startswith("D1:") for r in reports)
+        assert xmlparse.page_document_count(doc) == 1
 
 
 def test_parse_reads_every_namespace_form_alike():
