@@ -66,13 +66,22 @@ def transition_rates(availability: float, mttr_hours: float) -> TransitionRates:
     return TransitionRates(1.0 / mttr_hours, failure_rate(availability, mttr_hours))
 
 
-def derive_seed(seed: int, *branch: int) -> int:
+def derive_seed(seed: int, *branch: int | str) -> int:
     """Deterministic child seed for one named branch of a seed.
 
     Distinct branches, such as ``(seed, unit_index)`` for the units of a
-    fleet run, give independent streams.
+    fleet run, give independent streams.  A string is its UTF-8 byte count,
+    then its bytes in zero-padded 32-bit words; ints enter as they are.
     """
-    ss = np.random.SeedSequence((seed, *branch))
+    entropy: list[int] = [seed]
+    for part in branch:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+            entropy.append(len(data))
+            entropy.extend(np.frombuffer(data + bytes(-len(data) % 4), dtype="<u4").tolist())
+        else:
+            entropy.append(part)
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
@@ -157,7 +166,7 @@ def simulation_metadata(fleet: Fleet, n_hours: int, seed: int, start: datetime) 
     return {
         "rng": RNG_NAME,
         "seed": seed,
-        "seed_derivation": "numpy.random.SeedSequence((seed, unit_index))",
+        "seed_derivation": "SeedSequence((seed, unit_index)); seed: zone code, evaluation label",
         "zone": fleet.zone,
         "n_units": len(fleet.units),
         "total_capacity_mw": fleet.total_capacity_mw,

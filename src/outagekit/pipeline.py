@@ -56,7 +56,7 @@ logger = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "ENTSOE_API_TOKEN"
 
 # Disjoint seed branches so fleet synthesis, simulation and plot draws never
-# share RNG streams.
+# share RNG streams; each goes on with the zone code and evaluation label.
 _STREAM_FLEET = 101
 _STREAM_SIM = 102
 _STREAM_PLOT = 103
@@ -396,7 +396,7 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
     params, _ = _load_params(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for zone_idx, zone in enumerate(config.zones):
+    for zone in config.zones:
         targets: dict[Fuel, int] = {}
         for row in registry:
             if row.zone == zone:
@@ -406,7 +406,7 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
                 f"{config.registry_path}: registry has no units for zone {zone}"
             )
         fleet = synthesize_fleet(
-            targets, pools, params, derive_seed(config.seed, _STREAM_FLEET, zone_idx), zone=zone
+            targets, pools, params, derive_seed(config.seed, _STREAM_FLEET, zone), zone=zone
         )
         target = fleet_path(config, zone)
         okio.write_fleet(fleet, target)
@@ -432,10 +432,10 @@ def stage_model(config: PipelineConfig) -> list[Path]:
 def stage_simulate(config: PipelineConfig) -> list[Path]:
     """Run the two-state chain over each evaluation period for each zone."""
     written: list[Path] = []
-    for zone_idx, zone in enumerate(config.zones):
+    for zone in config.zones:
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
-        for ev_idx, ev in enumerate(evaluations(config)):
-            seed = derive_seed(config.seed, _STREAM_SIM, zone_idx, ev_idx)
+        for ev in evaluations(config):
+            seed = derive_seed(config.seed, _STREAM_SIM, zone, ev.label)
             sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
             meta = simulation_metadata(fleet, ev.range.n_hours, seed, ev.range.start)
             meta["evaluation"] = ev.label
@@ -665,17 +665,17 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
 def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
     evs = evaluations(config)
-    for zone_idx, zone in enumerate(config.zones):
+    for zone in config.zones:
         fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
         with _about_zone(zone):
             empirical = zip(_empirical_series(config, zone), evs)
             totals = [window_values(s[Channel.TOTAL], ev.range) for s, ev in empirical]
-        for ev_idx, (ev, total) in enumerate(zip(evs, totals)):
+        for ev, total in zip(evs, totals):
             sims = [
                 simulate_fleet(
                     fleet,
                     ev.range.n_hours,
-                    derive_seed(config.seed, _STREAM_PLOT, zone_idx, ev_idx, k),
+                    derive_seed(config.seed, _STREAM_PLOT, zone, ev.label, k),
                     start=ev.range.start,
                 ).values_mw
                 for k in range(config.timeseries_draws)

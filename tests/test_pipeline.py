@@ -10,6 +10,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outagekit import fetch, pipeline, run_pipeline
 from outagekit.errors import InvalidInputError, ParseError, UsageError
@@ -35,7 +37,10 @@ from outagekit.pipeline import (
     pmf_path,
     series_path,
     sim_path,
+    stage_fleet,
     stage_ingest,
+    stage_model,
+    stage_simulate,
     stage_stats,
     stats_path,
 )
@@ -286,9 +291,20 @@ def test_days_in_covers_partial_days():
 
 
 def test_child_seeds_are_distinct():
-    seeds = {derive_seed(7, stream, idx) for stream in (101, 102, 103) for idx in range(4)}
-    assert len(seeds) == 12
-    assert derive_seed(7, 101, 0) == derive_seed(7, 101, 0)
+    zones, labels = ("AA", "BB", "A", "AAA"), ("period", "16/17", "17/18")
+    seeds = {derive_seed(7, 101, zone) for zone in zones}
+    seeds |= {derive_seed(7, s, z, label) for s in (102, 103) for z in zones for label in labels}
+    assert len(seeds) == 4 + 24
+    assert derive_seed(7, 102, "AA", "period") == derive_seed(7, 102, "AA", "period")
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.tuples(st.text(), st.text()), b=st.tuples(st.text(), st.text()))
+def test_distinct_strings_give_distinct_seeds(a, b):
+    # the byte count keeps ("AB", "C") apart from ("A", "BC") and "A" from "A\x00"
+    for x, y in [(a, b), (("AB", "C"), ("A", "BC")), (("A\x00", ""), ("A", "")), (("", "x"), ("x", ""))]:
+        if x != y:
+            assert derive_seed(7, 102, *x) != derive_seed(7, 102, *y)
 
 
 # -- end-to-end run ----------------------------------------------------------
@@ -431,11 +447,65 @@ def test_model_mean_is_expected_unavailable_capacity(full_run):
 def test_sim_sidecar_records_provenance(full_run):
     config = full_run["config"]
     _, meta = read_sim_series(sim_path(config, "AA", "period"))
-    assert meta["seed"] == derive_seed(7, _STREAM_SIM, 0, 0)
+    assert meta["seed"] == derive_seed(7, _STREAM_SIM, "AA", "period")
+    assert "zone code, evaluation label" in meta["seed_derivation"]
     assert meta["n_hours"] == N_HOURS
     assert meta["evaluation"] == "period"
     assert "PCG64" in meta["rng"]
     assert meta["total_capacity_mw"] == 1550
+
+
+SUBSET_REGISTRY = [
+    RegistryRow(zone, fuel, mw)
+    for zone, fuel, mw in [
+        ("AA", Fuel.CCGT, 400), ("AA", Fuel.NUCLEAR, 600), ("BB", Fuel.CCGT, 350),
+        ("BB", Fuel.COAL, 500), ("CC", Fuel.HYDRO, 120), ("CC", Fuel.COAL, 300),
+    ]
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    zones=st.lists(st.sampled_from(["AA", "BB", "CC"]), min_size=1, max_size=3, unique=True),
+    seasons=st.lists(st.sampled_from(["16/17", "17/18", "20/21"]), min_size=1, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_model_side_bytes_do_not_depend_on_the_other_zones_or_seasons(
+    tmp_path_factory, zones, seasons, data
+):
+    """A zone's fleet, PMF and simulations are the full run's whatever else is listed."""
+    root = tmp_path_factory.mktemp("subsets")
+    write_registry(SUBSET_REGISTRY, root / "registry.csv")
+    full = PipelineConfig(
+        zones=tuple(zones), seasons=tuple(seasons), registry_path=root / "registry.csv", seed=5
+    )
+
+    def model_side(zones, seasons, out) -> dict[str, bytes]:
+        config = dataclasses.replace(full, zones=tuple(zones), seasons=tuple(seasons), output_dir=out)
+        for stage in (stage_fleet, stage_model, stage_simulate):
+            stage(config)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    want = model_side(zones, seasons, root / "full")
+    variants = [(data.draw(st.permutations(zones)), data.draw(st.permutations(seasons)))]
+    variants += [([zone], seasons) for zone in zones] + [(zones, [label]) for label in seasons]
+    for i, (zs, labels) in enumerate(variants):
+        got = model_side(zs, labels, root / f"variant{i}")
+        # fleet and PMF per zone, and a simulation with its sidecar per zone and season
+        assert len(got) == len(zs) * (2 + 2 * len(labels))
+        assert got == {name: want[name] for name in got}, (zs, labels)
+
+
+def test_one_zone_plot_draws_match_the_full_run(full_run, tmp_path):
+    outputs = {}
+    for zones in (("AA", "BB"), ("BB",)):
+        config = dataclasses.replace(
+            full_run["config"], zones=zones, output_dir=tmp_path / "_".join(zones)
+        )
+        shutil.copytree(full_run["config"].output_dir, config.output_dir)
+        outputs[zones] = emit_plot_data(config, "timeseries")[-1]
+    assert outputs[("BB",)].name == outputs[("AA", "BB")].name == "plot_timeseries_BB_period.csv"
+    assert outputs[("BB",)].read_bytes() == outputs[("AA", "BB")].read_bytes()
 
 
 def test_sim_series_values_are_feasible(full_run):
@@ -784,13 +854,15 @@ def test_plot_unknown_kind(full_run):
 # -- compare-side bytes --------------------------------------------------------
 
 #: SHA-256 of the compare-side files of the bundled corpus.  A change that
-#: alters any of them on purpose updates this pin and says why.
+#: alters any of them on purpose updates this pin and says why.  Last changed
+#: when the fleet, simulation and plot seeds began to follow the zone code and
+#: the evaluation label instead of their positions in the config.
 COMPARE_SHA256 = {
-    "plot_histogram_AA.csv": "e574540227353cd08f81ae9561a56d965196d0f5b894975a341ff6698bc9be13",
-    "plot_histogram_BB.csv": "139f3e43a6bd3a0ce6ad02a3484d4f0948a742e3a244e703a7a897138348a643",
-    "plot_timeseries_AA_period.csv": "47d9442153113f2b970582ea1ac2154939c0232988014c7242e063df36be473a",
-    "plot_timeseries_BB_period.csv": "c64f6215ff965c670e41f9aee43d355a0481f1bb3b37db0356c1219f1f6e4f23",
-    "stats.csv": "dbdb1ffba78489bc3cf9c66e48299542e6b11391768c1e35e0332e1416e09f99",
+    "plot_histogram_AA.csv": "31672a171b7a57553a6325005e908252e49e013a924d89e4e3434596daf2374b",
+    "plot_histogram_BB.csv": "3744ba53035c53e2ec3f83be59dd070245ce8104630944a7c0d08aac8f7be494",
+    "plot_timeseries_AA_period.csv": "e0d1222197216c7be71b8597227bb023430cf08069b296f56551b5099ef3d964",
+    "plot_timeseries_BB_period.csv": "aad97ebb8184bd5025b49699b7659067c65d5b208414e18647722fd6f9c892d1",
+    "stats.csv": "53f6b48360ff5f00dff6301058a849a58b4c93e3a3502f3869c3215b644ee875",
 }
 
 
