@@ -6,15 +6,16 @@ stage on the same inputs reproduces the file byte for byte.
 
 This module is the only one that knows the formats:
 
-- A PMF or hourly CSV in the exact layout ``_write_rows`` writes (the
-  writer's header, its stamps, one ``np.loadtxt`` parse of the numbers) is
-  read in bulk by ``_bulk_read``.  The bulk parse refuses anything it is not
-  sure of, and every refused file goes to ``_read_columns``.
-- ``_read_columns`` reads every other CSV, and is the fallback and the
-  oracle of the bulk parse: it finds columns by header name and converts
-  each cell as it streams the rows.  A missing column, a row with the wrong
-  number of cells or a cell its converter rejects raises
-  ``InvalidInputError`` naming ``path:line``.
+- An hourly CSV in the exact layout ``_write_rows`` writes (the writer's
+  header, its stamps, one ``np.loadtxt`` parse of the numbers) is read in
+  bulk by ``_bulk_read``.  The bulk parse refuses anything it is not sure
+  of, and every refused file goes to ``_read_columns``.
+- ``_read_columns`` reads every other CSV (among them the PMF export, which
+  the pipeline never reads back), and is the fallback and the oracle of the
+  bulk parse: it finds columns by header name and converts each cell as it
+  streams the rows.  A missing column, a row with the wrong number of cells
+  or a cell its converter rejects raises ``InvalidInputError`` naming
+  ``path:line``.
 - ``_write_rows`` is the one row formatter of every array-backed CSV (the
   series, the PMF and the plot files): one ``%`` format per row, and one
   ``np.datetime_as_string`` call for all the hourly stamps.
@@ -38,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,9 +55,6 @@ ZONE_SERIES_HEADER = (
     "planned_min,planned,planned_max,total_min,total,total_max"
 )
 PMF_HEADER = "outage_mw,probability"
-
-_T = TypeVar("_T")
-
 
 class RegistryRow(NamedTuple):
     """One installed unit from the production/generation unit registry."""
@@ -124,29 +122,18 @@ def write_pmf(pmf: CapacityOutagePMF, path: Path | str) -> None:
 
 def read_pmf(path: Path | str) -> CapacityOutagePMF:
     """Read a PMF CSV; its outage_mw column must be the grid 0, 1, 2, ..."""
-    probs = _bulk_read(path, PMF_HEADER, _loadtxt_pmf)
-    if probs is None:
-        grid = itertools.count()
+    grid = itertools.count()
 
-        def next_grid_point(text: str) -> None:
-            # Checked, not kept: the row position is the outage.
-            if int(text) != next(grid):
-                raise ValueError("PMF grid must be contiguous from 0")
+    def next_grid_point(text: str) -> None:
+        # Checked, not kept: the row position is the outage.
+        if int(text) != next(grid):
+            raise ValueError("PMF grid must be contiguous from 0")
 
-        _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
+    _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
     try:
         return CapacityOutagePMF(probabilities=np.asarray(probs, dtype=np.float64))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
-
-
-def _loadtxt_pmf(fh: IO[str]) -> np.ndarray:
-    rows = np.loadtxt(
-        fh, delimiter=",", comments=None, dtype=[("o", "i8"), ("p", "f8")], ndmin=1
-    )
-    if not np.array_equal(rows["o"], np.arange(rows.size)):
-        raise ValueError("PMF grid is not contiguous from 0")
-    return rows["p"].copy()
 
 
 def write_zone_series(
@@ -455,34 +442,33 @@ def _read_columns(
     return columns
 
 
-def _bulk_read(path: Path | str, header: str, parse: Callable[[IO[str]], _T]) -> _T | None:
-    """``parse`` of the rows of a CSV whose first line is ``header``, or None.
+def _bulk_read(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarray]] | None:
+    """``_loadtxt_hourly`` of an hourly CSV of ``columns``, or None.
 
     None means the file must go to ``_read_columns``: its header differs,
-    or ``parse`` refused it by raising ``ValueError``.  ``parse`` runs with
+    or the parse refused it by raising ``ValueError``.  The parse runs with
     warnings turned into refusals, so that a file without rows, or a
     conversion that an older NumPy only deprecates, is refused too.
 
-    ``parse`` must refuse every file ``_read_columns`` rejects or reads
+    The parse must refuse every file ``_read_columns`` rejects or reads
     differently, and never coerce: ``np.loadtxt`` gets no comment character
     and no ``usecols`` (which would stop it checking each row's width), and
     no cell goes through a fixed-width string dtype, which truncates.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            if fh.readline() != f"{header}\n":
+            if fh.readline() != ",".join(["timestamp_utc", *columns]) + "\n":
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return parse(fh)
+                return _loadtxt_hourly(fh, len(columns))
         except (ValueError, Warning):
             return None
 
 
 def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarray]]:
     """Start hour and float columns of a CSV with one row per consecutive UTC hour."""
-    header = ",".join(["timestamp_utc", *columns])
-    read = _bulk_read(path, header, lambda fh: _loadtxt_hourly(fh, len(columns)))
+    read = _bulk_read(path, *columns)
     if read is None:
         stamps, *values = _read_columns(
             path, {"timestamp_utc": _hourly_stamps(), **dict.fromkeys(columns, float)}

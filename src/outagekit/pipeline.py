@@ -48,7 +48,7 @@ from .stats import (
     winter_window,
 )
 from .timeseries import HourRange, HourlySeries, format_utc, parse_utc
-from .types import FUEL_PARAMS, FUEL_PARAMS_VERSION, Fuel
+from .types import FUEL_PARAMS, FUEL_PARAMS_VERSION, Fleet, Fuel
 from .zones import eic_for_zone
 
 logger = logging.getLogger(__name__)
@@ -417,12 +417,16 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
     return written
 
 
+def _zone_fleet(config: PipelineConfig, zone: str) -> Fleet:
+    """The zone's fleet, the one model artifact a stage or plot kind reads."""
+    return okio.read_fleet(fleet_path(config, zone), zone=zone)
+
+
 def stage_model(config: PipelineConfig) -> list[Path]:
-    """Convolve each zone fleet into its capacity-outage PMF CSV."""
+    """Convolve each zone fleet into its capacity-outage PMF CSV, an export no stage reads."""
     written: list[Path] = []
     for zone in config.zones:
-        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
-        pmf = fleet_outage_pmf(fleet)
+        pmf = fleet_outage_pmf(_zone_fleet(config, zone))
         target = pmf_path(config, zone)
         okio.write_pmf(pmf, target)
         written.append(target)
@@ -433,7 +437,7 @@ def stage_simulate(config: PipelineConfig) -> list[Path]:
     """Run the two-state chain over each evaluation period for each zone."""
     written: list[Path] = []
     for zone in config.zones:
-        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
+        fleet = _zone_fleet(config, zone)
         for ev in evaluations(config):
             seed = derive_seed(config.seed, _STREAM_SIM, zone, ev.label)
             sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
@@ -505,7 +509,7 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
     """Comparison statistics CSV: empirical channels vs model vs simulation.
 
     Model and simulated rows carry the Total channel, which is what the
-    availability parameters describe.
+    availability parameters describe.  The model row convolves the fleet file.
     """
     rows: list[okio.StatsRow] = []
     evs = evaluations(config)
@@ -516,7 +520,7 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
             for channel in Channel:
                 per_ev = [(series[channel], w) for series, w in zip(empirical, windows)]
                 rows.append(_windowed_row(zone, channel.value, "empirical", per_ev))
-            mean, iqr = pmf_stats(okio.read_pmf(pmf_path(config, zone)))
+            mean, iqr = pmf_stats(fleet_outage_pmf(_zone_fleet(config, zone)))
             rows.append(okio.StatsRow(zone, "Total", "model", mean, iqr))
             sims = [okio.read_sim_series(sim_path(config, zone, ev.slug))[0] for ev in evs]
             rows.append(_windowed_row(zone, "Total", "simulated", list(zip(sims, windows))))
@@ -592,7 +596,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
 def emit_plot_data(config: PipelineConfig, kind: str) -> list[Path]:
     """Export plot-ready CSVs from existing artifacts.
 
-    Kinds: ``histogram`` (hourly outage frequencies vs the model PMF, binned
+    Kinds: ``histogram`` (hourly outage frequencies vs the fleet's PMF, binned
     in GW), ``seasonal`` (52-week outage and optional demand profiles) and
     ``timeseries`` (empirical series next to independent simulated draws).
     """
@@ -620,7 +624,7 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
                 for by_channel, w in zip(_empirical_series(config, zone), windows)
             ]
         totals, forced = (np.concatenate(parts) for parts in zip(*per_ev))
-        pmf = okio.read_pmf(pmf_path(config, zone))
+        pmf = fleet_outage_pmf(_zone_fleet(config, zone))
         top = max(float(totals.max()), float(forced.max()), float(pmf.max_outage_mw))
         n_bins = max(1, int(np.floor(top / width)) + 1)
         edges = np.arange(n_bins + 1) * float(width)
@@ -666,7 +670,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     written = []
     evs = evaluations(config)
     for zone in config.zones:
-        fleet = okio.read_fleet(fleet_path(config, zone), zone=zone)
+        fleet = _zone_fleet(config, zone)
         with _about_zone(zone):
             empirical = zip(_empirical_series(config, zone), evs)
             totals = [window_values(s[Channel.TOTAL], ev.range) for s, ev in empirical]

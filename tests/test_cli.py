@@ -275,15 +275,35 @@ def test_bad_config_value_exits_2_before_any_stage(
 def test_malformed_artifact_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
-    pmf = tmp_path / "out" / "pmf_AA.csv"
-    lines = pmf.read_text().splitlines()
-    lines[2] = "1,not-a-number"
-    pmf.write_text("\n".join(lines) + "\n")
+    fleet = tmp_path / "out" / "fleet_AA.csv"
+    lines = fleet.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",not-a-number"
+    fleet.write_text("\n".join(lines) + "\n")
     result = runner.invoke(
         main, ["plot-data", "--kind", "histogram", "--config", str(config_path)]
     )
     assert result.exit_code == 2
-    assert "pmf_AA.csv:3: probability" in result.stderr
+    assert "fleet_AA.csv:3: mttr_hours" in result.stderr
+
+
+def test_stats_and_histogram_read_the_model_from_the_fleet_not_the_pmf(runner, corpus, tmp_path):
+    config_path = write_config(corpus, tmp_path)
+    out = tmp_path / "out"
+    histogram = ["plot-data", "--kind", "histogram", "--config", str(config_path)]
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    assert runner.invoke(main, histogram).exit_code == 0
+    names = ["stats.csv", "plot_histogram_AA.csv", "plot_histogram_BB.csv"]
+    before = {name: (out / name).read_bytes() for name in names}
+    pmfs = sorted(out.glob("pmf_*.csv"))
+    assert [p.name for p in pmfs] == ["pmf_AA.csv", "pmf_BB.csv"]
+    for path in pmfs:
+        path.unlink()
+    for name in names:
+        (out / name).unlink()
+    for args in (["stats", "--config", str(config_path)], histogram):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_malformed_params_file_exits_2(runner, corpus, tmp_path):

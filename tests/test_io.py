@@ -792,8 +792,9 @@ def test_hourly_readers_reject_non_consecutive_rows(tmp_path, kind, stamps):
 
 # -- bulk reads and their oracle --------------------------------------------
 #
-# read_pmf and the hourly readers parse the writers' own layout in bulk and
-# hand every file the bulk parse refuses to _read_columns, the oracle.
+# The hourly readers parse the writers' own layout in bulk and hand every
+# file the bulk parse refuses to _read_columns, the oracle.  read_pmf has no
+# bulk path: it is _read_columns alone.
 
 
 def _write_demand(values: np.ndarray, path) -> None:
@@ -817,9 +818,6 @@ def _bits(value) -> list:
 
 def test_bulk_path_reads_the_writers_own_files(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
-    probs = rng.random(80_001)
-    pmf = CapacityOutagePMF(probs / probs.sum())
-    write_pmf(pmf, tmp_path / "pmf.csv")
     channels = _zone_channels(24 * 9)
     write_zone_series(channels, tmp_path / "series.csv")
     sim = HourlySeries(T0, np.round(rng.uniform(0, 9e4, 24 * 9)))
@@ -833,7 +831,6 @@ def test_bulk_path_reads_the_writers_own_files(tmp_path, monkeypatch):
         raise AssertionError("fell back to _read_columns")
 
     monkeypatch.setattr(io, "_read_columns", refuse)
-    assert _bits(read_pmf(tmp_path / "pmf.csv")) == _bits(pmf)
     assert _bits(read_zone_series(tmp_path / "series.csv")) == expected_series
     assert _bits(read_sim_series(tmp_path / "sim.csv")) == _bits((sim, {"seed": 1}))
     assert _bits(read_demand(tmp_path / "demand.csv")) == _bits(demand)
@@ -864,7 +861,7 @@ def _insert_line(data, lines):
 
 
 def _restamp(data, lines):
-    """Change the first cell of a row: its stamp, or the PMF's grid point."""
+    """Change the first cell of a row, its stamp."""
     i = data.draw(st.integers(1, len(lines) - 1))
     stamp, rest = lines[i].split(",", 1)
     how = data.draw(st.sampled_from(["offset", "suffix", "earlier", "later"]))
@@ -896,10 +893,7 @@ MUTATIONS = {
 
 def _base_file(kind: str, values: list[float], path) -> None:
     values = np.array(values)
-    if kind == "pmf":
-        values = np.abs(np.nan_to_num(values, nan=1.0, posinf=2.0, neginf=3.0)) + 0.5
-        write_pmf(CapacityOutagePMF(values / values.sum()), path)
-    elif kind == "zone_series":
+    if kind == "zone_series":
         channels = {c: HourlyOutageSeries(T0, values, values - 1, values + 1) for c in Channel}
         write_zone_series(channels, path)
     elif kind == "sim_series":
@@ -917,7 +911,7 @@ def _outcome(reader, path) -> tuple:
 
 @settings(max_examples=400, deadline=None)
 @given(
-    kind=st.sampled_from(["pmf", "zone_series", "sim_series", "demand"]),
+    kind=st.sampled_from(HOURLY_READERS),
     values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]), min_size=2, max_size=6),
     mutation=st.sampled_from(sorted(MUTATIONS)),
     line_end=st.sampled_from(["\n", "\r\n", "\r"]),
@@ -943,10 +937,9 @@ def _assert_bulk_agrees_with_oracle(reader, path) -> None:
 LOADTXT_TRAPS = {
     "blank_value_cell": ("sim_series", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z,",
                                         "2030-01-07T02:00:00Z,2.0"]),
-    "float_grid_point": ("pmf", ["0,0.5", "1.0,0.5"]),
     "comment_in_cell": ("demand", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z,1#2"]),
-    "comment_line": ("pmf", ["0,0.5", "#", "1,0.5"]),
-    "extra_cell": ("pmf", ["0,0.5", "1,0.5,2"]),
+    "comment_line": ("demand", ["2030-01-07T00:00:00Z,1.0", "#", "2030-01-07T01:00:00Z,1.0"]),
+    "extra_cell": ("sim_series", ["2030-01-07T00:00:00Z,0.5", "2030-01-07T01:00:00Z,0.5,2"]),
     "stamp_nul": ("sim_series", ["2030-01-07T00:00:00Z,1.0", "2030-01-07T01:00:00Z\x00,1.0"]),
     "stamp_past_9999": ("sim_series", ["9999-12-31T23:00:00Z,1.0", "10000-01-01T00:00:00Z,1.0"]),
     "stamp_offset": ("demand", ["2030-01-07T00:00:00+00:00,1.0", "2030-01-07T01:00:00Z,1.0"]),
