@@ -209,6 +209,13 @@ def test_pmf_rejects_gappy_grid(tmp_path):
         read_pmf(path)
 
 
+def test_pmf_rejects_a_float_grid_point(tmp_path):
+    path = tmp_path / "pmf.csv"
+    path.write_text("outage_mw,probability\n0,0.5\n1.0,0.5\n")
+    with pytest.raises(InvalidInputError, match=r"pmf\.csv:3: outage_mw"):
+        read_pmf(path)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_pmf_rejects_non_finite_probability(tmp_path, cell):
     path = tmp_path / "pmf.csv"
