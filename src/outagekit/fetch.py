@@ -20,7 +20,7 @@ from xml.etree import ElementTree
 from .errors import AuthError, FetchError, InvalidInputError, ParseError
 from .ingest.xmlparse import page_document_count
 from .io import write_bytes, write_json
-from .zones import eic_for_zone
+from .zones import DEFAULT_ZONE_EIC
 
 logger = logging.getLogger(__name__)
 
@@ -185,7 +185,7 @@ class FetchClient:
             return cached
         if not self.token:
             raise AuthError("no API token configured and day not in cache")
-        domain = eic or eic_for_zone(zone)
+        domain = eic or DEFAULT_ZONE_EIC.get(zone)
         if not domain:
             raise InvalidInputError(
                 f"no EIC area code known for zone {zone!r}; add one to the zone table"

@@ -13,9 +13,9 @@ This module is the only one that knows the formats:
 - ``_read_columns`` reads every other CSV (among them the PMF export, which
   the pipeline never reads back), and is the fallback and the oracle of the
   bulk parse: it finds columns by header name and converts each cell as it
-  streams the rows.  A missing column, a row with the wrong number of cells
-  or a cell its converter rejects raises ``InvalidInputError`` naming
-  ``path:line``.
+  streams the rows.  A missing or repeated column raises
+  ``InvalidInputError`` naming the file, and a row with the wrong number of
+  cells or a cell its converter rejects one naming ``path:line``.
 - ``_write_rows`` is the one row formatter of every array-backed CSV (the
   series, the PMF and the plot files): one ``%`` format per row, and one
   ``np.datetime_as_string`` call for all the hourly stamps.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import os
 import uuid
 import warnings
@@ -158,20 +157,15 @@ def read_zone_series(path: Path | str) -> dict[Channel, HourlyOutageSeries]:
     """Read the three channels of a zone series CSV.
 
     Every hour must hold min <= mean <= max in each channel, as
-    reconciliation produces it; a NaN fails the check.
+    reconciliation produces it; ``_read_hourly`` has already refused a NaN.
     """
     # min, mean and max of each channel, in the order write_zone_series uses
     start, columns = _read_hourly(path, *ZONE_SERIES_HEADER.split(",")[1:])
     by_channel = {}
     for channel, (lo, mid, hi) in zip(Channel, zip(*[iter(columns)] * 3)):
-        s = HourlyOutageSeries(start, mid, lo, hi)
-        bad = np.flatnonzero(~((s.o_min_mw <= s.values_mw) & (s.values_mw <= s.o_max_mw)))
-        if bad.size:
-            raise InvalidInputError(
-                f"{path}: {channel.value}: min <= mean <= max fails at "
-                f"{format_utc(start + int(bad[0]) * HOUR)}"
-            )
-        by_channel[channel] = s
+        ok = (lo <= mid) & (mid <= hi)
+        _check_hours(path, start, ok, f"{channel.value}: min <= mean <= max fails")
+        by_channel[channel] = HourlyOutageSeries(start, mid, lo, hi)
     return by_channel
 
 
@@ -282,8 +276,8 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
     Returns the table and its version string (``"unversioned"`` when the
     key is absent).  Fuels missing from the file are absent from the table
     (callers decide whether that is an error).
-    Both values must be finite JSON numbers; numeric strings are rejected,
-    not coerced.  Any malformed file raises ``InvalidInputError`` naming it.
+    ``FuelParams`` checks each pair, so numeric strings are rejected, not
+    coerced.  Any malformed file raises ``InvalidInputError`` naming it.
     """
     raw = read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("fuels"), dict):
@@ -296,16 +290,8 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
             raise InvalidInputError(f"{path}: {exc}") from exc
         if not isinstance(rec, dict) or not {"availability", "mttr_hours"} <= rec.keys():
             raise InvalidInputError(f"{path}: fuel {name} needs availability and mttr_hours")
-        availability, mttr_hours = rec["availability"], rec["mttr_hours"]
-        if not all(_is_finite_number(v) for v in (availability, mttr_hours)):
-            raise InvalidInputError(
-                f"{path}: fuel {name}: availability and mttr_hours must be finite"
-                f" numbers, got {availability!r} and {mttr_hours!r}"
-            )
         try:
-            table[fuel] = FuelParams(
-                availability=float(availability), mttr_hours=float(mttr_hours)
-            )
+            table[fuel] = FuelParams(rec["availability"], rec["mttr_hours"])
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}: fuel {name}: {exc}") from exc
     if not table:
@@ -314,14 +300,6 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
     if not isinstance(version, str):
         raise InvalidInputError(f"{path}: version must be a string, got {version!r}")
     return table, version
-
-
-def _is_finite_number(value: object) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 def read_json(path: Path | str) -> Any:
@@ -409,9 +387,9 @@ def _read_columns(
     Columns are found by header name, so their order in the file does not
     matter and other columns are ignored.  The rows are streamed: each cell
     is converted as it is read, in file order, and only the converted values
-    are kept.  Blank lines are skipped.  A missing column, a row whose cell
-    count differs from the header's, or a cell whose converter raises
-    ``ValueError`` raises ``InvalidInputError`` naming ``path:line``.
+    are kept.  Blank lines are skipped.  A missing or repeated column raises
+    ``InvalidInputError`` naming the file; a bad row width or a cell whose
+    converter raises ``ValueError``, one naming ``path:line``.
     """
     columns: list[list[Any]] = [[] for _ in converters]
     with open(path, newline="", encoding="utf-8") as fh:
@@ -420,6 +398,9 @@ def _read_columns(
         missing = [name for name in converters if name not in header]
         if missing:
             raise InvalidInputError(f"{path}: missing columns {missing}")
+        repeated = [name for name in converters if header.count(name) > 1]
+        if repeated:
+            raise InvalidInputError(f"{path}: repeated columns {repeated}")
         cells = [
             (header.index(name), convert, column.append)
             for (name, convert), column in zip(converters.items(), columns)
@@ -467,7 +448,7 @@ def _bulk_read(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarr
 
 
 def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarray]]:
-    """Start hour and float columns of a CSV with one row per consecutive UTC hour."""
+    """Start hour and finite float columns of a CSV with one row per consecutive UTC hour."""
     read = _bulk_read(path, *columns)
     if read is None:
         stamps, *values = _read_columns(
@@ -480,7 +461,16 @@ def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[np.nda
         ensure_hour_aligned(read[0])
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
+    for name, column in zip(columns, read[1]):
+        _check_hours(path, read[0], np.isfinite(column), f"{name}: not a finite number")
     return read
+
+
+def _check_hours(path: Path | str, start: datetime, ok: np.ndarray, failure: str) -> None:
+    """Raise ``InvalidInputError`` naming ``failure`` and the first hour that is not ``ok``."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise InvalidInputError(f"{path}: {failure} at {format_utc(start + int(bad[0]) * HOUR)}")
 
 
 def _loadtxt_hourly(fh: IO[str], n_columns: int) -> tuple[datetime, list[np.ndarray]]:

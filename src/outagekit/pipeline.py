@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
@@ -49,7 +50,6 @@ from .stats import (
 )
 from .timeseries import HourRange, HourlySeries, format_utc, parse_utc
 from .types import FUEL_PARAMS, FUEL_PARAMS_VERSION, Fleet, Fuel
-from .zones import eic_for_zone
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,12 @@ _PERIOD_JSON = "{'start': <iso utc>, 'hours': <int>}"
 
 # One (test, expected) rule per PipelineConfig field.
 _FIELD_RULES: dict[str, tuple[Callable[[object], bool], str]] = {
-    **dict.fromkeys(("zones", "seasons"), (_strings, "a tuple of strings (a list in JSON)")),
+    # a zone code names artifact files and cache directories
+    "zones": (
+        lambda v: _strings(v) and all(re.fullmatch(r"[A-Za-z0-9_-]+", z) for z in v),
+        "a tuple of zone codes of ASCII letters, digits, _ and - (a list in JSON)",
+    ),
+    "seasons": (_strings, "a tuple of strings (a list in JSON)"),
     "period": (_is(HourRange, type(None)), f"an HourRange ({_PERIOD_JSON} in JSON) or null"),
     **dict.fromkeys(_DIR_FIELDS, (_is(Path), "a path")),
     **dict.fromkeys(_FILE_FIELDS, (_is(Path, type(None)), "a path or null")),
@@ -314,7 +319,7 @@ def stage_fetch(config: PipelineConfig) -> int:
     client = _client(config)
     fetched = 0
     for zone in config.zones:
-        eic = eic_for_zone(zone, config.zone_eic)
+        eic = config.zone_eic.get(zone)
         for ev in evaluations(config):
             for day in days_in(ev.range):
                 for doc_type in DOC_TYPES:

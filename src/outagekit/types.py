@@ -56,9 +56,9 @@ def _check_reliability(availability: float, mttr_hours: float) -> None:
     every comparison and is rejected, and so is a bool or a non-number.
     """
     if not (_is_number(availability) and 0.0 < availability <= 1.0):
-        raise InvalidInputError(f"availability must be in (0, 1], got {availability}")
+        raise InvalidInputError(f"availability must be in (0, 1], got {availability!r}")
     if not (_is_number(mttr_hours) and 0.0 < mttr_hours < math.inf):
-        raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours}")
+        raise InvalidInputError(f"mttr_hours must be finite and > 0, got {mttr_hours!r}")
     if mttr_hours < 1.0 or failure_rate(availability, mttr_hours) > 1.0:
         raise InvalidInputError(
             "mttr_hours must be >= 1 and availability >= 1/(1 + mttr_hours), so that"
@@ -69,13 +69,15 @@ def _check_reliability(availability: float, mttr_hours: float) -> None:
 
 @dataclass(frozen=True)
 class FuelParams:
-    """Long-run availability and mean time to repair for one fuel class."""
+    """Long-run availability and mean time to repair for one fuel class, as floats."""
 
     availability: float
     mttr_hours: float
 
     def __post_init__(self) -> None:
         _check_reliability(self.availability, self.mttr_hours)
+        object.__setattr__(self, "availability", float(self.availability))
+        object.__setattr__(self, "mttr_hours", float(self.mttr_hours))
 
 
 # Built-in per-fuel parameter table.  Override via a JSON parameters file

@@ -1,9 +1,10 @@
 """Balancing-zone codes and their EIC area identifiers.
 
 The built-in table covers the Northwest European zones this toolkit is
-normally run for.  It is a default, not a registry: pipeline configuration
-can add or override entries, since bidding-zone versus control-area codes
-differ between data providers for some countries.
+normally run for.  It is a default, not a registry: a config's ``zone_eic``
+map adds or overrides entries, since bidding-zone versus control-area codes
+differ between data providers for some countries.  ``FetchClient.fetch_day``
+is the one place that falls back from a config entry to this table.
 """
 
 from __future__ import annotations
@@ -20,8 +21,3 @@ DEFAULT_ZONE_EIC: dict[str, str] = {
     "NL": "10YNL----------L",
     "NO": "10YNO-0--------C",
 }
-
-
-def eic_for_zone(zone: str, extra: dict[str, str] | None = None) -> str | None:
-    """``zone``'s EIC code: its entry in ``extra``, else the built-in one."""
-    return (extra or {}).get(zone, DEFAULT_ZONE_EIC.get(zone))

@@ -252,6 +252,24 @@ def test_invalid_config_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"zones": [', "error: cannot read config {}: "),
+        (b"\xff\xfe{}", "error: cannot read config {}: "),
+        (b'["AA"]', "error: {}: config must be a JSON object\n"),
+        (b'"AA"', "error: {}: config must be a JSON object\n"),
+    ],
+    ids=["not_json", "not_utf8", "list", "string"],
+)
+def test_unreadable_or_non_object_config_exits_2_naming_it(runner, tmp_path, data, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    result = runner.invoke(main, ["ingest", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(message.format(path))
+
+
+@pytest.mark.parametrize(
     "overrides, args, key",
     [
         ({"cache_dir": 5}, [], "cache_dir"),
@@ -259,6 +277,9 @@ def test_invalid_config_exits_2(runner, tmp_path):
         ({"seed": -1}, [], "seed"),
         ({}, ["--seed", "-3"], "seed"),
         ({}, ["--season", "16/17", "--season", "16/17"], "seasons"),
+        # a zone code names artifacts and cache directories
+        ({"zones": ["AA", "../x"]}, [], "zones"),
+        ({}, ["--zone", "a/b"], "zones"),
     ],
 )
 def test_bad_config_value_exits_2_before_any_stage(
@@ -315,6 +336,27 @@ def test_malformed_params_file_exits_2(runner, corpus, tmp_path):
     assert "params.json: fuel CCGT" in result.stderr
 
 
+def test_registry_without_units_for_a_zone_exits_2_naming_it(runner, corpus, tmp_path):
+    registry = tmp_path / "registry.csv"
+    registry.write_text("zone,fuel,capacity_mw\nAA,CCGT,400\n")
+    config_path = write_config(corpus, tmp_path, registry_path=str(registry))
+    result = runner.invoke(main, ["fleet", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {registry}: registry has no units for zone BB\n"
+
+
+def test_integer_params_are_written_to_the_fleet_as_floats(runner, corpus, tmp_path):
+    params = tmp_path / "params.json"
+    pair = {"availability": 1, "mttr_hours": 45}
+    fuels = dict.fromkeys(("CCGT", "Coal", "Hydro", "Nuclear"), pair)
+    params.write_text(json.dumps({"fuels": fuels}))
+    config_path = write_config(corpus, tmp_path, model_params_path=str(params))
+    assert runner.invoke(main, ["fleet", "--config", str(config_path)]).exit_code == 0
+    for zone in ("AA", "BB"):
+        _, *rows = (tmp_path / "out" / f"fleet_{zone}.csv").read_text().splitlines()
+        assert rows and all(row.endswith(",1.0,45.0") for row in rows), rows
+
+
 def test_non_finite_mttr_in_fleet_exits_2(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     assert runner.invoke(main, ["fleet", "--config", str(config_path)]).exit_code == 0
@@ -337,6 +379,20 @@ def test_non_finite_mttr_in_fleet_exits_2(runner, corpus, tmp_path):
     result = runner.invoke(main, ["fleet", "--config", str(config_path)])
     assert result.exit_code == 2
     assert "params.json: fuel CCGT: mttr_hours must be >= 1" in result.stderr
+
+
+def test_non_finite_sim_cell_exits_2_naming_the_file_and_hour(runner, corpus, tmp_path):
+    # a NaN read as a number would become blank stats.csv cells
+    config_path = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config_path)]).exit_code == 0
+    sim = tmp_path / "out" / "sim_AA_period.csv"
+    lines = sim.read_text().splitlines()
+    stamp = lines[3].split(",")[0]
+    lines[3] = f"{stamp},nan"
+    sim.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["stats", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert f"sim_AA_period.csv: outage_mw: not a finite number at {stamp}" in result.stderr
 
 
 def test_garbled_sim_sidecar_exits_2(runner, corpus, tmp_path):

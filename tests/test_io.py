@@ -40,7 +40,7 @@ from outagekit.io import (
     write_timeseries_plot,
     write_zone_series,
 )
-from outagekit.timeseries import HourlySeries, HourRange, format_utc
+from outagekit.timeseries import HOUR, HourlySeries, HourRange, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelSizePool
 
 from conftest import T0, make_unit, write_registry
@@ -354,7 +354,7 @@ def test_zone_series_requires_aligned_periods(tmp_path):
 
 
 @pytest.mark.parametrize("cells", [("9.000", "1.000", "2.000"), ("0.000", "3.000", "2.000"),
-                                   ("1.000", "0.500", "2.000"), ("0.000", "nan", "2.000")])
+                                   ("1.000", "0.500", "2.000"), ("2.000", "2.000", "1.000")])
 @pytest.mark.parametrize("channel", list(Channel))
 def test_zone_series_rejects_envelopes_out_of_order(tmp_path, channel, cells):
     good = ["0.000", "1.000", "2.000"] * len(Channel)
@@ -775,6 +775,21 @@ def test_readers_skip_blank_lines_and_find_columns_by_name(tmp_path, kind, layou
     assert repr(reader(other)) == repr(reader(plain))
 
 
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("kind", list(READERS))
+def test_readers_refuse_a_repeated_column(tmp_path, kind, position):
+    # the second copy holds the other row's cell, so reading either copy
+    # would give a plausible but different answer
+    reader, header, rows = READERS[kind]
+    name = header.split(",")[position]
+    cells = [row.split(",")[position] for row in rows]
+    lines = [f"{header},{name}", *(f"{row},{cell}" for row, cell in zip(rows, cells[::-1]))]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError, match=rf"{kind}\.csv: repeated columns \['{name}'\]"):
+        reader(path)
+
+
 # -- hourly timestamps -------------------------------------------------------
 
 
@@ -960,6 +975,36 @@ def test_bulk_path_agrees_with_the_oracle_on_loadtxt_traps(tmp_path, trap):
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
     _assert_bulk_agrees_with_oracle(reader, path)
+
+
+NON_FINITE = rf"\w+: not a finite number at {format_utc(T0 + HOUR)}"
+
+
+@pytest.mark.parametrize("cell", ["nan", "-nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("kind", HOURLY_READERS)
+def test_hourly_readers_refuse_a_non_finite_cell_naming_the_hour(tmp_path, kind, cell):
+    reader, header, (first, second) = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{first}\n{second.rsplit(',', 1)[0]},{cell}\n")
+    with pytest.raises(InvalidInputError, match=rf"{kind}\.csv: {NON_FINITE}"):
+        reader(path)
+    _assert_bulk_agrees_with_oracle(reader, path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", HOURLY_READERS)
+def test_bulk_path_refuses_a_non_finite_cell(tmp_path, monkeypatch, kind, value):
+    # the writers' own layout; a zone series gets inf in all nine cells of
+    # the hour, which the min <= mean <= max check alone lets through
+    path = tmp_path / f"{kind}.csv"
+    _base_file(kind, [1.0, value], path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back to _read_columns")
+
+    monkeypatch.setattr(io, "_read_columns", refuse)
+    with pytest.raises(InvalidInputError, match=rf"{kind}\.csv: {NON_FINITE}"):
+        READERS[kind][0](path)
 
 
 @pytest.mark.parametrize("kind", ["pmf", *HOURLY_READERS])

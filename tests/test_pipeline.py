@@ -105,6 +105,17 @@ def test_config_requires_zones_and_periods(tmp_path):
         PipelineConfig(zones=("AA", "AA"), seasons=("16/17",))
 
 
+def test_config_accepts_zone_codes_of_letters_digits_underscores_and_hyphens():
+    zones = ("GB", "DE_LU", "IT-North", "10YGB")
+    assert PipelineConfig(zones=zones, seasons=("16/17",)).zones == zones
+
+
+def test_config_that_cannot_be_read_names_the_file(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(InvalidInputError, match=r"cannot read config .*absent\.json"):
+        PipelineConfig.from_file(path)
+
+
 def test_config_rejects_bad_period(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"zones": ["AA"], "period": {"start": "2030-01-07T00:00:00Z"}}))
@@ -139,6 +150,9 @@ def test_config_rejects_bad_period(tmp_path):
         ("zone_eic", None),
         ("retries", 0),
         ("retries", -1),
+        # a zone code names artifacts and cache directories, so "../x" would
+        # write outside output_dir and cache_dir
+        *(("zones", ["AA", zone]) for zone in ["../x", "", "a/b", ".", "GB ", "DE\n", "\u00c9"]),
     ],
 )
 def test_config_rejects_wrong_types(tmp_path, key, value):
