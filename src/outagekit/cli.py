@@ -2,8 +2,9 @@
 
 Each stage subcommand runs one pipeline stage against a JSON config file;
 the subcommands and their help lines come from ``pipeline.STAGES``.  ``run``
-chains the stages and writes the manifest.  Errors map to distinct exit codes
-so shell scripts can react to the failure class:
+chains the stages and writes the manifest.  Each error class carries its exit
+code as ``exit_code`` (see errors.py), so shell scripts can react to the
+failure class:
 
 ====  ==========================================
 code  meaning
@@ -34,40 +35,16 @@ from typing import Callable, Iterable
 import click
 
 from . import __version__
-from .errors import (
-    AuthError,
-    FetchError,
-    InvalidInputError,
-    OutageKitError,
-    ParseError,
-    StatsError,
-    UsageError,
-)
+from .errors import OutageKitError
 from .pipeline import PLOT_KINDS, STAGES, PipelineConfig, emit_plot_data, run_pipeline
-
-_EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (UsageError, 2),
-    (InvalidInputError, 2),
-    (AuthError, 3),
-    (FetchError, 4),
-    (ParseError, 5),
-    (StatsError, 6),
-)
-
-
-def _exit_code(exc: OutageKitError) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 def _with_config(body: Callable[..., Iterable[object]]):
     """Turn ``body(config, **options)`` into a command callback.
 
     The callback takes the common options, loads the config with their
-    overrides, runs ``body`` under the exit-code mapping and echoes each line
-    it returns.
+    overrides, runs ``body``, exits with a toolkit error's ``exit_code`` and
+    echoes each line it returns.
     """
 
     @click.option(
@@ -96,7 +73,7 @@ def _with_config(body: Callable[..., Iterable[object]]):
             lines = body(config, **options)
         except OutageKitError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
+            sys.exit(exc.exit_code)
         except FileNotFoundError as exc:
             missing = exc.filename or str(exc)
             click.echo(

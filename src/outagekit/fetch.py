@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 from xml.etree import ElementTree
 
-from .errors import AuthError, FetchError, InvalidInputError, ParseError
+from .errors import AuthError, FetchError, InvalidInputError, where
 from .ingest.xmlparse import page_document_count
 from .io import write_bytes, write_json
 from .zones import DEFAULT_ZONE_EIC
@@ -196,12 +196,8 @@ class FetchClient:
             payload = self._get_page(zone, day, doc_type, domain, offset)
             if payload is None:  # no matching data
                 break
-            try:
+            with where(f"{zone} {day} {doc_type} offset {offset}: unreadable page"):
                 n_docs = page_document_count(payload)
-            except ParseError as exc:
-                raise ParseError(
-                    f"{zone} {day} {doc_type} offset {offset}: unreadable page: {exc}"
-                ) from exc
             pages.append(payload)
             if n_docs < PAGE_SIZE_DOCS:
                 break

@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import Any, Callable, TypeVar
 from xml.etree import ElementTree
 
-from ..errors import ParseError
+from ..errors import ParseError, where
 from ..timeseries import parse_utc
 from ..types import Fuel, Renewable
 from .reports import OutageReport, ReportKind, ReportStatus
@@ -187,12 +187,10 @@ def _parse_zip(raw: bytes, seen: set[bytes | tuple]) -> list[OutageReport]:
         if key in seen:
             continue
         payload = _inflate(name, method, stored, size, crc)
-        try:
+        with where(name):
             if _holds_xml(payload) and payload not in seen:
                 reports.extend(_parse_xml(payload))
                 seen.add(payload)
-        except ParseError as exc:
-            raise ParseError(f"{name}: {exc}") from exc
         seen.add(key)
     return reports
 

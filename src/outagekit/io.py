@@ -42,7 +42,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, S
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, where
 from .fleet import CapacityOutagePMF, unit_id
 from .ingest.reconcile import Channel, HourlyOutageSeries
 from .stats import REPORT_LAGS_HOURS
@@ -102,10 +102,8 @@ def read_fleet(path: Path | str, *, zone: str) -> Fleet:
         index = counters.get(fuel, 0)
         counters[fuel] = index + 1
         uid = unit_id(zone, fuel, index)
-        try:
+        with where(f"{path}: unit {uid}"):
             units.append(GeneratorUnit(uid, fuel, capacity_mw, availability, mttr_hours))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: unit {uid}: {exc}") from exc
     return Fleet(zone=zone, units=tuple(units))
 
 
@@ -129,10 +127,8 @@ def read_pmf(path: Path | str) -> CapacityOutagePMF:
             raise ValueError("PMF grid must be contiguous from 0")
 
     _, probs = _read_columns(path, {"outage_mw": next_grid_point, "probability": float})
-    try:
+    with where(path):
         return CapacityOutagePMF(probabilities=np.asarray(probs, dtype=np.float64))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def write_zone_series(
@@ -290,10 +286,8 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
             raise InvalidInputError(f"{path}: {exc}") from exc
         if not isinstance(rec, dict) or not {"availability", "mttr_hours"} <= rec.keys():
             raise InvalidInputError(f"{path}: fuel {name} needs availability and mttr_hours")
-        try:
+        with where(f"{path}: fuel {name}"):
             table[fuel] = FuelParams(rec["availability"], rec["mttr_hours"])
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: fuel {name}: {exc}") from exc
     if not table:
         raise InvalidInputError(f"{path}: no fuels defined")
     version = raw.get("version", "unversioned")
@@ -303,11 +297,21 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
 
 
 def read_json(path: Path | str) -> Any:
-    """Parse a JSON file; undecodable or malformed text names the path."""
+    """Parse a JSON file; undecodable or malformed text, or a repeated key, names the path."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a repeated key
         raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a key given twice raises ``ValueError`` naming it."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def read_demand(path: Path | str) -> HourlySeries:
@@ -457,10 +461,8 @@ def _read_hourly(path: Path | str, *columns: str) -> tuple[datetime, list[np.nda
         if not stamps:
             raise InvalidInputError(f"{path}: series has no rows")
         read = stamps[0], [np.asarray(v, dtype=np.float64) for v in values]
-    try:
+    with where(path):
         ensure_hour_aligned(read[0])
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
     for name, column in zip(columns, read[1]):
         _check_hours(path, read[0], np.isfinite(column), f"{name}: not a finite number")
     return read

@@ -15,16 +15,16 @@ import logging
 import math
 import os
 import re
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import io as okio
-from .errors import InvalidInputError, OutageKitError, ParseError, StatsError, UsageError
+from .errors import InvalidInputError, StatsError, UsageError, where
 from .fetch import DOC_TYPES, FetchClient
 from .fleet import fleet_outage_pmf, pmf_stats, pool_unit_sizes, synthesize_fleet
 from .ingest import (
@@ -153,10 +153,8 @@ class PipelineConfig:
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise InvalidInputError(f"duplicate {name} in config")
         for label in self.seasons:
-            try:
+            with where("seasons"):
                 season_label_to_year(label)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"seasons: {exc}") from None
         if not self.seasons and self.period is None:
             raise InvalidInputError("config needs seasons or an explicit period")
 
@@ -167,42 +165,42 @@ class PipelineConfig:
         Reading only turns JSON into field values: lists become tuples, path
         strings (and the ``cache``/``out`` defaults) resolve against the
         file's directory, ``period`` becomes an ``HourRange`` and an empty
-        ``api_token`` falls back to ``ENTSOE_API_TOKEN``.  The checks are
-        ``__post_init__``'s; their errors are prefixed with the path.
+        ``api_token`` falls back to ``ENTSOE_API_TOKEN``.  The file is read
+        by ``okio.read_json``, which refuses a key repeated in any object.
+        The checks are ``__post_init__``'s; their errors are prefixed with
+        the path.
         """
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InvalidInputError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidInputError(f"{path}: unknown config keys {unknown}")
-        # an absent zones key reads as no zones, which the validator rejects
-        values = {"zones": ()}
-        values.update((k, tuple(v) if isinstance(v, list) else v) for k, v in raw.items())
-        # Resolve against the config file so the run is independent of the
-        # working directory and the config hash is stable however the config
-        # path was spelled.
-        base = path.resolve().parent
-        for key in (*_DIR_FIELDS, *_FILE_FIELDS):
-            value = values.get(key, getattr(cls, key))
-            if isinstance(value, (str, Path)):
-                values[key] = base / value
-        if values.get("api_token", "") == "":
-            values["api_token"] = os.environ.get(TOKEN_ENV_VAR, "")
-        period = values.get("period")
-        if isinstance(period, dict):
+        with where("cannot read config", sep=" "):
             try:
-                values["period"] = HourRange(parse_utc(period.get("start")), period.get("hours"))
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{path}: period must be {_PERIOD_JSON}: {exc}") from None
-        try:
+                raw = okio.read_json(path)
+            except OSError as exc:
+                raise InvalidInputError(f"{path}: {exc}") from exc
+        with where(path):
+            if not isinstance(raw, dict):
+                raise InvalidInputError("config must be a JSON object")
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+            if unknown:
+                raise InvalidInputError(f"unknown config keys {unknown}")
+            # an absent zones key reads as no zones, which the validator rejects
+            values = {"zones": ()}
+            values.update((k, tuple(v) if isinstance(v, list) else v) for k, v in raw.items())
+            # Resolve against the config file so the run is independent of the
+            # working directory and the config hash is stable however the config
+            # path was spelled.
+            base = path.resolve().parent
+            for key in (*_DIR_FIELDS, *_FILE_FIELDS):
+                value = values.get(key, getattr(cls, key))
+                if isinstance(value, (str, Path)):
+                    values[key] = base / value
+            if values.get("api_token", "") == "":
+                values["api_token"] = os.environ.get(TOKEN_ENV_VAR, "")
+            period = values.get("period")
+            if isinstance(period, dict):
+                with where(f"period must be {_PERIOD_JSON}"):
+                    start = parse_utc(period.get("start"))
+                    values["period"] = HourRange(start, period.get("hours"))
             return cls(**values)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
 
     def public_dict(self) -> dict:
         """The run parameters as JSON-ready data.
@@ -349,12 +347,8 @@ def _parse_zone_period(
                     "run fetch first"
                 )
             for page, payload in enumerate(pages):
-                try:
+                with where(client.page_path(zone, day, doc_type, page)):
                     reports.extend(parse_document(payload, seen=seen))
-                except ParseError as exc:
-                    raise ParseError(
-                        f"{client.page_path(zone, day, doc_type, page)}: {exc}"
-                    ) from exc
     return reports
 
 
@@ -399,8 +393,9 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
     registry = okio.read_registry(config.registry_path)
     pools = pool_unit_sizes((r.fuel, r.capacity_mw) for r in registry)
     params, _ = _load_params(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    # every zone's fleet is built before any is written, so a failing run
+    # leaves no new fleet file
+    fleets: list[Fleet] = []
     for zone in config.zones:
         targets: dict[Fuel, int] = {}
         for row in registry:
@@ -410,14 +405,16 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
             raise InvalidInputError(
                 f"{config.registry_path}: registry has no units for zone {zone}"
             )
-        fleet = synthesize_fleet(
-            targets, pools, params, derive_seed(config.seed, _STREAM_FLEET, zone), zone=zone
-        )
-        target = fleet_path(config, zone)
+        seed = derive_seed(config.seed, _STREAM_FLEET, zone)
+        fleets.append(synthesize_fleet(targets, pools, params, seed, zone=zone))
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for fleet in fleets:
+        target = fleet_path(config, fleet.zone)
         okio.write_fleet(fleet, target)
         written.append(target)
         logger.info(
-            "fleet %s: %d units, %d MW", zone, len(fleet.units), fleet.total_capacity_mw
+            "fleet %s: %d units, %d MW", fleet.zone, len(fleet.units), fleet.total_capacity_mw
         )
     return written
 
@@ -459,15 +456,6 @@ def _empirical_series(
 ) -> list[dict[Channel, HourlyOutageSeries]]:
     """The zone's series by channel for each evaluation, in ``evaluations`` order."""
     return [okio.read_zone_series(series_path(config, zone, ev.slug)) for ev in evaluations(config)]
-
-
-@contextmanager
-def _about_zone(zone: str) -> Iterator[None]:
-    """Name the zone in an ``InvalidInputError`` from reading its artifacts or windows."""
-    try:
-        yield
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"zone {zone}: {exc}") from None
 
 
 def _windowed_row(
@@ -520,7 +508,7 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
     evs = evaluations(config)
     windows = [ev.window for ev in evs]
     for zone in config.zones:
-        with _about_zone(zone):
+        with where(f"zone {zone}"):
             empirical = _empirical_series(config, zone)
             for channel in Channel:
                 per_ev = [(series[channel], w) for series, w in zip(empirical, windows)]
@@ -587,10 +575,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
     """Run every stage in order and write the manifest; returns its path."""
     for stage in STAGES:
         logger.info("stage %s", stage.name)
-        try:
+        with where(f"{stage.name} stage"):
             stage.run(config)
-        except OutageKitError as exc:
-            raise type(exc)(f"{stage.name} stage: {exc}") from exc
     _, version = _load_params(config)
     return write_manifest(config, version)
 
@@ -623,7 +609,7 @@ def _emit_histograms(config: PipelineConfig) -> list[Path]:
     width = config.histogram_bin_mw
     windows = [ev.window for ev in evaluations(config)]
     for zone in config.zones:
-        with _about_zone(zone):
+        with where(f"zone {zone}"):
             per_ev = [
                 [window_values(by_channel[ch], w) for ch in (Channel.TOTAL, Channel.FORCED)]
                 for by_channel, w in zip(_empirical_series(config, zone), windows)
@@ -655,14 +641,12 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
     demand = None
     if config.demand_path:
         hourly = okio.read_demand(config.demand_path)
-        try:
+        with where(config.demand_path):
             values = window_values(hourly, config.period)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{config.demand_path}: {exc}") from None
         demand = weekly_profile(HourlySeries(config.period.start, values))
     written = []
     for zone in config.zones:
-        with _about_zone(zone):
+        with where(f"zone {zone}"):
             (series,) = [s[Channel.TOTAL] for s in _empirical_series(config, zone)]
             total = HourlySeries(config.period.start, window_values(series, config.period))
         target = config.output_dir / f"plot_seasonal_{zone}.csv"
@@ -676,7 +660,7 @@ def _emit_timeseries(config: PipelineConfig) -> list[Path]:
     evs = evaluations(config)
     for zone in config.zones:
         fleet = _zone_fleet(config, zone)
-        with _about_zone(zone):
+        with where(f"zone {zone}"):
             empirical = zip(_empirical_series(config, zone), evs)
             totals = [window_values(s[Channel.TOTAL], ev.range) for s, ev in empirical]
         for ev, total in zip(evs, totals):

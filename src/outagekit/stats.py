@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, StatsError
+from .errors import InvalidInputError, StatsError, where
 from .timeseries import HourRange, HourlySeries
 
 #: Table-style report lags: one hour, six hours, one day, one week.
@@ -58,10 +58,8 @@ class WinterWindow:
 
     def indices_in(self, rng: HourRange) -> np.ndarray:
         """Positions of the window's hours inside ``rng``; raises unless ``rng`` covers them."""
-        try:
+        with where(f"window {self.label}"):
             span = self.span.indices_in(rng)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"window {self.label}: {exc}") from None
         return span.reshape(-1, HOURS_PER_WEEK)[list(self.weeks)].ravel()
 
 

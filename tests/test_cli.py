@@ -345,6 +345,24 @@ def test_registry_without_units_for_a_zone_exits_2_naming_it(runner, corpus, tmp
     assert result.stderr == f"error: {registry}: registry has no units for zone BB\n"
 
 
+def test_failing_fleet_run_writes_no_fleet_file(runner, corpus, tmp_path):
+    # zones AA and BB, but units only for AA: the run fails before writing AA's fleet
+    registry = tmp_path / "registry.csv"
+    registry.write_text("zone,fuel,capacity_mw\nAA,CCGT,400\n")
+    config_path = write_config(corpus, tmp_path, registry_path=str(registry))
+    assert runner.invoke(main, ["fleet", "--config", str(config_path)]).exit_code == 2
+    assert not list((tmp_path / "out").glob("fleet_*.csv"))
+
+
+def test_repeated_config_key_exits_2_naming_it(runner, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"zones": ["AA"], "seasons": ["16/17"], "seed": 1, "seed": 2}')
+    result = runner.invoke(main, ["ingest", "--config", str(path)])
+    assert result.exit_code == 2
+    message = f"error: cannot read config {path}: not valid JSON: repeated key 'seed'\n"
+    assert result.stderr == message
+
+
 def test_integer_params_are_written_to_the_fleet_as_floats(runner, corpus, tmp_path):
     params = tmp_path / "params.json"
     pair = {"availability": 1, "mttr_hours": 45}

@@ -651,6 +651,34 @@ def test_load_fuel_params_rejects_non_string_version(tmp_path, version):
     assert load_fuel_params(path)[1] == "unversioned"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"fuels": {"CCGT": {"availability": 0.5, "mttr_hours": 50},'
+            ' "CCGT": {"availability": 0.9, "mttr_hours": 50}}}',
+            "CCGT",
+        ),
+        (
+            '{"fuels": {"CCGT": {"availability": 0.5, "availability": 0.9, "mttr_hours": 50}}}',
+            "availability",
+        ),
+        (
+            '{"version": "a", "fuels": {"CCGT": {"availability": 0.9, "mttr_hours": 50}},'
+            ' "version": "b"}',
+            "version",
+        ),
+    ],
+    ids=["fuel", "field", "top_level"],
+)
+def test_load_fuel_params_refuses_a_repeated_key_naming_it(tmp_path, text, key):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as info:
+        load_fuel_params(path)
+    assert str(info.value) == f"{path}: not valid JSON: repeated key '{key}'"
+
+
 def test_load_fuel_params_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "params.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -96,6 +96,22 @@ def test_config_rejects_unknown_keys(tmp_path):
         PipelineConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"zones": ["AA"], "seasons": ["16/17"], "seed": 1, "seed": 2}', "seed"),
+        ('{"zones": ["AA"], "period": {"start": "2030-01-07", "hours": 24, "hours": 48}}', "hours"),
+    ],
+    ids=["top_level", "period"],
+)
+def test_config_refuses_a_repeated_key_naming_it(tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as info:
+        PipelineConfig.from_file(path)
+    assert str(info.value) == f"cannot read config {path}: not valid JSON: repeated key '{key}'"
+
+
 def test_config_requires_zones_and_periods(tmp_path):
     with pytest.raises(InvalidInputError, match="zone"):
         PipelineConfig(zones=(), seasons=("16/17",))
