@@ -74,13 +74,6 @@ def _with_config(body: Callable[..., Iterable[object]]):
         except OutageKitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
-        except FileNotFoundError as exc:
-            missing = exc.filename or str(exc)
-            click.echo(
-                f"error: missing input file {missing}; run the earlier pipeline stages first",
-                err=True,
-            )
-            sys.exit(2)
         for line in lines:
             click.echo(str(line))
 

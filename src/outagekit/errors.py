@@ -2,8 +2,8 @@
 
 Each class carries the CLI exit code of its failures as ``exit_code`` (the
 table of codes is in cli.py).  ``where`` names where an error happened.  A
-block that turns a foreign exception (``ValueError``, ``OSError``, ...) into
-a toolkit class does so explicitly, since it changes the class.
+block that turns a foreign exception into a toolkit class does so explicitly,
+since it changes the class; ``io._reading`` is the one for failed file reads.
 """
 
 from contextlib import contextmanager
@@ -57,8 +57,8 @@ class UsageError(OutageKitError):
 
 
 @contextmanager
-def where(place: object, sep: str = ": ") -> Iterator[None]:
-    """Prefix ``place`` and ``sep`` to a toolkit error raised in the block, keeping its class.
+def where(place: object) -> Iterator[None]:
+    """Prefix ``place`` and ``: `` to a toolkit error raised in the block, keeping its class.
 
     The new error's ``__cause__`` is the original one.  Any other exception
     passes through untouched.
@@ -66,4 +66,4 @@ def where(place: object, sep: str = ": ") -> Iterator[None]:
     try:
         yield
     except OutageKitError as exc:
-        raise type(exc)(f"{place}{sep}{exc}") from exc
+        raise type(exc)(f"{place}: {exc}") from exc

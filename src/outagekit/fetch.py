@@ -9,7 +9,6 @@ keeps the retry/backoff and cache logic testable offline.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from datetime import date, datetime, timezone
@@ -19,7 +18,7 @@ from xml.etree import ElementTree
 
 from .errors import AuthError, FetchError, InvalidInputError, where
 from .ingest.xmlparse import page_document_count
-from .io import write_bytes, write_json
+from .io import read_json, write_bytes, write_json
 from .zones import DEFAULT_ZONE_EIC
 
 logger = logging.getLogger(__name__)
@@ -115,8 +114,8 @@ class FetchClient:
             return None
         meta_path = self._meta_path(zone, day, doc_type)
         try:
-            hashes = json.loads(meta_path.read_text(encoding="utf-8"))["sha256"]
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+            hashes = read_json(meta_path)["sha256"]
+        except (InvalidInputError, TypeError, KeyError) as exc:
             raise FetchError(f"cache meta file {meta_path} is unreadable: {exc!r}") from exc
         if not isinstance(hashes, list):
             raise FetchError(f"cache meta file {meta_path}: sha256 is not a list")

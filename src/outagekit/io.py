@@ -298,10 +298,11 @@ def load_fuel_params(path: Path | str) -> tuple[dict[Fuel, FuelParams], str]:
 
 def read_json(path: Path | str) -> Any:
     """Parse a JSON file; undecodable or malformed text, or a repeated key, names the path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a repeated key
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+    with _reading(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a repeated key
+            raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -318,6 +319,16 @@ def read_demand(path: Path | str) -> HourlySeries:
     """Read an hourly demand CSV with columns timestamp_utc,demand_mw."""
     start, (values,) = _read_hourly(path, "demand_mw")
     return HourlySeries(start=start, values_mw=values)
+
+
+@contextmanager
+def _reading(path: Path | str, **open_args: Any) -> Iterator[IO[str]]:
+    """Open ``path`` as UTF-8 after one optional BOM; a failed read is ``InvalidInputError``."""
+    try:
+        with open(path, encoding="utf-8-sig", **open_args) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 @contextmanager
@@ -396,7 +407,7 @@ def _read_columns(
     converter raises ``ValueError``, one naming ``path:line``.
     """
     columns: list[list[Any]] = [[] for _ in converters]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in converters if name not in header]
@@ -440,7 +451,7 @@ def _bulk_read(path: Path | str, *columns: str) -> tuple[datetime, list[np.ndarr
     and no ``usecols`` (which would stop it checking each row's width), and
     no cell goes through a fixed-width string dtype, which truncates.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         try:
             if fh.readline() != ",".join(["timestamp_utc", *columns]) + "\n":
                 return None

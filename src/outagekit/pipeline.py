@@ -171,11 +171,8 @@ class PipelineConfig:
         the path.
         """
         path = Path(path)
-        with where("cannot read config", sep=" "):
-            try:
-                raw = okio.read_json(path)
-            except OSError as exc:
-                raise InvalidInputError(f"{path}: {exc}") from exc
+        with where("cannot read config"):
+            raw = okio.read_json(path)
         with where(path):
             if not isinstance(raw, dict):
                 raise InvalidInputError("config must be a JSON object")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable
@@ -76,6 +77,27 @@ def write_year_series(path: Path, start: datetime, cell: str) -> None:
         for k in range(8760)
     )
     write_lines(lines, path)
+
+
+#: each way an input file can fail to be read, and the error its reading raises
+READ_FAULTS = {
+    "missing": FileNotFoundError,
+    "directory": IsADirectoryError,
+    "not_utf8": UnicodeDecodeError,
+    "oversized_field": csv.Error,
+}
+
+
+def break_file(path: Path, valid: bytes, fault: str) -> None:
+    """Replace ``path`` by the ``fault`` form (a ``READ_FAULTS`` key) of the file ``valid``."""
+    path.unlink(missing_ok=True)
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not_utf8":
+        path.write_bytes(b"\xff\xfe" + valid)
+    elif fault == "oversized_field":
+        # one quoted cell over the csv module's default field limit of 128 KiB
+        path.write_bytes(valid + b'"' + b"x" * 200_000 + b'"\n')
 
 
 def capacity_by_fuel(fleet: Fleet) -> dict[Fuel, int]:

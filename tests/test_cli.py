@@ -15,7 +15,7 @@ from outagekit.cli import main
 from outagekit.fetch import FetchClient
 from outagekit.pipeline import STAGES
 
-from conftest import write_year_series
+from conftest import READ_FAULTS, break_file, write_year_series
 from corpusgen import _document, _timeseries
 
 
@@ -230,7 +230,8 @@ def test_stats_before_other_stages(runner, corpus, tmp_path):
     config_path = write_config(corpus, tmp_path)
     result = runner.invoke(main, ["stats", "--config", str(config_path)])
     assert result.exit_code == 2
-    assert "run the earlier pipeline stages first" in result.stderr
+    missing = tmp_path / "out" / "series_AA_period.csv"
+    assert result.stderr == f"error: zone AA: {missing}: No such file or directory\n"
 
 
 # -- exit codes --------------------------------------------------------------
@@ -254,8 +255,8 @@ def test_invalid_config_exits_2(runner, tmp_path):
 @pytest.mark.parametrize(
     "data, message",
     [
-        (b'{"zones": [', "error: cannot read config {}: "),
-        (b"\xff\xfe{}", "error: cannot read config {}: "),
+        (b'{"zones": [', "error: cannot read config: {}: "),
+        (b"\xff\xfe{}", "error: cannot read config: {}: "),
         (b'["AA"]', "error: {}: config must be a JSON object\n"),
         (b'"AA"', "error: {}: config must be a JSON object\n"),
     ],
@@ -359,7 +360,7 @@ def test_repeated_config_key_exits_2_naming_it(runner, tmp_path):
     path.write_text('{"zones": ["AA"], "seasons": ["16/17"], "seed": 1, "seed": 2}')
     result = runner.invoke(main, ["ingest", "--config", str(path)])
     assert result.exit_code == 2
-    message = f"error: cannot read config {path}: not valid JSON: repeated key 'seed'\n"
+    message = f"error: cannot read config: {path}: not valid JSON: repeated key 'seed'\n"
     assert result.stderr == message
 
 
@@ -435,6 +436,84 @@ def test_garbled_manifest_exits_2(runner, corpus, tmp_path):
         assert result.exit_code == 2, text
         assert "manifest.json" in result.stderr, text
         assert list((tmp_path / "out").glob("plot_*.csv")) == [], text
+
+
+def _registry_input(runner, corpus, tmp_path):
+    path = tmp_path / "registry.csv"
+    config = write_config(corpus, tmp_path, registry_path=str(path))
+    return ["fleet"], config, path, (corpus["root"] / "registry.csv").read_bytes()
+
+
+def _params_input(runner, corpus, tmp_path):
+    path = tmp_path / "params.json"
+    config = write_config(corpus, tmp_path, model_params_path=str(path))
+    return ["fleet"], config, path, b'{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": 50}}}'
+
+
+def _demand_input(runner, corpus, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    start = datetime(2001, 1, 1, tzinfo=timezone.utc)
+    write_year_series(out / "series_AA_period.csv", start, "1.000")
+    path = tmp_path / "demand.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "zones": ["AA"],
+        "period": {"start": "2001-01-01T00:00:00Z", "hours": 8760},
+        "cache_dir": str(tmp_path / "cache"),
+        "output_dir": str(out),
+        "demand_path": str(path),
+    }))
+    demand = "timestamp_utc,demand_mw\n" + "".join(
+        f"{(start + timedelta(hours=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},30000.0\n"
+        for k in range(8760)
+    )
+    return ["plot-data", "--kind", "seasonal"], config, path, demand.encode()
+
+
+def _series_input(runner, corpus, tmp_path):
+    config = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["ingest", "--config", str(config)]).exit_code == 0
+    path = tmp_path / "out" / "series_AA_period.csv"
+    return ["stats"], config, path, path.read_bytes()
+
+
+def _manifest_input(runner, corpus, tmp_path):
+    config = write_config(corpus, tmp_path)
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / "manifest.json"
+    return ["plot-data", "--kind", "histogram"], config, path, b'{"artifacts": {}}'
+
+
+# each input: the command that reads it, its config, the file and valid bytes for it
+READ_INPUTS = {
+    "registry_path": _registry_input,
+    "model_params_path": _params_input,
+    "demand_path": _demand_input,
+    "series": _series_input,
+    "manifest": _manifest_input,
+}
+
+
+@pytest.mark.parametrize(
+    "source, fault",
+    [
+        (source, fault)
+        for source in READ_INPUTS
+        for fault in READ_FAULTS
+        # the JSON files hold no CSV field, and plot-data writes no manifest
+        # where none exists
+        if not (source in ("model_params_path", "manifest") and fault == "oversized_field")
+        and (source, fault) != ("manifest", "missing")
+    ],
+)
+def test_input_file_that_cannot_be_read_exits_2_naming_it(runner, corpus, tmp_path, source, fault):
+    args, config, path, valid = READ_INPUTS[source](runner, corpus, tmp_path)
+    break_file(path, valid, fault)
+    result = runner.invoke(main, [*args, "--config", str(config)])
+    assert result.exit_code == 2, result.exception
+    assert f"{path}: " in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):

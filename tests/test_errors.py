@@ -104,12 +104,6 @@ def test_nested_where_adds_one_prefix_each_in_order():
     assert info.value.__cause__.__cause__ is original
 
 
-def test_where_joins_with_the_given_separator():
-    with pytest.raises(InvalidInputError, match=r"^cannot read config a\.json: not JSON$"):
-        with where("cannot read config", sep=" "):
-            raise InvalidInputError("a.json: not JSON")
-
-
 @pytest.mark.parametrize(
     "exc",
     [FileNotFoundError(2, "No such file or directory", "fleet.csv"), ValueError("x"), KeyError(1)],

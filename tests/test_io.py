@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import functools
 import json
@@ -40,10 +41,11 @@ from outagekit.io import (
     write_timeseries_plot,
     write_zone_series,
 )
+from outagekit.pipeline import PipelineConfig
 from outagekit.timeseries import HOUR, HourlySeries, HourRange, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelSizePool
 
-from conftest import T0, make_unit, write_registry
+from conftest import READ_FAULTS, T0, break_file, make_unit, write_registry
 
 
 # -- registry ----------------------------------------------------------------
@@ -816,6 +818,60 @@ def test_readers_refuse_a_repeated_column(tmp_path, kind, position):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidInputError, match=rf"{kind}\.csv: repeated columns \['{name}'\]"):
         reader(path)
+
+
+# -- how every input file is opened ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        (kind, fault)
+        for kind in [*READERS, "json"]
+        for fault in READ_FAULTS
+        if kind != "json" or fault != "oversized_field"
+    ],
+)
+def test_a_file_that_cannot_be_read_is_invalid_input_naming_it(tmp_path, kind, fault):
+    if kind == "json":
+        read, valid = io.read_json, b'{"a": 1}\n'
+    else:
+        read, header, rows = READERS[kind]
+        valid = "".join(f"{line}\n" for line in [header, *rows]).encode()
+    path = tmp_path / "input"
+    break_file(path, valid, fault)
+    with pytest.raises(InvalidInputError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert type(info.value.__cause__) is READ_FAULTS[fault]
+
+
+# reader and file text
+MARKED_INPUTS = {
+    "registry": (read_registry, b"zone,fuel,capacity_mw\nAA,CCGT,400\n"),
+    "params": (load_fuel_params, b'{"fuels": {"CCGT": {"availability": 0.9, "mttr_hours": 50}}}'),
+    "demand": (read_demand, b"timestamp_utc,demand_mw\n2030-01-07T00:00:00Z,41000.5\n"),
+    "config": (PipelineConfig.from_file, b'{"zones": ["AA"], "seasons": ["16/17"]}'),
+}
+
+
+def _comparable(result):
+    """A reader's result in a form ``==`` compares (an ``HourlySeries`` holds an array)."""
+    if isinstance(result, HourlySeries):
+        return result.start, result.values_mw.tolist()
+    return result
+
+
+@pytest.mark.parametrize("kind", MARKED_INPUTS)
+def test_one_leading_byte_order_mark_is_skipped(tmp_path, kind):
+    read, text = MARKED_INPUTS[kind]
+    plain, marked, twice = tmp_path / "plain", tmp_path / "marked", tmp_path / "twice"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    twice.write_bytes(codecs.BOM_UTF8 * 2 + text)
+    assert _comparable(read(marked)) == _comparable(read(plain))
+    with pytest.raises(InvalidInputError, match="twice"):
+        read(twice)
 
 
 # -- hourly timestamps -------------------------------------------------------

@@ -109,7 +109,7 @@ def test_config_refuses_a_repeated_key_naming_it(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(InvalidInputError) as info:
         PipelineConfig.from_file(path)
-    assert str(info.value) == f"cannot read config {path}: not valid JSON: repeated key '{key}'"
+    assert str(info.value) == f"cannot read config: {path}: not valid JSON: repeated key '{key}'"
 
 
 def test_config_requires_zones_and_periods(tmp_path):
@@ -128,7 +128,7 @@ def test_config_accepts_zone_codes_of_letters_digits_underscores_and_hyphens():
 
 def test_config_that_cannot_be_read_names_the_file(tmp_path):
     path = tmp_path / "absent.json"
-    with pytest.raises(InvalidInputError, match=r"cannot read config .*absent\.json"):
+    with pytest.raises(InvalidInputError, match=r"cannot read config: .*absent\.json"):
         PipelineConfig.from_file(path)
 
 
