@@ -6,17 +6,17 @@ chains the stages and writes the manifest.  Each error class carries its exit
 code as ``exit_code`` (see errors.py), so shell scripts can react to the
 failure class:
 
-====  ==========================================
+====  ===================================================
 code  meaning
-====  ==========================================
+====  ===================================================
 0     success
 1     unexpected internal error
-2     usage or invalid input/config
+2     usage, invalid input/config or an unwritable output
 3     authentication (bad or missing API token)
 4     fetch/network failure or damaged cache page
 5     document parse failure
 6     statistics undefined on the given data
-====  ==========================================
+====  ===================================================
 
 The API token is read from the config file or the ENTSOE_API_TOKEN
 environment variable; there is deliberately no ``--token`` option, since

@@ -2,8 +2,8 @@
 
 Each class carries the CLI exit code of its failures as ``exit_code`` (the
 table of codes is in cli.py).  ``where`` names where an error happened.  A
-block that turns a foreign exception into a toolkit class does so explicitly,
-since it changes the class; ``io._reading`` is the one for failed file reads.
+block that turns a foreign exception into a toolkit class is explicit, since
+it changes the class: ``io._reading`` for reads, ``io._replacing`` for writes.
 """
 
 from contextlib import contextmanager

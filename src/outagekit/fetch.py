@@ -142,10 +142,9 @@ class FetchClient:
 
         An empty ``pages`` records a day without matching data.  Every file
         is written atomically, and the meta file last, after every page it
-        lists: a store that fails partway leaves no meta file, so the day
-        is still a cache miss.
+        lists: a store that fails partway (``InvalidInputError``, naming the
+        file) leaves no meta file, so the day is still a cache miss.
         """
-        self._day_dir(zone, day).mkdir(parents=True, exist_ok=True)
         hashes = []
         for page, payload in enumerate(pages):
             write_bytes(payload, self.page_path(zone, day, doc_type, page))

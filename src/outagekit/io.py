@@ -21,9 +21,10 @@ This module is the only one that knows the formats:
   ``np.datetime_as_string`` call for all the hourly stamps.
 - Every artifact is written by ``write_lines`` (CSV lines) or ``write_json``
   (the simulation sidecar and the manifest), and every fetch-cache page by
-  ``write_bytes``.  All three write a temporary file next to the target and
-  rename it over the target, so a failed or interrupted write leaves the
-  old file, or none, and no temporary file.
+  ``write_bytes``, all through ``_replacing``: it makes the target's directory
+  and renames a temporary file over the target, so a failed or interrupted
+  write leaves the old file, or none, and no temporary file.  A failed write
+  is ``InvalidInputError`` naming the target, never the temporary file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 import os
 import uuid
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -335,19 +336,24 @@ def _reading(path: Path | str, **open_args: Any) -> Iterator[IO[str]]:
 def _replacing(path: Path | str, **open_args: Any) -> Iterator[IO[Any]]:
     """Open a temporary file next to ``path``, renamed over it when the block ends.
 
-    ``open_args`` are passed to ``open`` and must open a new file (mode
-    ``x``).  If the block raises, the temporary file is removed and the
-    target keeps its old contents, or stays absent.
+    ``open_args`` go to ``open`` and must open a new file (mode ``x``).  If
+    the block raises, the temporary file is removed, the target keeps its old
+    contents or stays absent, and an ``OSError`` becomes ``InvalidInputError``.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
     try:
+        target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, **open_args) as fh:
             yield fh
         os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except BaseException as exc:
+        with suppress(OSError):  # no temporary file, or no directory to hold one
+            tmp.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
+        at = "" if exc.filename in (None, str(tmp)) else f"{exc.filename}: "
+        raise InvalidInputError(f"cannot write {target}: {at}{exc.strerror or exc}") from exc
 
 
 def write_bytes(data: bytes, path: Path | str) -> None:

@@ -81,6 +81,7 @@ def _int_at_least(low: int) -> tuple[Callable[[object], bool], str]:
 
 _DIR_FIELDS = ("cache_dir", "output_dir")
 _FILE_FIELDS = ("registry_path", "model_params_path", "demand_path")
+_NOT_HASHED = (*_DIR_FIELDS, *_FILE_FIELDS, "api_token", "rate_limit_s", "retries")
 _PERIOD_JSON = "{'start': <iso utc>, 'hours': <int>}"
 
 # One (test, expected) rule per PipelineConfig field.
@@ -195,27 +196,23 @@ class PipelineConfig:
             period = values.get("period")
             if isinstance(period, dict):
                 with where(f"period must be {_PERIOD_JSON}"):
+                    unknown = sorted(set(period) - {"start", "hours"})
+                    if unknown:
+                        raise InvalidInputError(f"unknown period keys {unknown}")
                     start = parse_utc(period.get("start"))
                     values["period"] = HourRange(start, period.get("hours"))
             return cls(**values)
 
     def public_dict(self) -> dict:
-        """The run parameters as JSON-ready data.
+        """The run parameters, every field but ``_NOT_HASHED``, as JSON-ready data.
 
         Paths, fetch settings and the token are left out, so the same config
         run from another directory hashes the same.
         """
-        return {
-            "zones": list(self.zones),
-            "seasons": list(self.seasons),
-            "period": None
-            if self.period is None
-            else {"start": format_utc(self.period.start), "hours": self.period.n_hours},
-            "seed": self.seed,
-            "zone_eic": dict(sorted(self.zone_eic.items())),
-            "histogram_bin_mw": self.histogram_bin_mw,
-            "timeseries_draws": self.timeseries_draws,
-        }
+        params = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _NOT_HASHED}
+        if self.period is not None:
+            params["period"] = dict(start=format_utc(self.period.start), hours=self.period.n_hours)
+        return params
 
     def sha256(self) -> str:
         canonical = json.dumps(self.public_dict(), sort_keys=True, separators=(",", ":"))
@@ -352,7 +349,6 @@ def _parse_zone_period(
 def stage_ingest(config: PipelineConfig) -> list[Path]:
     """Parse cached documents into reconciled per-zone hourly series CSVs."""
     client = _client(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for zone in config.zones:
         for ev in evaluations(config):
@@ -404,7 +400,6 @@ def stage_fleet(config: PipelineConfig) -> list[Path]:
             )
         seed = derive_seed(config.seed, _STREAM_FLEET, zone)
         fleets.append(synthesize_fleet(targets, pools, params, seed, zone=zone))
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for fleet in fleets:
         target = fleet_path(config, fleet.zone)

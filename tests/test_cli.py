@@ -516,6 +516,56 @@ def test_input_file_that_cannot_be_read_exits_2_naming_it(runner, corpus, tmp_pa
     assert "Traceback" not in result.stderr
 
 
+def _temporary_files(root: Path) -> list[Path]:
+    return [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize(
+    "stage, name", [("fleet", "fleet_AA.csv"), ("ingest", "series_AA_period.csv")]
+)
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_output_dir_that_cannot_be_made_exits_2_naming_it(
+    runner, corpus, tmp_path, stage, name, under
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "out" if under else afile
+    config = write_config(corpus, tmp_path, output_dir=str(out))
+    result = runner.invoke(main, [stage, "--config", str(config)])
+    assert result.exit_code == 2, result.exception
+    assert f"error: cannot write {out / name}: {out}: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert afile.read_text() == ""
+    assert _temporary_files(tmp_path) == []
+
+
+def test_stats_csv_that_is_a_directory_exits_2_naming_it(runner, corpus, tmp_path):
+    config = write_config(corpus, tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+    target = tmp_path / "out" / "stats.csv"
+    target.unlink()
+    target.mkdir()
+    result = runner.invoke(main, ["stats", "--config", str(config)])
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == f"error: cannot write {target}: Is a directory\n"
+    assert not any(target.iterdir())
+    assert _temporary_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("stage, overrides", [
+    ("fleet", {}),  # the registry has no BB units
+    ("ingest", {"period": {"start": "2031-01-01T00:00:00Z", "hours": 24}}),  # not cached
+])
+def test_a_stage_that_fails_before_writing_makes_no_output_dir(
+    runner, corpus, tmp_path, stage, overrides
+):
+    registry = tmp_path / "registry.csv"
+    registry.write_text("zone,fuel,capacity_mw\nAA,CCGT,400\n")
+    config = write_config(corpus, tmp_path, registry_path=str(registry), **overrides)
+    assert runner.invoke(main, [stage, "--config", str(config)]).exit_code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cold_cache_without_token_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.delenv("ENTSOE_API_TOKEN", raising=False)
     config = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,11 @@ def test_readme_config_table_lists_every_field():
     table = section.split("| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
     keys = [row.split("|")[1].strip().strip("`") for row in table.splitlines()]
     assert keys == [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+def test_readme_manifest_paragraph_names_every_hashed_field():
+    text = " ".join(README.read_text().split())  # the paragraph's words, unwrapped
+    section = text.split("`config_sha256`, the SHA-256 of the run parameters (", 1)[1]
+    hashed = re.findall(r"`(\w+)`", section.split(";", 1)[0])
+    config = PipelineConfig(zones=("AA",), seasons=("16/17",))
+    assert hashed == list(config.public_dict())

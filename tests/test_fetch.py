@@ -198,8 +198,9 @@ def test_store_failing_partway_leaves_a_clean_miss(tmp_path, monkeypatch, failin
     monkeypatch.setattr(okio, "open", open_failing_once, raising=False)
     pages = [zip_page(PAGE_SIZE_DOCS), XML_PAGE]
     c = client(tmp_path, FakeTransport([(200, pages[0]), (200, pages[1])]))
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(InvalidInputError, match="No space left") as info:
         c.fetch_day("GB", DAY, "A77")
+    assert isinstance(info.value.__cause__, OSError)
     day_dir = tmp_path / "cache" / "GB" / "2030-01-07"
     left = sorted(p.name for p in day_dir.iterdir())
     assert not [name for name in left if name.endswith(".tmp")], left
@@ -212,6 +213,19 @@ def test_store_failing_partway_leaves_a_clean_miss(tmp_path, monkeypatch, failin
     assert c.fetch_day("GB", DAY, "A77") == pages
     assert len(transport.calls) == 2  # a miss, fetched again in full
     assert c.cached_pages("GB", DAY, "A77") == pages
+
+
+def test_a_cache_dir_that_is_a_file_is_invalid_input_and_leaves_a_miss(tmp_path):
+    (tmp_path / "cache").write_text("")
+    c = client(tmp_path, FakeTransport([(200, XML_PAGE)]))
+    page = c.page_path("GB", DAY, "A77", 0)
+    with pytest.raises(InvalidInputError) as info:
+        c.fetch_day("GB", DAY, "A77")
+    assert str(info.value).startswith(f"cannot write {page}: ")
+    assert isinstance(info.value.__cause__, NotADirectoryError)
+    assert ".tmp" not in str(info.value)
+    assert c.cached_pages("GB", DAY, "A77") is None
+    assert (tmp_path / "cache").read_text() == ""
 
 
 # -- request shape -----------------------------------------------------------

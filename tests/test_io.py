@@ -31,6 +31,7 @@ from outagekit.io import (
     sidecar_for,
     stats_header,
     write_fleet,
+    write_bytes,
     write_histogram,
     write_json,
     write_lines,
@@ -1139,3 +1140,45 @@ def test_write_json_layout(tmp_path):
     write_json({"b": [1, 2], "a": None}, path)
     assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_write_makes_the_target_directory(tmp_path):
+    path = tmp_path / "new" / "deeper" / "a.csv"
+    write_lines(["x"], path)
+    assert path.read_bytes() == b"x\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["a.csv"]
+
+
+@pytest.mark.parametrize("write", [
+    functools.partial(write_lines, ["x"]), functools.partial(write_bytes, b"x"),
+], ids=["write_lines", "write_bytes"])
+@pytest.mark.parametrize("under, cause", [
+    ("", FileExistsError), ("sub", NotADirectoryError),
+], ids=["in_a_file", "under_a_file"])
+def test_a_write_under_a_regular_file_is_invalid_input_naming_the_directory(
+    tmp_path, write, under, cause
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    directory = afile / under if under else afile
+    target = directory / "stats.csv"
+    with pytest.raises(InvalidInputError) as info:
+        write(target)
+    # the directory's mkdir failed; the temporary file's unlink would fail too,
+    # but it must not replace that error
+    original = info.value.__cause__
+    assert type(original) is cause
+    assert original.filename == str(directory)
+    assert str(info.value) == f"cannot write {target}: {directory}: {original.strerror}"
+    assert afile.read_text() == ""
+
+
+def test_a_target_that_is_a_directory_is_invalid_input_leaving_no_temporary(tmp_path):
+    target = tmp_path / "stats.csv"
+    target.mkdir()
+    with pytest.raises(InvalidInputError) as info:
+        write_lines(["x"], target)
+    assert type(info.value.__cause__) is IsADirectoryError
+    assert str(info.value) == f"cannot write {target}: Is a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
+    assert not any(target.iterdir())

@@ -89,10 +89,26 @@ def test_config_from_file(corpus):
     assert config.registry_path == corpus["root"] / "registry.csv"
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"zones": ["AA"], "seasons": ["16/17"], "typo_key": 1}, "typo_key"),
+        (
+            {
+                "zones": ["AA"],
+                "period": {
+                    "start": "2030-01-07T00:00:00Z", "hours": 336, "end": "2031-01-01T00:00:00Z"
+                },
+            },
+            "end",
+        ),
+    ],
+    ids=["top_level", "period"],
+)
+def test_config_rejects_unknown_keys(tmp_path, raw, key):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"zones": ["AA"], "seasons": ["16/17"], "typo_key": 1}))
-    with pytest.raises(InvalidInputError, match="typo_key"):
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InvalidInputError, match=key):
         PipelineConfig.from_file(path)
 
 
