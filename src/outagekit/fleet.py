@@ -151,19 +151,30 @@ def fleet_outage_pmf(fleet: Fleet) -> CapacityOutagePMF:
     """Exact convolution of all unit outage distributions on the 1 MW grid.
 
     Each fold step exploits the two-point structure of a unit PMF:
-    ``new[k] = A * old[k] + (1 - A) * old[k - capacity]``, which is O(total
-    capacity) per unit.
+    ``new[k] = A * old[k] + (1 - A) * old[k - capacity]``.  After some units
+    every cell above the sum of their capacities, ``top``, is exactly zero, so
+    a step touches only cells ``0..top + capacity``: the cost per unit is the
+    support reached so far, not the fleet's total capacity.  Each live cell
+    gets the same two products and the same one addition as a full-width
+    fold, so the result is bit-identical to it.
     """
     if not fleet.units:
         raise InvalidInputError("fleet has no units")
     total = fleet.total_capacity_mw
+    # Cells above ``top`` are never written, so both buffers stay zero there.
     cur = np.zeros(total + 1, dtype=np.float64)
+    nxt = np.zeros(total + 1, dtype=np.float64)
+    shifted = np.empty(total + 1, dtype=np.float64)
     cur[0] = 1.0
+    top = 0
     for unit in _canonical_unit_order(fleet.units):
         c = unit.capacity_mw
-        nxt = unit.availability * cur
-        nxt[c:] += (1.0 - unit.availability) * cur[: total + 1 - c]
-        cur = nxt
+        live = slice(0, top + 1)
+        np.multiply(unit.availability, cur[live], out=nxt[live])
+        np.multiply(1.0 - unit.availability, cur[live], out=shifted[live])
+        nxt[c : top + c + 1] += shifted[live]
+        cur, nxt = nxt, cur
+        top += c
     return CapacityOutagePMF(probabilities=cur)
 
 

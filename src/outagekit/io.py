@@ -341,7 +341,8 @@ def _replacing(path: Path | str, **open_args: Any) -> Iterator[IO[Any]]:
     contents or stays absent, and an ``OSError`` becomes ``InvalidInputError``.
     """
     target = Path(path)
-    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    # A fixed-length name, so any name the target may have fits its directory.
+    tmp = target.with_name(f".{uuid.uuid4().hex}.tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, **open_args) as fh:

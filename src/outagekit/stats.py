@@ -159,19 +159,22 @@ def weekly_profile(series: HourlySeries) -> np.ndarray:
 
     Hours are pooled by ISO week number across all covered years (week 53
     folds into week 52), averaged per week, then divided by the mean of the
-    52 weekly values.
+    52 weekly values.  Every hour of a UTC day has that day's ISO week, so
+    the week is looked up once per day.
     """
     values = series.values_mw
     if values.size < 8760:
         raise InvalidInputError(
             f"series spans {values.size} hours; a weekly profile needs at least one full year"
         )
-    rng = series.range
-    weeks = np.fromiter(
-        (min(ts.isocalendar()[1], 52) for ts in rng.hours()),
+    first_day, hour0 = series.start.date(), series.start.hour
+    n_days = -(-(hour0 + values.size) // 24)
+    day_weeks = np.fromiter(
+        ((first_day + timedelta(days=d)).isocalendar()[1] for d in range(n_days)),
         dtype=np.int64,
-        count=rng.n_hours,
+        count=n_days,
     )
+    weeks = np.minimum(np.repeat(day_weeks, 24)[hour0 : hour0 + values.size], 52)
     sums = np.bincount(weeks - 1, weights=values, minlength=52)
     counts = np.bincount(weeks - 1, minlength=52)
     means = sums / counts

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outagekit.errors import InvalidInputError, MissingPoolError
 from outagekit.fleet import (
     CapacityOutagePMF,
+    _canonical_unit_order,
     fleet_outage_pmf,
     pmf_quantile,
     pmf_stats,
@@ -36,6 +39,19 @@ def brute_force_pmf(units) -> np.ndarray:
             outage += u.capacity_mw * down
         p[outage] += prob
     return p
+
+
+def full_width_pmf(fleet: Fleet) -> np.ndarray:
+    """Reference for ``fleet_outage_pmf``: every fold step spans the whole grid."""
+    total = fleet.total_capacity_mw
+    cur = np.zeros(total + 1, dtype=np.float64)
+    cur[0] = 1.0
+    for unit in _canonical_unit_order(fleet.units):
+        c = unit.capacity_mw
+        nxt = unit.availability * cur
+        nxt[c:] += (1.0 - unit.availability) * cur[: total + 1 - c]
+        cur = nxt
+    return cur
 
 
 def single_unit_pmf(unit):
@@ -135,6 +151,24 @@ def test_convolution_order_independent_bitwise():
         perm = tuple(rng.permutation(len(fleet.units)))
         shuffled = Fleet(zone="T", units=tuple(fleet.units[i] for i in perm))
         np.testing.assert_array_equal(fleet_outage_pmf(shuffled).probabilities, base)
+
+
+@st.composite
+def fleets(draw):
+    """Fleets of 1-40 units; sizes often repeat and availabilities are often 1."""
+    capacity = st.one_of(st.sampled_from([1, 7, 100]), st.integers(1, 400))
+    availability = st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.05, 1.0))
+    rows = draw(st.lists(st.tuples(capacity, availability), min_size=1, max_size=40))
+    return Fleet(zone="T", units=tuple(
+        make_unit(f"u{i}", c, a) for i, (c, a) in enumerate(rows)
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleets())
+def test_convolution_matches_full_width_fold_bitwise(fleet):
+    got = fleet_outage_pmf(fleet).probabilities
+    assert got.tobytes() == full_width_pmf(fleet).tobytes()
 
 
 # -- PMF stats ---------------------------------------------------------------

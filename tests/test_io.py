@@ -1142,6 +1142,16 @@ def test_write_json_layout(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
+@pytest.mark.parametrize("write", [
+    functools.partial(write_lines, ["x"]), functools.partial(write_bytes, b"x\n"),
+], ids=["write_lines", "write_bytes"])
+def test_a_name_of_255_bytes_is_written(tmp_path, write):
+    path = tmp_path / ("a" * 251 + ".csv")
+    write(path)
+    assert path.read_bytes() == b"x\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 def test_write_makes_the_target_directory(tmp_path):
     path = tmp_path / "new" / "deeper" / "a.csv"
     write_lines(["x"], path)

@@ -248,14 +248,36 @@ def test_simulate_rejects_empty_horizon():
 # -- fleet simulation --------------------------------------------------------
 
 
-def test_fleet_sim_is_sum_of_unit_sims():
-    units = (make_unit("a", 100), make_unit("b", 250, 0.8), make_unit("c", 60, 0.95))
+def _sum_of_unit_sims(fleet: Fleet, n_hours: int, seed: int) -> np.ndarray:
+    """Reference for ``simulate_fleet``: each unit's full series, added in index order."""
+    total = np.zeros(n_hours)
+    for i, unit in enumerate(fleet.units):
+        total += simulate_unit(unit, n_hours, derive_seed(seed, i)).values_mw
+    return total
+
+
+@pytest.mark.parametrize("availability,mttr_hours", CHAIN_REGIMES)
+@pytest.mark.parametrize("n_hours", [1, 2, 4321])
+def test_fleet_sim_is_sum_of_unit_sims(availability, mttr_hours, n_hours):
+    units = tuple(
+        make_unit(uid, capacity, availability, mttr_hours)
+        for uid, capacity in (("a", 100), ("b", 250), ("c", 60))
+    )
     fleet = Fleet(zone="T", units=units)
-    total = simulate_fleet(fleet, 3000, seed=5)
-    manual = np.zeros(3000)
-    for i, unit in enumerate(units):
-        manual += simulate_unit(unit, 3000, derive_seed(5, i)).values_mw
-    np.testing.assert_array_equal(total.values_mw, manual)
+    for seed in range(3):
+        total = simulate_fleet(fleet, n_hours, seed).values_mw
+        assert total.tobytes() == _sum_of_unit_sims(fleet, n_hours, seed).tobytes()
+
+
+@pytest.mark.parametrize("n_hours", [1, 2, 4321])
+def test_fleet_sim_mixing_regimes_is_sum_of_unit_sims(n_hours):
+    units = tuple(
+        make_unit(f"u{i}", 100 + 37 * i, a, m) for i, (a, m) in enumerate(CHAIN_REGIMES * 2)
+    )
+    fleet = Fleet(zone="T", units=units)
+    for seed in range(3):
+        total = simulate_fleet(fleet, n_hours, seed).values_mw
+        assert total.tobytes() == _sum_of_unit_sims(fleet, n_hours, seed).tobytes()
 
 
 def test_fleet_sim_single_unit_equals_unit_sim():

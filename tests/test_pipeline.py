@@ -912,6 +912,19 @@ COMPARE_SHA256 = {
 }
 
 
+#: SHA-256 of the model-side files of the bundled corpus: the exported PMFs
+#: and the simulated period series.  A change that alters any of them on
+#: purpose updates this pin and says why.  Last changed when the fleet and
+#: simulation seeds began to follow the zone code and the evaluation label
+#: instead of their positions in the config.
+MODEL_SHA256 = {
+    "pmf_AA.csv": "abc14826254fa64cafa3edc4b23543e5bac729ad966d5940f6dffc74ee2a01f6",
+    "pmf_BB.csv": "c66702827e3bca52a07a69047e379515ba46069d1c6d2590cba5ed8081eb8199",
+    "sim_AA_period.csv": "0217c9bc13d284373845e0431593c14df9aca3faf815f73c8ff1bdae47a19d51",
+    "sim_BB_period.csv": "0143e0f4f4f0b786c7d3fa4126a0da6a30741934067b7f7b1f105923595383a6",
+}
+
+
 def test_shorter_period_over_longer_artifacts_matches_a_fresh_run(full_run, tmp_path):
     """A period inside the artifacts' range reads just its hours of them."""
     week = HourRange(START, 168)
@@ -944,3 +957,12 @@ def test_compare_side_bytes_are_pinned(full_run, tmp_path):
         if p.name == "stats.csv" or p.name.startswith(("plot_histogram_", "plot_timeseries_"))
     }
     assert got == COMPARE_SHA256
+
+
+def test_model_side_bytes_are_pinned(full_run):
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(full_run["config"].output_dir.iterdir())
+        if p.name.startswith("pmf_") or (p.name.startswith("sim_") and p.suffix == ".csv")
+    }
+    assert got == MODEL_SHA256

@@ -421,6 +421,30 @@ def test_weekly_profile_week_53_folds():
     np.testing.assert_allclose(profile, 1.0)
 
 
+def _weekly_profile_per_hour(series: HourlySeries) -> np.ndarray:
+    """Reference for ``weekly_profile``: the ISO week of every hour, one by one."""
+    weeks = np.array([min(ts.isocalendar()[1], 52) for ts in series.range.hours()])
+    sums = np.bincount(weeks - 1, weights=series.values_mw, minlength=52)
+    means = sums / np.bincount(weeks - 1, minlength=52)
+    return means / means.mean()
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        YEAR_START,
+        datetime(2020, 12, 28, 7, tzinfo=timezone.utc),  # 2020 has an ISO week 53
+        datetime(2015, 1, 1, 23, tzinfo=timezone.utc),  # so does 2015
+        datetime(2016, 2, 29, 13, tzinfo=timezone.utc),
+    ],
+)
+@pytest.mark.parametrize("n_hours", [8760, 8760 + 37, 2 * 8760 + 5])
+def test_weekly_profile_matches_per_hour_weeks(start, n_hours):
+    values = np.random.default_rng(n_hours).uniform(0.0, 900.0, size=n_hours)
+    series = hs(start, values)
+    assert weekly_profile(series).tobytes() == _weekly_profile_per_hour(series).tobytes()
+
+
 def test_weekly_profile_needs_a_year():
     with pytest.raises(InvalidInputError, match="full year"):
         weekly_profile(hs(YEAR_START, np.ones(5000)))
