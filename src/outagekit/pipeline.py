@@ -15,16 +15,17 @@ import logging
 import math
 import os
 import re
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from . import io as okio
-from .errors import InvalidInputError, StatsError, UsageError, where
+from .errors import InvalidInputError, OutageKitError, StatsError, UsageError, where
 from .fetch import DOC_TYPES, FetchClient
 from .fleet import fleet_outage_pmf, pmf_stats, pool_unit_sizes, synthesize_fleet
 from .ingest import (
@@ -347,25 +348,156 @@ def _parse_zone_period(
 
 
 def stage_ingest(config: PipelineConfig) -> list[Path]:
-    """Parse cached documents into reconciled per-zone hourly series CSVs."""
+    """Parse cached documents into reconciled per-zone hourly series CSVs.
+
+    Each (zone, evaluation) is one job: parse, deduplicate and filter, then
+    reconcile unit by unit in unit-id order.  ``_map_jobs`` runs the jobs in
+    worker processes when the run may use more than one CPU, with the same
+    series and log lines as in this process.  Every series is written after
+    every job has succeeded, so a failing ingest writes no series file.
+    """
     client = _client(config)
+    jobs = [(zone, ev) for zone in config.zones for ev in evaluations(config)]
+
+    def ingest(k: int) -> tuple[dict[Channel, HourlyOutageSeries], int, int]:
+        zone, ev = jobs[k]
+        reports = filter_reports(deduplicate(_parse_zone_period(client, config, zone, ev)))
+        by_unit: dict[str, list] = {}
+        for r in reports:
+            by_unit.setdefault(r.unit_id, []).append(r)
+        zone_series = zone_aggregate(
+            (unit_series(by_unit[u], ev.range) for u in sorted(by_unit)), ev.range
+        )
+        return zone_series, len(reports), len(by_unit)
+
     written: list[Path] = []
-    for zone in config.zones:
-        for ev in evaluations(config):
-            reports = filter_reports(deduplicate(_parse_zone_period(client, config, zone, ev)))
-            by_unit: dict[str, list] = {}
-            for r in reports:
-                by_unit.setdefault(r.unit_id, []).append(r)
-            zone_series = zone_aggregate(
-                (unit_series(by_unit[u], ev.range) for u in sorted(by_unit)), ev.range
-            )
-            target = series_path(config, zone, ev.slug)
-            okio.write_zone_series(zone_series, target)
-            written.append(target)
-            logger.info(
-                "ingested %s %s: %d reports, %d units", zone, ev.label, len(reports), len(by_unit)
-            )
+    for (zone, ev), (zone_series, n_reports, n_units) in zip(jobs, _map_jobs(ingest, len(jobs))):
+        target = series_path(config, zone, ev.slug)
+        okio.write_zone_series(zone_series, target)
+        written.append(target)
+        logger.info("ingested %s %s: %d reports, %d units", zone, ev.label, n_reports, n_units)
     return written
+
+
+# -- worker processes ---------------------------------------------------
+
+_T = TypeVar("_T")
+
+
+class _RecordList(logging.Handler):
+    """Keeps the log records of a worker's job for the parent to emit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # formatted here, so the record pickles whatever its arguments are
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+
+
+#: In a pool worker, set by ``_start_worker``: the job and the handler keeping its records.
+_worker: tuple[Callable[[int], object], _RecordList] | None = None
+
+
+def _start_worker(job: Callable[[int], object], cpus) -> None:
+    """Pool initializer: take a CPU of its own, keep the job, and collect
+    the records it logs instead of emitting them."""
+    global _worker
+    # Left to the scheduler, forked workers can share the parent's CPU for
+    # the whole of a short job; a CPU the run may not use is no error.
+    with suppress(OSError):
+        os.sched_setaffinity(0, {cpus.get()})
+    root = logging.getLogger()
+    for handler in list(root.handlers):
+        root.removeHandler(handler)
+    _worker = (job, _RecordList())
+    root.addHandler(_worker[1])
+
+
+def _run_job(k: int) -> tuple[list[logging.LogRecord], Exception | None, object]:
+    """Job ``k`` in a worker: its log records, then its error or its result."""
+    job, collector = _worker
+    records = collector.records = []
+    try:
+        return records, None, job(k)
+    except Exception as exc:
+        return records, exc, None
+
+
+def _map_jobs(fn: Callable[[int], _T], n: int) -> list[_T]:
+    """``[fn(0), ..., fn(n - 1)]``, on every CPU the run may use.
+
+    There is one forked worker per CPU that ``os.sched_getaffinity`` allows,
+    up to ``n``.  With one worker, or without ``os.sched_getaffinity`` or
+    the fork start method, this is a plain map in this process.  Otherwise
+    each job's log records are emitted here in job order, and the first
+    failing job in job order raises its error, as the plain map would.  No
+    worker is left when this returns or raises.
+    """
+    workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    if workers > 1:
+        import multiprocessing  # here, so that a one-CPU run never loads it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _pool_map(fn, n, workers)
+    return [fn(k) for k in range(n)]
+
+
+def _pool_map(fn: Callable[[int], _T], n: int, workers: int) -> list[_T]:
+    """``_map_jobs`` on a pool of ``workers`` forked processes."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    cpus = context.SimpleQueue()
+    for cpu in sorted(os.sched_getaffinity(0))[:workers]:
+        cpus.put(cpu)
+    before = set(multiprocessing.active_children())
+    with warnings.catch_warnings():
+        # Python 3.12+ warns at any fork in a process with threads, as a BLAS
+        # thread pool's; the pool forks its workers before it starts its own
+        # threads, and the pipeline starts none.
+        warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
+        pool = context.Pool(workers, _start_worker, (fn, cpus))
+    started = [p for p in multiprocessing.active_children() if p not in before]
+    try:
+        outcomes = pool.imap(_run_job, range(n))
+        results = [_next_result(outcomes, started) for _ in range(n)]
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+        cpus.close()
+    return results
+
+
+def _next_result(outcomes, started: list):
+    """The next job's result, after its log records are emitted here.
+
+    Raises the job's error, or an error if a worker has died: the pool
+    would wait for ever for the job that worker took.
+    """
+    import multiprocessing
+
+    while True:
+        try:
+            records, error, result = outcomes.next(timeout=1.0)
+            break
+        except multiprocessing.TimeoutError:
+            for process in started:
+                if process.exitcode is not None:
+                    raise OutageKitError(
+                        f"a worker process ended with exit code {process.exitcode}"
+                    ) from None
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if error is not None:
+        raise error
+    return result
 
 
 def _load_params(config: PipelineConfig) -> tuple[dict[Fuel, object], str]:

@@ -69,9 +69,6 @@ class HourRange:
     def n_minutes(self) -> int:
         return self.n_hours * 60
 
-    def hours(self) -> list[datetime]:
-        return [self.start + k * HOUR for k in range(self.n_hours)]
-
     def indices_in(self, rng: HourRange) -> np.ndarray:
         """Positions of this range's hours inside ``rng``; raises unless ``rng`` covers them."""
         first = (self.start - rng.start) // HOUR

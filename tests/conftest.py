@@ -64,6 +64,11 @@ def write_registry(rows: Iterable[RegistryRow], path: Path | str) -> None:
     write_lines(lines, path)
 
 
+def utc_hours(start: datetime, n_hours: int) -> list[datetime]:
+    """The ``n_hours`` hours from ``start``, one ``datetime`` each, for per-hour oracles."""
+    return [start + k * timedelta(hours=1) for k in range(n_hours)]
+
+
 def write_year_series(path: Path, start: datetime, cell: str) -> None:
     """Write an 8760-hour zone series CSV with every channel cell set to ``cell``."""
     header = (

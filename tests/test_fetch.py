@@ -435,6 +435,7 @@ def test_importing_the_package_loads_no_network_stack():
         "import outagekit.cli\n"
         "import outagekit\n"
         "assert 'requests' not in sys.modules, 'requests was imported'\n"
+        "assert 'multiprocessing.pool' not in sys.modules, 'multiprocessing.pool was imported'\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

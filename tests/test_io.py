@@ -43,10 +43,10 @@ from outagekit.io import (
     write_zone_series,
 )
 from outagekit.pipeline import PipelineConfig
-from outagekit.timeseries import HOUR, HourlySeries, HourRange, format_utc
+from outagekit.timeseries import HOUR, HourlySeries, format_utc
 from outagekit.types import FUEL_PARAMS, Fleet, Fuel, FuelSizePool
 
-from conftest import READ_FAULTS, T0, break_file, make_unit, write_registry
+from conftest import READ_FAULTS, T0, break_file, make_unit, utc_hours, write_registry
 
 
 # -- registry ----------------------------------------------------------------
@@ -288,7 +288,8 @@ def _zone_series_lines_per_cell(by_channel: dict[Channel, HourlyOutageSeries]) -
         by_channel[c].o_min_mw, by_channel[c].values_mw, by_channel[c].o_max_mw
     )]
     lines = [ZONE_SERIES_HEADER]
-    for i, hour in enumerate(by_channel[Channel.TOTAL].range.hours()):
+    total = by_channel[Channel.TOTAL]
+    for i, hour in enumerate(utc_hours(total.start, total.n_hours)):
         values = ",".join(f"{col[i]:.3f}" for col in cols)
         lines.append(f"{format_utc(hour)},{values}")
     return lines
@@ -451,7 +452,7 @@ def _oracle_columns(n: int, k: int) -> list[np.ndarray]:
 
 
 def _sim_series_lines(values):
-    hours = HourRange(ORACLE_START, values.size).hours()
+    hours = utc_hours(ORACLE_START, values.size)
     cells = values.tolist()
     return ["timestamp_utc,outage_mw"] + [
         f"{format_utc(hour)},{cells[i]!r}" for i, hour in enumerate(hours)
@@ -485,7 +486,7 @@ def _timeseries_lines(empirical, *sims):
         f"sim{k + 1}_mw" for k in range(len(sims))
     )
     lines = [header]
-    for i, hour in enumerate(HourRange(ORACLE_START, empirical.size).hours()):
+    for i, hour in enumerate(utc_hours(ORACLE_START, empirical.size)):
         sim_cells = ",".join(f"{s[i]:.0f}" for s in sims)
         lines.append(f"{format_utc(hour)},{empirical[i]:.3f},{sim_cells}")
     return lines

@@ -5,16 +5,27 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import shutil
+import signal
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outagekit import fetch, pipeline, run_pipeline
-from outagekit.errors import InvalidInputError, ParseError, UsageError
+from outagekit.cli import main
+from outagekit.errors import (
+    FetchError,
+    InvalidInputError,
+    OutageKitError,
+    ParseError,
+    UsageError,
+)
 from outagekit.fetch import DOC_TYPES, FetchClient
 from outagekit.fleet import pmf_stats
 from outagekit.ingest import deduplicate, parse_document
@@ -797,25 +808,152 @@ def test_ingest_series_independent_of_report_order(corpus, tmp_path, monkeypatch
     else:
         config = PipelineConfig.from_file(build_reserved_corpus(tmp_path / "corpus", seed))
     filter_reports, unit_series = pipeline.filter_reports, pipeline.unit_series
-    unit_order: list[str] = []
+    parse_zone_period = pipeline._parse_zone_period
+    # ingest jobs may run in worker processes, so each job appends the units
+    # it reconciles to a file of its own
+    order_file: dict[str, Path] = {}
+
+    def recording_parse(client, config, zone, ev):
+        order_file["job"] = order_file["run"] / f"{zone}_{ev.slug}.txt"
+        return parse_zone_period(client, config, zone, ev)
 
     def recording_unit_series(reports, period):
-        unit_order.append(reports[0].unit_id)
+        with open(order_file["job"], "a", encoding="utf-8") as fh:
+            fh.write(reports[0].unit_id + "\n")
         return unit_series(reports, period)
 
+    def ingest_recording(run: str) -> tuple[list[Path], list[list[str]]]:
+        order_file["run"] = tmp_path / f"{run}_units"
+        order_file["run"].mkdir()
+        written = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / run))
+        jobs = [(zone, ev.slug) for zone in config.zones for ev in evaluations(config)]
+        return written, [
+            (order_file["run"] / f"{zone}_{slug}.txt").read_text(encoding="utf-8").split()
+            for zone, slug in jobs
+        ]
+
+    monkeypatch.setattr(pipeline, "_parse_zone_period", recording_parse)
     monkeypatch.setattr(pipeline, "unit_series", recording_unit_series)
-    forward = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "fwd"))
-    forward_order = unit_order.copy()
-    unit_order.clear()
+    forward, forward_orders = ingest_recording("fwd")
 
     monkeypatch.setattr(pipeline, "filter_reports", lambda reports: filter_reports(reports)[::-1])
-    backward = stage_ingest(dataclasses.replace(config, output_dir=tmp_path / "rev"))
+    backward, backward_orders = ingest_recording("rev")
 
-    assert len(set(forward_order)) > 1
-    assert unit_order == forward_order
+    assert len({unit for order in forward_orders for unit in order}) > 1
+    assert backward_orders == forward_orders
     for fwd, rev in zip(forward, backward, strict=True):
         assert fwd.name == rev.name
         assert fwd.read_bytes() == rev.read_bytes()
+
+
+# -- ingest in worker processes ----------------------------------------------
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Let the run use ``n`` CPUs: one ingests in this process, two in workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def two_zone_seeded_config(root: Path) -> PipelineConfig:
+    """Seeded corpora of seeds 1 and 2 as zones AA and BB, so ingest has two jobs."""
+    config = PipelineConfig.from_file(build_reserved_corpus(root / "aa", 1))
+    build_reserved_corpus(root / "bb", 2)
+    shutil.copytree(root / "bb" / "cache" / "AA", config.cache_dir / "BB")
+    return dataclasses.replace(config, zones=("AA", "BB"))
+
+
+def ingest_outcome(config: PipelineConfig, out: Path, caplog) -> tuple[dict, list, set[int]]:
+    """Series bytes by file name, (logger, level, message) records and their process ids."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        written = stage_ingest(dataclasses.replace(config, output_dir=out))
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    return {p.name: p.read_bytes() for p in written}, records, {r.process for r in caplog.records}
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_worker_ingest_matches_in_process_ingest(corpus, tmp_path, monkeypatch, caplog, seeded):
+    config = two_zone_seeded_config(tmp_path) if seeded else corpus["config"]
+    use_cpus(monkeypatch, 1)
+    serial, serial_records, serial_pids = ingest_outcome(config, tmp_path / "serial", caplog)
+    use_cpus(monkeypatch, 2)
+    pooled, pooled_records, pooled_pids = ingest_outcome(config, tmp_path / "pooled", caplog)
+
+    assert list(pooled) == [f"series_{zone}_period.csv" for zone in ("AA", "BB")]
+    assert pooled == serial
+    assert pooled_records == serial_records
+    assert sum(level == logging.WARNING for _, level, _ in serial_records) > 0
+    # the warnings were logged in workers, the "ingested" lines here
+    assert serial_pids == {os.getpid()}
+    assert len(pooled_pids) > 1
+
+
+def damaged_corpus(corpus, tmp_path: Path, zones: tuple[str, ...]) -> tuple[Path, list[Path]]:
+    """A config over a copy of the bundled cache whose first page of each zone is tampered with."""
+    cache = tmp_path / "cache"
+    shutil.copytree(corpus["root"] / "cache", cache)
+    pages = [sorted((cache / zone).glob("*/A77.page0.bin"))[0] for zone in zones]
+    for page in pages:
+        page.write_bytes(b"<tampered/>")
+    raw = json.loads(corpus["config_path"].read_text())
+    raw.update(cache_dir=str(cache), output_dir=str(tmp_path / "out"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    return config, pages
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("damaged", [("BB",), ("AA", "BB")])
+def test_failing_ingest_writes_no_series(corpus, tmp_path, monkeypatch, cpus, damaged):
+    """The first damaged zone in config order is named, and no zone's series is written."""
+    config, pages = damaged_corpus(corpus, tmp_path, damaged)
+    use_cpus(monkeypatch, cpus)
+    result = CliRunner().invoke(main, ["ingest", "--config", str(config)])
+    assert result.exit_code == 4
+    day = pages[0].parent.name
+    assert f"cache corrupted for {damaged[0]} {day} A77 page 0" in result.stderr
+    assert not list((tmp_path / "out").glob("series_*"))
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs"
+)
+def test_each_worker_keeps_to_a_cpu_of_its_own():
+    def allowed_cpus(k: int) -> set[int]:
+        time.sleep(0.2)  # long enough that each worker takes one job
+        return os.sched_getaffinity(0)
+
+    first, second = pipeline._map_jobs(allowed_cpus, 2)
+    assert len(first) == len(second) == 1
+    assert first != second
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch):
+    import multiprocessing
+
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def job(k: int) -> int:
+        if k == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's OOM killer would
+        return k
+
+    with pytest.raises(OutageKitError, match="worker process ended with exit code -9"):
+        pipeline._map_jobs(job, 3)
+    assert multiprocessing.active_children() == []
+
+
+def test_ingest_leaves_no_worker_process(corpus, tmp_path, monkeypatch):
+    import multiprocessing
+
+    use_cpus(monkeypatch, 2)
+    stage_ingest(dataclasses.replace(corpus["config"], output_dir=tmp_path / "ok"))
+    assert multiprocessing.active_children() == []
+    config, _ = damaged_corpus(corpus, tmp_path, ("AA",))
+    with pytest.raises(FetchError, match="cache corrupted for AA"):
+        stage_ingest(PipelineConfig.from_file(config))
+    assert multiprocessing.active_children() == []
 
 
 # -- plot-ready exports ------------------------------------------------------

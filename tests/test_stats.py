@@ -24,7 +24,7 @@ from outagekit.stats import (
 )
 from outagekit.timeseries import HOUR, HourlySeries, HourRange
 
-from conftest import T0
+from conftest import T0, utc_hours
 
 
 def hs(start: datetime, values) -> HourlySeries:
@@ -399,9 +399,8 @@ def test_weekly_profile_constant_is_flat():
 
 
 def test_weekly_profile_two_level_pattern():
-    rng_hours = HourlySeries(start=YEAR_START, values_mw=np.zeros(8760)).range
     values = np.array(
-        [2.0 if ts.isocalendar()[1] <= 26 else 0.0 for ts in rng_hours.hours()]
+        [2.0 if ts.isocalendar()[1] <= 26 else 0.0 for ts in utc_hours(YEAR_START, 8760)]
     )
     profile = weekly_profile(hs(YEAR_START, values))
     np.testing.assert_allclose(profile[:26], 2.0)
@@ -423,7 +422,8 @@ def test_weekly_profile_week_53_folds():
 
 def _weekly_profile_per_hour(series: HourlySeries) -> np.ndarray:
     """Reference for ``weekly_profile``: the ISO week of every hour, one by one."""
-    weeks = np.array([min(ts.isocalendar()[1], 52) for ts in series.range.hours()])
+    hours = utc_hours(series.start, series.n_hours)
+    weeks = np.array([min(ts.isocalendar()[1], 52) for ts in hours])
     sums = np.bincount(weeks - 1, weights=series.values_mw, minlength=52)
     means = sums / np.bincount(weeks - 1, minlength=52)
     return means / means.mean()
