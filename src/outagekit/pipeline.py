@@ -5,6 +5,13 @@ formats under one output directory, so stages can be re-run independently
 and everything downstream of the cache is reproducible byte for byte: fixed
 float formatting, derived seeds, sorted iteration orders, and a manifest
 with content hashes instead of timestamps.
+
+``ingest``, ``model``, ``simulate``, ``stats`` and the timeseries plot data
+split their work into independent jobs, one per zone or per (zone,
+evaluation), that ``_map_jobs`` runs in forked worker processes when the run
+may use more than one CPU; the files and log lines are the same either way.
+``fetch`` (rate-limited), ``fleet`` and the histogram and seasonal plot data
+stay in this process: their work per zone is about what starting a pool costs.
 """
 
 from __future__ import annotations
@@ -243,6 +250,11 @@ def evaluations(config: PipelineConfig) -> list[Evaluation]:
     return evs
 
 
+def _zone_evaluations(config: PipelineConfig) -> list[tuple[str, Evaluation]]:
+    """Every (zone, evaluation) pair, in config order: the jobs of the per-period stages."""
+    return [(zone, ev) for zone in config.zones for ev in evaluations(config)]
+
+
 def days_in(rng: HourRange) -> list[date]:
     first = rng.start.date()
     last = (rng.end - timedelta(hours=1)).date()
@@ -357,7 +369,7 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
     every job has succeeded, so a failing ingest writes no series file.
     """
     client = _client(config)
-    jobs = [(zone, ev) for zone in config.zones for ev in evaluations(config)]
+    jobs = _zone_evaluations(config)
 
     def ingest(k: int) -> tuple[dict[Channel, HourlyOutageSeries], int, int]:
         zone, ev = jobs[k]
@@ -433,8 +445,9 @@ def _map_jobs(fn: Callable[[int], _T], n: int) -> list[_T]:
     up to ``n``.  With one worker, or without ``os.sched_getaffinity`` or
     the fork start method, this is a plain map in this process.  Otherwise
     each job's log records are emitted here in job order, and the first
-    failing job in job order raises its error, as the plain map would.  No
-    worker is left when this returns or raises.
+    failing job in job order raises its error, as the plain map would,
+    though jobs after it may have run.  No worker is left when this returns
+    or raises.
     """
     workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
@@ -549,30 +562,41 @@ def _zone_fleet(config: PipelineConfig, zone: str) -> Fleet:
 
 
 def stage_model(config: PipelineConfig) -> list[Path]:
-    """Convolve each zone fleet into its capacity-outage PMF CSV, an export no stage reads."""
-    written: list[Path] = []
-    for zone in config.zones:
-        pmf = fleet_outage_pmf(_zone_fleet(config, zone))
+    """Convolve each zone fleet into its capacity-outage PMF CSV, an export no stage reads.
+
+    Each zone is one ``_map_jobs`` job, which convolves and writes its own
+    file: writing the PMF is most of the cost.
+    """
+
+    def model(k: int) -> Path:
+        zone = config.zones[k]
         target = pmf_path(config, zone)
-        okio.write_pmf(pmf, target)
-        written.append(target)
-    return written
+        okio.write_pmf(fleet_outage_pmf(_zone_fleet(config, zone)), target)
+        return target
+
+    return _map_jobs(model, len(config.zones))
 
 
 def stage_simulate(config: PipelineConfig) -> list[Path]:
-    """Run the two-state chain over each evaluation period for each zone."""
-    written: list[Path] = []
-    for zone in config.zones:
+    """Run the two-state chain over each evaluation period for each zone.
+
+    Each (zone, evaluation) is one ``_map_jobs`` job, which simulates and
+    writes its own series and sidecar.
+    """
+    jobs = _zone_evaluations(config)
+
+    def simulate(k: int) -> Path:
+        zone, ev = jobs[k]
         fleet = _zone_fleet(config, zone)
-        for ev in evaluations(config):
-            seed = derive_seed(config.seed, _STREAM_SIM, zone, ev.label)
-            sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
-            meta = simulation_metadata(fleet, ev.range.n_hours, seed, ev.range.start)
-            meta["evaluation"] = ev.label
-            target = sim_path(config, zone, ev.slug)
-            okio.write_sim_series(sim, meta, target)
-            written.append(target)
-    return written
+        seed = derive_seed(config.seed, _STREAM_SIM, zone, ev.label)
+        sim = simulate_fleet(fleet, ev.range.n_hours, seed, start=ev.range.start)
+        meta = simulation_metadata(fleet, ev.range.n_hours, seed, ev.range.start)
+        meta["evaluation"] = ev.label
+        target = sim_path(config, zone, ev.slug)
+        okio.write_sim_series(sim, meta, target)
+        return target
+
+    return _map_jobs(simulate, len(jobs))
 
 
 def _empirical_series(
@@ -627,11 +651,15 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
 
     Model and simulated rows carry the Total channel, which is what the
     availability parameters describe.  The model row convolves the fleet file.
+    Each zone's rows are one ``_map_jobs`` job; the CSV is written here, in
+    config order, after every job has succeeded.
     """
-    rows: list[okio.StatsRow] = []
     evs = evaluations(config)
     windows = [ev.window for ev in evs]
-    for zone in config.zones:
+
+    def zone_rows(k: int) -> list[okio.StatsRow]:
+        zone = config.zones[k]
+        rows: list[okio.StatsRow] = []
         with where(f"zone {zone}"):
             empirical = _empirical_series(config, zone)
             for channel in Channel:
@@ -641,8 +669,12 @@ def stage_stats(config: PipelineConfig) -> list[Path]:
             rows.append(okio.StatsRow(zone, "Total", "model", mean, iqr))
             sims = [okio.read_sim_series(sim_path(config, zone, ev.slug))[0] for ev in evs]
             rows.append(_windowed_row(zone, "Total", "simulated", list(zip(sims, windows))))
+        return rows
+
     target = stats_path(config)
-    okio.write_stats_csv(rows, target)
+    okio.write_stats_csv(
+        [row for rows in _map_jobs(zone_rows, len(config.zones)) for row in rows], target
+    )
     return [target]
 
 
@@ -780,27 +812,29 @@ def _emit_seasonal(config: PipelineConfig) -> list[Path]:
 
 
 def _emit_timeseries(config: PipelineConfig) -> list[Path]:
-    written = []
-    evs = evaluations(config)
-    for zone in config.zones:
+    """Each (zone, evaluation) is one ``_map_jobs`` job, which draws and writes its own file."""
+    jobs = _zone_evaluations(config)
+
+    def timeseries(k: int) -> Path:
+        zone, ev = jobs[k]
         fleet = _zone_fleet(config, zone)
         with where(f"zone {zone}"):
-            empirical = zip(_empirical_series(config, zone), evs)
-            totals = [window_values(s[Channel.TOTAL], ev.range) for s, ev in empirical]
-        for ev, total in zip(evs, totals):
-            sims = [
-                simulate_fleet(
-                    fleet,
-                    ev.range.n_hours,
-                    derive_seed(config.seed, _STREAM_PLOT, zone, ev.label, k),
-                    start=ev.range.start,
-                ).values_mw
-                for k in range(config.timeseries_draws)
-            ]
-            target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
-            okio.write_timeseries_plot(total, sims, ev.range.start, target)
-            written.append(target)
-    return written
+            series = okio.read_zone_series(series_path(config, zone, ev.slug))
+            total = window_values(series[Channel.TOTAL], ev.range)
+        sims = [
+            simulate_fleet(
+                fleet,
+                ev.range.n_hours,
+                derive_seed(config.seed, _STREAM_PLOT, zone, ev.label, draw),
+                start=ev.range.start,
+            ).values_mw
+            for draw in range(config.timeseries_draws)
+        ]
+        target = config.output_dir / f"plot_timeseries_{zone}_{ev.slug}.csv"
+        okio.write_timeseries_plot(total, sims, ev.range.start, target)
+        return target
+
+    return _map_jobs(timeseries, len(jobs))
 
 
 def _existing_manifest(config: PipelineConfig) -> dict | None:

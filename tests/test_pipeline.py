@@ -11,6 +11,7 @@ import signal
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from click.testing import CliRunner
@@ -58,7 +59,7 @@ from outagekit.pipeline import (
 from outagekit.timeseries import HourRange
 from outagekit.types import Fuel
 
-from conftest import capacity_by_fuel, write_registry, write_year_series
+from conftest import break_file, capacity_by_fuel, write_registry, write_year_series
 from corpusgen import N_HOURS, START, ZONE_EIC, build_reserved_corpus
 
 
@@ -846,11 +847,11 @@ def test_ingest_series_independent_of_report_order(corpus, tmp_path, monkeypatch
         assert fwd.read_bytes() == rev.read_bytes()
 
 
-# -- ingest in worker processes ----------------------------------------------
+# -- jobs in worker processes ------------------------------------------------
 
 
 def use_cpus(monkeypatch, n: int) -> None:
-    """Let the run use ``n`` CPUs: one ingests in this process, two in workers."""
+    """Let the run use ``n`` CPUs: with one, ``_map_jobs`` runs its jobs in this process, with two in workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -862,27 +863,37 @@ def two_zone_seeded_config(root: Path) -> PipelineConfig:
     return dataclasses.replace(config, zones=("AA", "BB"))
 
 
-def ingest_outcome(config: PipelineConfig, out: Path, caplog) -> tuple[dict, list, set[int]]:
-    """Series bytes by file name, (logger, level, message) records and their process ids."""
+def stage_outcome(
+    stage: Callable[[PipelineConfig], list[Path]], config: PipelineConfig, caplog
+) -> tuple[tuple[list[str], dict, list], set[int]]:
+    """What ``stage`` did, and the process ids of its log records.
+
+    What it did is the names of the files it returned, the bytes of every
+    file then in the output directory by name, and its (logger, level,
+    message) records.
+    """
     caplog.clear()
     with caplog.at_level(logging.INFO):
-        written = stage_ingest(dataclasses.replace(config, output_dir=out))
+        written = stage(config)
     records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
-    return {p.name: p.read_bytes() for p in written}, records, {r.process for r in caplog.records}
+    files = {p.name: p.read_bytes() for p in sorted(config.output_dir.iterdir())}
+    return ([p.name for p in written], files, records), {r.process for r in caplog.records}
 
 
 @pytest.mark.parametrize("seeded", [False, True])
 def test_worker_ingest_matches_in_process_ingest(corpus, tmp_path, monkeypatch, caplog, seeded):
     config = two_zone_seeded_config(tmp_path) if seeded else corpus["config"]
     use_cpus(monkeypatch, 1)
-    serial, serial_records, serial_pids = ingest_outcome(config, tmp_path / "serial", caplog)
+    serial_config = dataclasses.replace(config, output_dir=tmp_path / "serial")
+    serial, serial_pids = stage_outcome(stage_ingest, serial_config, caplog)
     use_cpus(monkeypatch, 2)
-    pooled, pooled_records, pooled_pids = ingest_outcome(config, tmp_path / "pooled", caplog)
+    pooled_config = dataclasses.replace(config, output_dir=tmp_path / "pooled")
+    pooled, pooled_pids = stage_outcome(stage_ingest, pooled_config, caplog)
 
-    assert list(pooled) == [f"series_{zone}_period.csv" for zone in ("AA", "BB")]
     assert pooled == serial
-    assert pooled_records == serial_records
-    assert sum(level == logging.WARNING for _, level, _ in serial_records) > 0
+    names, _, records = serial
+    assert names == [f"series_{zone}_period.csv" for zone in ("AA", "BB")]
+    assert sum(level == logging.WARNING for _, level, _ in records) > 0
     # the warnings were logged in workers, the "ingested" lines here
     assert serial_pids == {os.getpid()}
     assert len(pooled_pids) > 1
@@ -913,6 +924,90 @@ def test_failing_ingest_writes_no_series(corpus, tmp_path, monkeypatch, cpus, da
     day = pages[0].parent.name
     assert f"cache corrupted for {damaged[0]} {day} A77 page 0" in result.stderr
     assert not list((tmp_path / "out").glob("series_*"))
+
+
+#: The steps besides ingest that run one job per zone, or per zone and evaluation, through ``_map_jobs``.
+POOLED_STEPS: dict[str, Callable[[PipelineConfig], list[Path]]] = {
+    "model": stage_model,
+    "simulate": stage_simulate,
+    "stats": stage_stats,
+    "timeseries": lambda config: emit_plot_data(config, "timeseries"),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_run(corpus, tmp_path_factory) -> PipelineConfig:
+    """A full run over the two-zone seeded corpus, with the bundled corpus's registry."""
+    root = tmp_path_factory.mktemp("seeded_run")
+    config = dataclasses.replace(
+        two_zone_seeded_config(root), registry_path=corpus["config"].registry_path
+    )
+    run_pipeline(config)
+    return config
+
+
+def copy_of_run(config: PipelineConfig, out: Path) -> PipelineConfig:
+    """``config`` over a copy of its output directory at ``out``."""
+    shutil.copytree(config.output_dir, out)
+    return dataclasses.replace(config, output_dir=out)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+@pytest.mark.parametrize("step", list(POOLED_STEPS))
+def test_worker_step_matches_in_process_step(
+    full_run, seeded_run, tmp_path, monkeypatch, caplog, step, seeded
+):
+    base = seeded_run if seeded else full_run["config"]
+    read_fleet = pipeline._zone_fleet
+
+    def logged_read_fleet(config: PipelineConfig, zone: str):
+        # every job of the four steps reads its zone's fleet, so every job logs
+        logging.getLogger("jobs").info("fleet of %s read", zone)
+        return read_fleet(config, zone)
+
+    monkeypatch.setattr(pipeline, "_zone_fleet", logged_read_fleet)
+    outcomes = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        config = copy_of_run(base, tmp_path / f"cpus{cpus}")
+        outcomes.append(stage_outcome(POOLED_STEPS[step], config, caplog))
+    (serial, serial_pids), (pooled, pooled_pids) = outcomes
+
+    assert pooled == serial
+    _, _, records = serial
+    assert [m for name, _, m in records if name == "jobs"] == [
+        f"fleet of {zone} read" for zone in ("AA", "BB")
+    ]
+    # every record was logged in a worker, and emitted here
+    assert serial_pids == {os.getpid()}
+    assert os.getpid() not in pooled_pids
+
+
+@pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+@pytest.mark.parametrize("damaged", [("BB",), ("AA", "BB")])
+@pytest.mark.parametrize("step", list(POOLED_STEPS))
+def test_failing_pooled_step_names_the_first_failing_zone(
+    full_run, tmp_path, monkeypatch, step, damaged, fault
+):
+    import multiprocessing
+
+    failures = {}
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        config = copy_of_run(full_run["config"], tmp_path / f"cpus{cpus}")
+        for zone in damaged:
+            path = fleet_path(config, zone)
+            break_file(path, path.read_bytes(), fault)
+        with pytest.raises(OutageKitError) as info:
+            POOLED_STEPS[step](config)
+        assert multiprocessing.active_children() == []
+        message = str(info.value).replace(str(config.output_dir), "<out>")
+        failures[cpus] = (type(info.value), info.value.exit_code, message)
+
+    assert failures[2] == failures[1]
+    kind, exit_code, message = failures[1]
+    assert kind is InvalidInputError and exit_code == 2
+    assert f"<out>/fleet_{damaged[0]}.csv" in message
 
 
 @pytest.mark.skipif(
@@ -1083,10 +1178,15 @@ def test_shorter_period_over_longer_artifacts_matches_a_fresh_run(full_run, tmp_
     assert spans == [336, 168]
 
 
-def test_compare_side_bytes_are_pinned(full_run, tmp_path):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_side_bytes_are_pinned(full_run, tmp_path, monkeypatch, cpus):
     # plot files go to a copy, so the shared run directory keeps its artifact set
-    config = dataclasses.replace(full_run["config"], output_dir=tmp_path / "out")
-    shutil.copytree(full_run["config"].output_dir, config.output_dir)
+    config = copy_of_run(full_run["config"], tmp_path / "out")
+    for p in config.output_dir.glob("plot_*"):
+        p.unlink()
+    stats_path(config).unlink()
+    use_cpus(monkeypatch, cpus)
+    stage_stats(config)
     for kind in ("histogram", "timeseries"):
         emit_plot_data(config, kind)
     got = {
@@ -1097,10 +1197,17 @@ def test_compare_side_bytes_are_pinned(full_run, tmp_path):
     assert got == COMPARE_SHA256
 
 
-def test_model_side_bytes_are_pinned(full_run):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_model_side_bytes_are_pinned(full_run, tmp_path, monkeypatch, cpus):
+    config = copy_of_run(full_run["config"], tmp_path / "out")
+    for p in [*config.output_dir.glob("pmf_*"), *config.output_dir.glob("sim_*")]:
+        p.unlink()
+    use_cpus(monkeypatch, cpus)
+    stage_model(config)
+    stage_simulate(config)
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(full_run["config"].output_dir.iterdir())
+        for p in sorted(config.output_dir.iterdir())
         if p.name.startswith("pmf_") or (p.name.startswith("sim_") and p.suffix == ".csv")
     }
     assert got == MODEL_SHA256
