@@ -851,7 +851,8 @@ def test_ingest_series_independent_of_report_order(corpus, tmp_path, monkeypatch
 
 
 def use_cpus(monkeypatch, n: int) -> None:
-    """Let the run use ``n`` CPUs: with one, ``_map_jobs`` runs its jobs in this process, with two in workers."""
+    """Let the run use ``n`` CPUs: ``_map_jobs`` runs its jobs in this process
+    on one, and in worker processes on two."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -926,7 +927,8 @@ def test_failing_ingest_writes_no_series(corpus, tmp_path, monkeypatch, cpus, da
     assert not list((tmp_path / "out").glob("series_*"))
 
 
-#: The steps besides ingest that run one job per zone, or per zone and evaluation, through ``_map_jobs``.
+#: The steps besides ingest that run their jobs, one per zone or per zone and
+#: evaluation, through ``_map_jobs``.
 POOLED_STEPS: dict[str, Callable[[PipelineConfig], list[Path]]] = {
     "model": stage_model,
     "simulate": stage_simulate,
