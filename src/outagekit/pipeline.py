@@ -8,8 +8,10 @@ with content hashes instead of timestamps.
 
 ``ingest``, ``model``, ``simulate``, ``stats`` and the timeseries plot data
 split their work into independent jobs, one per zone or per (zone,
-evaluation), that ``_map_jobs`` runs in forked worker processes when the run
-may use more than one CPU; the files and log lines are the same either way.
+evaluation), that ``_map_jobs`` runs on a ``ProcessPoolExecutor`` of forked
+workers when the run may use more than one CPU; the files and log lines are
+the same either way.  A worker that dies fails the step with exit code 1, and
+a failing step waits for the jobs that are running.
 ``fetch`` (rate-limited), ``fleet`` and the histogram and seasonal plot data
 stay in this process: their work per zone is about what starting a pool costs.
 """
@@ -441,76 +443,52 @@ def _run_job(k: int) -> tuple[list[logging.LogRecord], Exception | None, object]
 def _map_jobs(fn: Callable[[int], _T], n: int) -> list[_T]:
     """``[fn(0), ..., fn(n - 1)]``, on every CPU the run may use.
 
-    There is one forked worker per CPU that ``os.sched_getaffinity`` allows,
-    up to ``n``.  With one worker, or without ``os.sched_getaffinity`` or
-    the fork start method, this is a plain map in this process.  Otherwise
-    each job's log records are emitted here in job order, and the first
-    failing job in job order raises its error, as the plain map would,
-    though jobs after it may have run.  No worker is left when this returns
-    or raises.
+    The pool is a ``ProcessPoolExecutor`` with one forked worker per CPU
+    that ``os.sched_getaffinity`` allows, up to ``n``.  With one worker, or
+    without ``os.sched_getaffinity`` or the fork start method, this is a
+    plain map in this process.  Otherwise each job's log records are emitted
+    here in job order, and the first failing job in job order raises its
+    error, as the plain map would, though jobs after it may have run: the
+    pending jobs are cancelled and the running ones waited for.  A worker
+    that dies raises an ``OutageKitError`` (exit 1), which cannot name the
+    worker's exit code.  No worker is left when this returns or raises.
     """
     workers = min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if workers > 1:
         import multiprocessing  # here, so that a one-CPU run never loads it
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _pool_map(fn, n, workers)
-    return [fn(k) for k in range(n)]
-
-
-def _pool_map(fn: Callable[[int], _T], n: int, workers: int) -> list[_T]:
-    """``_map_jobs`` on a pool of ``workers`` forked processes."""
-    import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        return [fn(k) for k in range(n)]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     cpus = context.SimpleQueue()
     for cpu in sorted(os.sched_getaffinity(0))[:workers]:
         cpus.put(cpu)
-    before = set(multiprocessing.active_children())
-    with warnings.catch_warnings():
-        # Python 3.12+ warns at any fork in a process with threads, as a BLAS
-        # thread pool's; the pool forks its workers before it starts its own
-        # threads, and the pipeline starts none.
-        warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
-        pool = context.Pool(workers, _start_worker, (fn, cpus))
-    started = [p for p in multiprocessing.active_children() if p not in before]
+    pool = ProcessPoolExecutor(workers, context, _start_worker, (fn, cpus))
+    results = []
     try:
-        outcomes = pool.imap(_run_job, range(n))
-        results = [_next_result(outcomes, started) for _ in range(n)]
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at any fork in a process with threads, as a
+            # BLAS thread pool's; the pool forks its workers at the first
+            # submit, before it starts its own threads, and the pipeline
+            # starts none.
+            warnings.filterwarnings("ignore", r"This process .*is multi-threaded", DeprecationWarning)
+            outcomes = pool.map(_run_job, range(n))
+        for records, error, result in outcomes:
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if error is not None:
+                raise error
+            results.append(result)
+    except BrokenProcessPool:
+        raise OutageKitError("a worker process ended before its jobs were done") from None
     finally:
-        pool.join()
+        pool.shutdown(cancel_futures=True)
         cpus.close()
     return results
-
-
-def _next_result(outcomes, started: list):
-    """The next job's result, after its log records are emitted here.
-
-    Raises the job's error, or an error if a worker has died: the pool
-    would wait for ever for the job that worker took.
-    """
-    import multiprocessing
-
-    while True:
-        try:
-            records, error, result = outcomes.next(timeout=1.0)
-            break
-        except multiprocessing.TimeoutError:
-            for process in started:
-                if process.exitcode is not None:
-                    raise OutageKitError(
-                        f"a worker process ended with exit code {process.exitcode}"
-                    ) from None
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if error is not None:
-        raise error
-    return result
 
 
 def _load_params(config: PipelineConfig) -> tuple[dict[Fuel, object], str]:

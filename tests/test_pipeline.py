@@ -1036,8 +1036,24 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's OOM killer would
         return k
 
-    with pytest.raises(OutageKitError, match="worker process ended with exit code -9"):
+    with pytest.raises(OutageKitError, match="worker process ended") as info:
         pipeline._map_jobs(job, 3)
+    assert info.value.exit_code == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_cannot_start_fails_the_run(monkeypatch):
+    import multiprocessing
+
+    use_cpus(monkeypatch, 2)
+
+    def start_worker(job, cpus) -> None:
+        raise RuntimeError("no worker today")
+
+    monkeypatch.setattr(pipeline, "_start_worker", start_worker)
+    with pytest.raises(OutageKitError, match="worker process ended") as info:
+        pipeline._map_jobs(lambda k: k, 3)
+    assert info.value.exit_code == 1
     assert multiprocessing.active_children() == []
 
 
